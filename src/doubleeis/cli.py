@@ -69,6 +69,14 @@ def _parse_weights(text: str) -> list[int]:
     return out
 
 
+def _check_bounds(args):
+    """Reject a negative truncation bound before any command runs."""
+    for flag in ("q_order", "degree"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--q-order", type=int, default=30, help="q-series truncation order")
@@ -247,6 +255,8 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_fay(args) -> int:
+    if args.degree < 1:
+        raise UsageError(f"fay-check needs --degree >= 1; degree {args.degree} checks nothing")
     if args.polar_only:
         ok = fay_check(True, None, args.degree, args.q_order)
         label = "polar part"
@@ -281,28 +291,36 @@ def _cmd_act(args) -> int:
     return 0
 
 
+def _max_weight(args, default: int) -> int:
+    return default if args.max_weight is None else args.max_weight
+
+
+def _no_instances(args) -> UsageError:
+    return UsageError(f"--max-weight {args.max_weight} leaves no {args.identity} instances to check")
+
+
 def _verify_instances(args):
     name = args.identity
     q = args.q_order
     if name == "sum-formula":
-        top = args.max_weight or 10
+        top = _max_weight(args, 10)
         for k in range(2, top + 1):
             for d in range(top - k + 1):
                 yield f"sum-formula k={k} d={d}", {"k": k, "d": d}, sum_formula(k, d)
     elif name == "parity":
-        top = args.max_weight or 9
+        top = _max_weight(args, 9)
         for weight in range(3, top + 1, 2):
             for gen in enumerate_generators(EISENSTEIN, weight):
                 if gen.kind == "G2":
                     yield (f"parity {gen}", {"indices": list(gen.args)},
                            parity_expression(*gen.args))
     elif name == "relprodandg":
-        top = args.max_weight or 12
+        top = _max_weight(args, 12)
         for k in range(4, top + 1, 2):
             for k1 in range(1, k):
                 yield f"relprodandg ({k1},{k - k1})", {"k1": k1, "k2": k - k1}, relprodandg(k1, k - k1)
     elif name == "mfprod":
-        top = args.max_weight or 12
+        top = _max_weight(args, 12)
         for k in range(4, top + 1, 2):
             yield f"mfprod-i k={k}", {"k": k, "part": "i"}, mfprod_i(k)
         for k in range(6, top + 1, 2):
@@ -317,10 +335,12 @@ def _verify_instances(args):
 
 def _cmd_verify(args) -> int:
     if args.identity == "diagram":
-        top = args.max_weight or 8
+        weights = range(1, _max_weight(args, 8) + 1)
+        if not weights:
+            raise _no_instances(args)
         reports = []
         ok_all = True
-        for weight in range(1, top + 1):
+        for weight in weights:
             ok = check_derivation_diagram(weight, args.q_order)
             ok_all &= ok
             reports.append({"name": f"diagram weight {weight}", "holds": ok})
@@ -337,6 +357,8 @@ def _cmd_verify(args) -> int:
         ok_all &= good
         reports.append(report)
         lines.append(f"{label}: " + ("ok" if good else "FAILED"))
+    if not reports:
+        raise _no_instances(args)
     lines.append(f"{len(reports)} instances, " + ("all verified" if ok_all else "FAILURES present"))
     _emit(args, reports, lines)
     return 0 if ok_all else 1
@@ -374,6 +396,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_bounds(args)
         return _COMMANDS[args.command](args)
     except (UsageError, ExpressionSyntaxError, MixedSpaceError, MixedWeightError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -382,3 +405,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main():  # pragma: no cover - thin wrapper
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

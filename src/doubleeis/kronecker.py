@@ -8,6 +8,11 @@ solves the generating-series form of the double-shuffle relations, so
 coefficient extraction defines a linear map from the formal double
 Eisenstein space into q-series, landing in the quasimodular ring.  Taking
 constant terms gives the rational (Bernoulli-number) realization.
+
+``b2`` is bilinear in ``b1``, so each of its coefficients is one rational
+combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
+Both are built once with :class:`AtomCombination` coefficients, and a value
+is evaluated from cached product series at the q-order asked for.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .action import GroupRingElem, MATRICES, act_group_ring, wplus_check
 from .eisenstein import derived_eisenstein, eisenstein_qexp
-from .elements import EISENSTEIN, FormalElement, GenId
+from .elements import EISENSTEIN, FormalElement, G1, GenId
 from .maps import map_partial
 from .multipoly import (
     BiSeries,
@@ -55,24 +60,11 @@ class KroneckerTable:
             return QSeries.zero(self.q_order)
         return c * factorial(s)
 
-    def raw_coefficient(self, r: int, s: int) -> QSeries:
-        c = self.biseries.coefficient(r, s)
-        return QSeries.zero(self.q_order) if c is None else c
-
 
 def kronecker_b1(degree: int, q_order: int) -> KroneckerTable:
     """Tabulate the regular Kronecker coefficients up to a total degree."""
-    terms = {}
-    for r in range(degree + 1):
-        for s in range(degree + 1 - r):
-            if (r + s) % 2 == 0:
-                continue
-            k = abs(r - s) + 1
-            if k % 2:
-                continue  # odd-weight Eisenstein series vanish
-            c = Fraction(factorial(abs(r - s)), factorial(r) * factorial(s))
-            terms[(r, s)] = c * derived_eisenstein(k, min(r, s), q_order)
-    return KroneckerTable(BiSeries(terms, degree), degree, q_order)
+    b1 = symbolic_b1(degree).map_coefficients(lambda c: c.evaluate(q_order))
+    return KroneckerTable(b1, degree, q_order)
 
 
 def _as_biseries(table) -> BiSeries:
@@ -105,19 +97,13 @@ _SHUFFLE_COMBO = _GR(MATRICES["T"].inverse()) * (5 - 3 * _GR(MATRICES["epsilon"]
 _ONE_PLUS_TINV = 1 + _GR(MATRICES["T"].inverse())
 
 
-def _clip_order(b: BiSeries, q_order: int) -> BiSeries:
-    return b.map_coefficients(
-        lambda c: c.truncate(q_order) if isinstance(c, QSeries) and c.order > q_order else c
-    )
-
-
-def beta_combination(b1, degree: int, q_order: int) -> MultiPoly:
+def beta_combination(b1, degree: int) -> MultiPoly:
     """The correction series built from both divided differences of b1:
 
         (1/4) R*  | (5 - 3U + U epsilon)
       + (1/4) Rsh | (T^-1 (5 - 3 epsilon + U)).
     """
-    b1 = _clip_order(_as_biseries(b1), q_order)
+    b1 = _as_biseries(b1)
     quarter = Fraction(1, 4)
     rstar = divided_difference(b1, "star").truncate(degree)
     rshuffle = divided_difference(b1, "shuffle").truncate(degree)
@@ -127,22 +113,110 @@ def beta_combination(b1, degree: int, q_order: int) -> MultiPoly:
     )
 
 
-def build_b2(b1, degree: int, q_order: int) -> MultiPoly:
+def build_b2(b1, degree: int) -> MultiPoly:
     """Solve the double-shuffle system in depth two from an odd depth-one table.
 
     Returns (1/3) P | (1 + T^-1) - (1/3) beta with P = b1(X1;Y1) b1(X2;Y2);
     the result satisfies  P = b2|(1+epsilon) + R*  =  b2|T(1+epsilon) + Rsh
     coefficientwise below the truncation.  The input table must carry
     entries one degree beyond the requested output degree, because divided
-    differences lower the exact degree by one.
+    differences lower the exact degree by one.  The coefficients may be
+    q-series or :class:`AtomCombination` values.
     """
-    b1 = _clip_order(_as_biseries(b1), q_order)
+    b1 = _as_biseries(b1)
     _require_odd(b1)
     if b1.cap is not None and b1.cap < degree + 1:
         raise ValueError(f"need depth-one entries to degree {degree + 1}, have {b1.cap}")
     third = Fraction(1, 3)
     p = pair_product(b1, degree)
-    return act_group_ring(_ONE_PLUS_TINV, p) * third - beta_combination(b1, degree, q_order) * third
+    return act_group_ring(_ONE_PLUS_TINV, p) * third - beta_combination(b1, degree) * third
+
+
+# -- the symbolic b1 and b2 ----------------------------------------------------
+
+class AtomCombination(dict):
+    """A coefficient of the symbolic b1 or b2: a map from monomials to rationals.
+
+    The atom (k, m) stands for (q d/dq)^m G_k and a monomial is a sorted
+    tuple of atoms.  The series and group-ring code needs sums, negation,
+    products and truthiness of a coefficient, so zero terms are dropped.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: dict | None = None):
+        super().__init__((m, c) for m, c in (terms or {}).items() if c)
+
+    def __add__(self, other: "AtomCombination") -> "AtomCombination":
+        t = dict(self)
+        for m, c in other.items():
+            t[m] = t.get(m, 0) + c
+        return AtomCombination(t)
+
+    def __neg__(self) -> "AtomCombination":
+        return self * -1
+
+    def __mul__(self, other) -> "AtomCombination":
+        if not isinstance(other, AtomCombination):
+            return AtomCombination({m: c * other for m, c in self.items()})
+        t: dict = {}
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                m = tuple(sorted(m1 + m2))
+                t[m] = t.get(m, 0) + c1 * c2
+        return AtomCombination(t)
+
+    __rmul__ = __mul__
+
+    def evaluate(self, q_order: int) -> QSeries:
+        """The combination as a q-series truncated at ``q_order``."""
+        terms = (_cached(_SERIES, m, q_order, _monomial_series) * c for m, c in self.items())
+        return sum(terms, QSeries.zero(q_order))
+
+
+def _monomial_series(monomial: tuple, q_order: int) -> QSeries:
+    first, *rest = (derived_eisenstein(k, m, q_order) for k, m in monomial)
+    return prod(rest, start=first)
+
+
+#: Series of monomials and of generators' values, each kept at the largest
+#: q-order asked for: truncation commutes with sums and products, so one
+#: entry serves every lower order.
+_SERIES: dict[tuple, QSeries] = {}
+_VALUES: dict[GenId, QSeries] = {}
+
+
+def _cached(cache: dict, key, q_order: int, make) -> QSeries:
+    s = cache.get(key)
+    if s is None or s.order < q_order:
+        s = cache[key] = make(key, q_order)
+    return s if s.order == q_order else s.truncate(q_order)
+
+
+@lru_cache(maxsize=None)
+def symbolic_b1(degree: int) -> BiSeries:
+    """The table of :class:`KroneckerTable` with one atom (k, m) per coefficient."""
+    terms = {}
+    for r in range(degree + 1):
+        for s in range(degree + 1 - r):
+            if (r + s) % 2:  # otherwise k = |r-s|+1 is odd and G_k vanishes
+                c = Fraction(factorial(abs(r - s)), factorial(r) * factorial(s))
+                terms[(r, s)] = AtomCombination({((abs(r - s) + 1, min(r, s)),): c})
+    return BiSeries(terms, degree)
+
+
+#: The largest symbolic b2 built so far; it serves every smaller degree, so
+#: a request builds only up to the degree it needs.
+_symbolic_b2: MultiPoly | None = None
+
+
+def symbolic_b2(degree: int) -> MultiPoly:
+    """The depth-two series to at least total degree ``degree``, with atom coefficients."""
+    global _symbolic_b2
+    b2 = _symbolic_b2  # read once: another thread may replace it meanwhile
+    if b2 is None or b2.cap < degree:
+        b2 = _symbolic_b2 = build_b2(symbolic_b1(degree + 1), degree)
+    return b2
 
 
 # -- the Fay identity --------------------------------------------------------
@@ -261,49 +335,51 @@ class RealizationTable:
 
 
 class KroneckerRealization:
-    """Extraction context: the depth-one table and depth-two series at one size.
+    """Extraction context: a view of the shared symbolic b1 and b2.
 
     Serves every weight up to ``max_weight`` at one q-order.  Values follow
     the generating-series conventions: depth-one values are d! times the
     stored coefficient, depth-two values are d1! d2! times the coefficient
     of X1^(k1-1) X2^(k2-1) Y1^d1 Y2^d2, and product generators map to
-    products of depth-one values.
+    products of depth-one values.  Creating a view builds nothing; the
+    first value it needs builds the symbolic series up to ``max_weight``.
     """
 
     def __init__(self, max_weight: int, q_order: int):
-        if max_weight < 2:
-            max_weight = 2
-        self.max_weight = max_weight
+        self.max_weight = max(max_weight, 2)
         self.q_order = q_order
-        self.table = kronecker_b1(max(max_weight - 1, 1), q_order)
-        self._b2: MultiPoly | None = None
         self._zero = QSeries.zero(q_order)
+        self._b2: MultiPoly | None = None
 
     @property
     def b2(self) -> MultiPoly:
+        """The depth-two series to total degree max_weight - 2, evaluated at this q-order."""
         if self._b2 is None:
-            self._b2 = build_b2(self.table, self.max_weight - 2, self.q_order)
+            degree = self.max_weight - 2
+            self._b2 = symbolic_b2(degree).truncate(degree).map_coefficients(
+                lambda c: c.evaluate(self.q_order)
+            )
         return self._b2
 
-    def depth_one(self, k: int, d: int) -> QSeries:
-        if k + d > self.max_weight:
-            raise ValueError(f"weight {k + d} exceeds this context's maximum {self.max_weight}")
-        return self.table.entry(k - 1, d)
+    def _combination(self, gen: GenId) -> AtomCombination:
+        if gen.kind == "G1":
+            k, d = gen.args
+            c = symbolic_b1(self.max_weight - 1).coefficient(k - 1, d)
+            scale = factorial(d)
+        else:
+            k1, k2, d1, d2 = gen.args
+            if gen.kind == "GP":
+                return self._combination(G1(k1, d1)) * self._combination(G1(k2, d2))
+            c = symbolic_b2(self.max_weight - 2).coefficient((k1 - 1, k2 - 1, d1, d2))
+            scale = factorial(d1) * factorial(d2)
+        return AtomCombination() if c is None else c * scale
 
     def value(self, gen: GenId) -> QSeries:
         if gen.space != EISENSTEIN:
             raise ValueError("the Kronecker realization is defined on the Eisenstein space")
-        if gen.kind == "G1":
-            return self.depth_one(*gen.args)
-        k1, k2, d1, d2 = gen.args
-        if gen.kind == "GP":
-            return self.depth_one(k1, d1) * self.depth_one(k2, d2)
         if gen.weight > self.max_weight:
             raise ValueError(f"weight {gen.weight} exceeds this context's maximum {self.max_weight}")
-        c = self.b2.coefficient((k1 - 1, k2 - 1, d1, d2))
-        if c is None:
-            return self._zero
-        return c * (factorial(d1) * factorial(d2))
+        return _cached(_VALUES, gen, self.q_order, lambda _, q: self._combination(gen).evaluate(q))
 
     def element_value(self, element: FormalElement) -> QSeries:
         out = self._zero
@@ -316,35 +392,26 @@ class KroneckerRealization:
         return RealizationTable(weight, self.q_order, values, "series-extraction")
 
 
-#: Small requests still build at the scale the identity catalog needs, so
-#: one cached context serves them all.
-DEFAULT_MAX_WEIGHT = 12
-
-
-@lru_cache(maxsize=8)
 def realization(max_weight: int, q_order: int) -> KroneckerRealization:
+    """The view serving every weight up to ``max_weight`` at one q-order."""
     return KroneckerRealization(max_weight, q_order)
-
-
-def _context_for(weight: int, q_order: int) -> KroneckerRealization:
-    return realization(max(weight, DEFAULT_MAX_WEIGHT), q_order)
 
 
 def realize_kronecker(gen: GenId, q_order: int) -> QSeries:
     """The q-series value of one generator under the Kronecker realization."""
-    return _context_for(gen.weight, q_order).value(gen)
+    return realization(gen.weight, q_order).value(gen)
 
 
 def realize_element(element: FormalElement, q_order: int) -> QSeries:
     """Linear extension of the Kronecker realization to an element."""
     if not element:
         return QSeries.zero(q_order)
-    return _context_for(element.weight, q_order).element_value(element)
+    return realization(element.weight, q_order).element_value(element)
 
 
 def realize_bernoulli(gen: GenId) -> Fraction:
     """The constant term of the Kronecker value: the rational realization."""
-    return _context_for(gen.weight, 0).value(gen).coefficient(0)
+    return realize_kronecker(gen, 0).coefficient(0)
 
 
 def closed_form_depth2(k1: int, k2: int, q_order: int) -> QSeries:
@@ -391,7 +458,7 @@ def check_derivation_diagram(weight: int, q_order: int, context: KroneckerRealiz
     of the weight-raising map, compared to order q_order - 1."""
     if q_order < 1:
         raise ValueError("the diagram check needs q-order >= 1")
-    ctx = context if context is not None else _context_for(weight + 2, q_order)
+    ctx = context if context is not None else realization(weight + 2, q_order)
     if ctx.max_weight < weight + 2 or ctx.q_order < q_order:
         raise ValueError("context is too small for this diagram check")
     n = q_order - 1

@@ -500,14 +500,6 @@ class RationalFunction4:
     def den_degree(self) -> int:
         return sum(self.den.values())
 
-    def den_poly(self) -> MultiPoly:
-        out = MultiPoly.monomial((0, 0, 0, 0), Fraction(1))
-        for i, e in sorted(self.den.items()):
-            form = MultiPoly.from_form(FORMS[i])
-            for _ in range(e):
-                out = out * form
-        return out
-
     def is_zero(self) -> bool:
         return not self.num
 

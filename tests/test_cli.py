@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,49 @@ def test_determinism(capsys):
     a = invoke(capsys, "dimension", "--space", "E", "--weights", "1..5", "--format", "json")[1]
     b = invoke(capsys, "dimension", "--space", "E", "--weights", "1..5", "--format", "json")[1]
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ("realize", "--gen", "G(2,2;0,0)", "--q-order", "-1"),
+    ("recognize", "--gen", "G(4;0)", "--q-order", "-3"),
+    ("fay-check", "--degree", "-1"),
+    ("verify", "--identity", "ramanujan", "--q-order", "-1"),
+    ("dimension", "--weights", "1..2", "--degree", "-1"),
+])
+def test_negative_bounds_exit_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("fay-check", "--degree", "0"),
+    ("fay-check", "--polar-only", "--degree", "0"),
+    ("verify", "--identity", "sum-formula", "--max-weight", "1"),
+    ("verify", "--identity", "parity", "--max-weight", "2"),
+    ("verify", "--identity", "diagram", "--max-weight", "0"),
+])
+def test_checks_over_nothing_exit_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and "verified" not in out and ": ok" not in out
+    assert err.startswith("error: ")
+
+
+def test_smallest_checks_still_run(capsys):
+    # the controls for the cases above: one degree, one instance
+    code, out, _ = invoke(capsys, "fay-check", "--degree", "1", "--q-order", "2")
+    assert code == 0 and out.rstrip().endswith("verified")
+    code, out, _ = invoke(capsys, "verify", "--identity", "sum-formula", "--max-weight", "2", "--q-order", "4")
+    assert code == 0 and out.splitlines()[-1] == "1 instances, all verified"
+    code, out, _ = invoke(capsys, "verify", "--identity", "diagram", "--max-weight", "1", "--q-order", "4")
+    assert code == 0 and out == "diagram weight 1: ok\n"
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "doubleeis.cli", "dimension", "--weights", "1..3"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "dim E_1 = 1\ndim E_2 = 2\ndim E_3 = 5\n"

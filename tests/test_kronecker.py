@@ -1,11 +1,20 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from doubleeis import kronecker
 from doubleeis.action import GroupRingElem, MATRICES, act_group_ring
 from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp, recognize_quasimodular
 from doubleeis.elements import EISENSTEIN, FormalElement, G1, G2, GP
 from doubleeis.kronecker import (
+    AtomCombination,
     KroneckerRealization,
     beta_combination,
     build_b2,
@@ -19,6 +28,7 @@ from doubleeis.kronecker import (
     realize_bernoulli,
     realize_element,
     realize_kronecker,
+    symbolic_b2,
 )
 from doubleeis.multipoly import BiSeries, MultiPoly, RationalFunction4, divided_difference
 from doubleeis.series import QSeries
@@ -68,13 +78,13 @@ def test_q_derivative_equals_mixed_partial():
 def test_build_b2_requires_odd_table():
     bad = BiSeries({(1, 1): QSeries.constant(1, 4)}, 5)
     with pytest.raises(ValueError):
-        build_b2(bad, 4, 4)
+        build_b2(bad, 4)
 
 
 def test_build_b2_requires_degree_margin():
     t = kronecker_b1(4, 4)
     with pytest.raises(ValueError):
-        build_b2(t, 4, 4)
+        build_b2(t, 4)
 
 
 def test_b2_solves_the_double_shuffle_system():
@@ -82,7 +92,7 @@ def test_b2_solves_the_double_shuffle_system():
     table = kronecker_b1(7, n_order)
     b1 = table.biseries
     degree = 6
-    b2 = build_b2(table, degree, n_order)
+    b2 = build_b2(table, degree)
     p = pair_product(b1, degree)
     eps = GroupRingElem.matrix(M["epsilon"])
     t = GroupRingElem.matrix(M["T"])
@@ -93,7 +103,7 @@ def test_b2_solves_the_double_shuffle_system():
 
 
 def test_b2_zero_input():
-    assert not build_b2(BiSeries.zero(None), 4, 4)
+    assert not build_b2(BiSeries.zero(None), 4)
 
 
 def test_b2_q_derivative_equals_pairing_operator():
@@ -111,7 +121,7 @@ def test_beta_correction_identities():
     table = kronecker_b1(7, n_order)
     b1 = table.biseries
     degree = 5
-    beta = beta_combination(b1, degree, n_order)
+    beta = beta_combination(b1, degree)
     pol = polar_cross_terms(b1, n_order)
     eps = GroupRingElem.matrix(M["epsilon"])
     t = GroupRingElem.matrix(M["T"])
@@ -264,3 +274,80 @@ def test_realization_table_export():
     assert rows[0]["gen"] == "G(2;0)"
     assert rows[0]["provenance"] == "series-extraction"
     assert "O(q^7)" in rows[0]["value"]
+
+
+# -- the symbolic b2 and its evaluation -----------------------------------------
+
+#: sha256 over "<gen> -> <value>" lines for every E generator of weights
+#: 2..12, recorded from the former construction of b2 in q-series
+#: arithmetic at each q-order.
+GOLDEN_REALIZATION_DIGESTS = {
+    0: "c6c7206f73543b5908908be337a7229f9dc37ff8da1337ede3c57a6e49cebda8",
+    10: "37ceb8a6582fdd1aca209d18833b67f1a56d6e6c97e5273b99a29d565fffa044",
+    30: "f1fd73d5dc25663b6786ff6c8409994bf9245c82afb9b15fc271cf443d95b467",
+}
+
+
+@pytest.mark.parametrize("q_order", sorted(GOLDEN_REALIZATION_DIGESTS))
+def test_realization_matches_golden_digest(q_order):
+    h = hashlib.sha256()
+    for weight in range(2, 13):
+        for gen in enumerate_generators(EISENSTEIN, weight):
+            value = realize_kronecker(gen, q_order)
+            assert value.order == q_order
+            h.update(f"{gen} -> {value.to_text()}\n".encode())
+    assert h.hexdigest() == GOLDEN_REALIZATION_DIGESTS[q_order]
+
+
+def test_evaluated_symbolic_b2_equals_series_construction():
+    evaluated = KroneckerRealization(8, 10).b2
+    direct = build_b2(kronecker_b1(7, 10), 6)
+    assert evaluated.cap == direct.cap == 6
+    assert evaluated._t.keys() == direct._t.keys()
+    assert evaluated == direct
+    assert all(c.order == 10 for c in evaluated._t.values())
+
+
+def test_symbolic_b2_has_bilinear_coefficients():
+    b2 = symbolic_b2(6)
+    assert b2
+    for c in b2._t.values():
+        assert isinstance(c, AtomCombination)
+        assert all(1 <= len(m) <= 2 for m in c)
+
+
+def test_import_builds_nothing_and_requests_build_what_they_need():
+    code = (
+        "from doubleeis import kronecker as k\n"
+        "assert k._symbolic_b2 is None and not k._SERIES and not k._VALUES\n"
+        "assert k.symbolic_b1.cache_info().currsize == 0\n"
+        "from doubleeis.elements import G2\n"
+        "k.realize_kronecker(G2(2, 2, 0, 0), 10)\n"
+        "assert k._symbolic_b2.cap == 2\n"
+        "k.realize_kronecker(G2(3, 3, 0, 0), 10)\n"
+        "assert k._symbolic_b2.cap == 4\n"
+        "k.realize_kronecker(G2(2, 2, 0, 0), 20)\n"
+        "assert k._symbolic_b2.cap == 4\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 10).flatmap(lambda w: st.sampled_from(enumerate_generators(EISENSTEIN, w))),
+    st.integers(0, 39).flatmap(lambda q1: st.tuples(st.just(q1), st.integers(q1 + 1, 40))),
+    st.booleans(),
+)
+def test_realization_truncates_consistently(gen, orders, low_first):
+    # with the value cache emptied before each call, the second value is
+    # evaluated from monomial series cached at the first call's order
+    q1, q2 = orders
+    kronecker._SERIES.clear()
+    values = {}
+    for q in (q1, q2) if low_first else (q2, q1):
+        kronecker._VALUES.clear()
+        values[q] = realize_kronecker(gen, q)
+    assert (values[q1].order, values[q2].order) == (q1, q2)
+    assert values[q2].truncate(q1) == values[q1]
