@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .series import QSeries
 from .multipoly import (
-    BiSeries,
     FORMS,
     MultiPoly,
     RationalFunction4,
@@ -86,7 +85,6 @@ from .identities import (
 from .expressions import ExpressionSyntaxError, parse_expression
 
 __all__ = [
-    "BiSeries",
     "EISENSTEIN",
     "ExpressionSyntaxError",
     "FORMS",

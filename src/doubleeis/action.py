@@ -104,7 +104,11 @@ MATRICES["A"] = MATRICES["epsilon"] * MATRICES["U"] * MATRICES["epsilon"]
 
 
 def act(matrix: IntMatrix2, obj):
-    """Apply one matrix to a MultiPoly or RationalFunction4."""
+    """Apply one matrix to a MultiPoly or RationalFunction4.
+
+    A fraction's image is not cancelled: every caller compares fractions by
+    cross-multiplying and testing the numerator for zero.
+    """
     images = matrix.images()
     if isinstance(obj, MultiPoly):
         return obj.substitute(images)
@@ -116,7 +120,7 @@ def act(matrix: IntMatrix2, obj):
             den[j] = den.get(j, 0) + e
             if sign < 0 and e % 2:
                 num = -num
-        return RationalFunction4(num, den).normalize()
+        return RationalFunction4(num, den)
     raise TypeError(f"cannot act on {type(obj).__name__}")
 
 

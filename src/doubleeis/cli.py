@@ -12,7 +12,6 @@ import json
 import sys
 
 from . import __version__
-from .action import parse_group_ring
 from .elements import EISENSTEIN, FormalElement, MixedSpaceError, MixedWeightError, parse_genid
 from .eisenstein import UnderdeterminedTruncationError, recognize_quasimodular
 from .expressions import ExpressionSyntaxError, parse_expression
@@ -77,11 +76,15 @@ def _check_bounds(args):
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
 
 
-def _common_flags(parser: argparse.ArgumentParser):
+def _common_flags(parser: argparse.ArgumentParser, q_order=False, degree=False, cache_dir=False):
+    """``--format`` everywhere; the other flags only where the command uses them."""
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--q-order", type=int, default=30, help="q-series truncation order")
-    parser.add_argument("--degree", type=int, default=8, help="total-degree truncation")
-    parser.add_argument("--cache-dir", default=None, help="relation-system cache directory")
+    if q_order:
+        parser.add_argument("--q-order", type=int, default=30, help="q-series truncation order")
+    if degree:
+        parser.add_argument("--degree", type=int, default=8, help="total-degree truncation")
+    if cache_dir:
+        parser.add_argument("--cache-dir", default=None, help="relation-system cache directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,45 +98,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dimension", help="dimensions of the formal spaces")
     p.add_argument("--space", choices=("E", "Z"), default="E")
     p.add_argument("--weights", default="1..12")
-    _common_flags(p)
+    _common_flags(p, cache_dir=True)
 
     p = sub.add_parser("relations", help="relation rows of one weight")
     p.add_argument("--space", choices=("E", "Z"), default="E")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--reduced", action="store_true", help="emit the row-reduced system")
-    _common_flags(p)
+    _common_flags(p, cache_dir=True)
 
     p = sub.add_parser("reduce", help="normal form of an expression")
     p.add_argument("--expr", required=True)
-    _common_flags(p)
+    _common_flags(p, cache_dir=True)
 
     p = sub.add_parser("map", help="apply a structural map to an expression")
     p.add_argument("--which", choices=("pi", "sigma", "partial"), required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--reduce", action="store_true", help="also reduce the image")
-    _common_flags(p)
+    _common_flags(p, cache_dir=True)
 
     p = sub.add_parser("realize", help="realize a generator as a q-series or rational")
     p.add_argument("--kind", choices=("kronecker", "bernoulli"), default="kronecker")
     p.add_argument("--gen", required=True)
     p.add_argument("--check-closed-form", action="store_true")
-    _common_flags(p)
+    _common_flags(p, q_order=True)
 
     p = sub.add_parser("recognize", help="express a generator's q-series in G2,G4,G6")
     p.add_argument("--gen", required=True)
-    _common_flags(p)
+    _common_flags(p, q_order=True)
 
     p = sub.add_parser("fay-check", help="verify the three-term Fay identity")
     p.add_argument("--polar-only", action="store_true", help="check the bare pole part")
-    _common_flags(p)
+    _common_flags(p, q_order=True, degree=True)
 
     p = sub.add_parser("wplus-check", help="bi-period space membership")
     p.add_argument("--candidate", choices=("kronecker", "polar"), default="kronecker")
-    _common_flags(p)
-
-    p = sub.add_parser("act", help="apply a group-ring element to a generator expression")
-    p.add_argument("--matrix", required=True, help="e.g. '1+T^-1' or '5-3*U+U*epsilon'")
-    _common_flags(p)
+    _common_flags(p, q_order=True, degree=True)
 
     p = sub.add_parser("verify", help="verify one identity family")
     p.add_argument(
@@ -142,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--max-weight", type=int, default=None)
-    _common_flags(p)
+    _common_flags(p, q_order=True, cache_dir=True)
 
     p = sub.add_parser("cache", help="inspect or clear the relation-system cache")
     p.add_argument("action", choices=("status", "clear"))
@@ -176,10 +175,11 @@ def _cmd_dimension(args) -> int:
 
 def _cmd_relations(args) -> int:
     if args.format == "json":
-        print(json.dumps(relations_to_json(args.space, args.weight, args.reduced), indent=2))
+        print(json.dumps(relations_to_json(args.space, args.weight, args.reduced, args.cache_dir),
+                         indent=2))
     else:
         # the CSV table is also the most readable text form
-        sys.stdout.write(relations_to_csv(args.space, args.weight, args.reduced))
+        sys.stdout.write(relations_to_csv(args.space, args.weight, args.reduced, args.cache_dir))
     return 0
 
 
@@ -284,13 +284,6 @@ def _cmd_wplus(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_act(args) -> int:
-    elem = parse_group_ring(args.matrix)
-    rows = [{"coefficient": c, "matrix": list(m.entries)} for c, m in elem.terms]
-    _emit(args, rows, [f"{c} * {m.entries}" for c, m in elem.terms])
-    return 0
-
-
 def _max_weight(args, default: int) -> int:
     return default if args.max_weight is None else args.max_weight
 
@@ -352,7 +345,7 @@ def _cmd_verify(args) -> int:
     lines = []
     ok_all = True
     for label, params, element in _verify_instances(args):
-        report = identity_report(args.identity, params, element, args.q_order)
+        report = identity_report(args.identity, params, element, args.q_order, args.cache_dir)
         good = report["reduced_to_zero"] and report["realized_zero_to_order"] is not None
         ok_all &= good
         reports.append(report)
@@ -383,7 +376,6 @@ _COMMANDS = {
     "recognize": _cmd_recognize,
     "fay-check": _cmd_fay,
     "wplus-check": _cmd_wplus,
-    "act": _cmd_act,
     "verify": _cmd_verify,
     "cache": _cmd_cache,
 }

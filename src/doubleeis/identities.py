@@ -17,7 +17,7 @@ from math import comb, factorial
 from .action import GroupRingElem, MATRICES, act_group_ring
 from .elements import FormalElement, G1, G2, GP, GenId
 from .kronecker import realize_element
-from .multipoly import BiSeries, MultiPoly, divided_difference
+from .multipoly import MultiPoly, divided_difference
 from .series import QSeries
 from .spaces import is_zero_in_space
 
@@ -44,13 +44,13 @@ def sum_formula(k: int, d: int) -> FormalElement:
 
 # -- parity -------------------------------------------------------------------
 
-def _symbolic_depth_one(weight: int) -> BiSeries:
+def _symbolic_depth_one(weight: int) -> MultiPoly:
     """The weight-graded generating series of G(k;d) with element coefficients."""
     terms = {}
     for k in range(1, weight + 1):
         d = weight - k
-        terms[(k - 1, d)] = FormalElement.single(G1(k, d), Fraction(1, factorial(d)))
-    return BiSeries(terms, None)
+        terms[(k - 1, 0, d, 0)] = FormalElement.single(G1(k, d), Fraction(1, factorial(d)))
+    return MultiPoly(terms, None)
 
 
 def _symbolic_products(weight: int) -> MultiPoly:
@@ -197,9 +197,10 @@ def ramanujan_printed_g4(q_order: int = 50) -> tuple[FormalElement, QSeries]:
 
 # -- reporting ------------------------------------------------------------------
 
-def identity_report(name: str, params: dict, element: FormalElement, q_order: int = 50) -> dict:
+def identity_report(name: str, params: dict, element: FormalElement, q_order: int = 50,
+                    cache_dir=None) -> dict:
     """Run both oracles on one identity instance and summarize as JSON data."""
-    reduced = is_zero_in_space(element) if element else True
+    reduced = is_zero_in_space(element, cache_dir=cache_dir) if element else True
     realized = realize_element(element, q_order)
     return {
         "name": name,

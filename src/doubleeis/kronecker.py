@@ -27,7 +27,7 @@ from .eisenstein import derived_eisenstein, eisenstein_qexp
 from .elements import EISENSTEIN, FormalElement, G1, GenId
 from .maps import map_partial
 from .multipoly import (
-    BiSeries,
+    LinForm,
     MultiPoly,
     RationalFunction4,
     X1,
@@ -44,18 +44,19 @@ from .spaces import enumerate_generators
 class KroneckerTable:
     """The regular part of the Kronecker function as a coefficient table.
 
-    ``biseries`` stores plain monomial coefficients: the coefficient of
-    X^r Y^s is |r-s|!/(r! s!) (q d/dq)^min(r,s) G_{|r-s|+1}, supported on
-    odd r+s only.  :meth:`entry` returns the series-convention entry (the
+    ``series`` is the depth-one series b1(X1; Y1) with plain monomial
+    coefficients: the coefficient of X1^r Y1^s, at exponents (r, 0, s, 0),
+    is |r-s|!/(r! s!) (q d/dq)^min(r,s) G_{|r-s|+1}, supported on odd r+s
+    only.  :meth:`entry` returns the series-convention entry (the
     coefficient of X^r Y^s/s!), which is s! times the stored one.
     """
 
-    biseries: BiSeries
+    series: MultiPoly
     degree: int
     q_order: int
 
     def entry(self, r: int, s: int) -> QSeries:
-        c = self.biseries.coefficient(r, s)
+        c = self.series.coefficient((r, 0, s, 0))
         if c is None:
             return QSeries.zero(self.q_order)
         return c * factorial(s)
@@ -67,28 +68,34 @@ def kronecker_b1(degree: int, q_order: int) -> KroneckerTable:
     return KroneckerTable(b1, degree, q_order)
 
 
-def _as_biseries(table) -> BiSeries:
-    return table.biseries if isinstance(table, KroneckerTable) else table
+def _as_series(table) -> MultiPoly:
+    return table.series if isinstance(table, KroneckerTable) else table
 
 
-def _lift_cap(b: BiSeries, extra: int) -> BiSeries:
+def _at(t: MultiPoly, x: LinForm, y: LinForm) -> MultiPoly:
+    """t(x; y) for a depth-one series t(X1; Y1)."""
+    return t.substitute((x, X2, y, Y2))
+
+
+def _lift_cap(b: MultiPoly, extra: int) -> MultiPoly:
     """Raise the exactness cap before multiplying by an exact polynomial of
     degree ``extra``; valid because the product's low coefficients only draw
     on stored ones."""
-    return b if b.cap is None else BiSeries(b._t, b.cap + extra)
+    return b if b.cap is None else MultiPoly(b._t, b.cap + extra)
 
 
-def _require_odd(b1: BiSeries):
-    bad = [k for k in b1._t if (k[0] + k[1]) % 2 == 0]
+def _require_odd(b1: MultiPoly):
+    bad = [k for k in b1._t if sum(k) % 2 == 0]
     if bad:
         raise ValueError(f"depth-one table must be odd; even-degree entries at {sorted(bad)[:3]}")
 
 
 def pair_product(b1, degree: int | None = None) -> MultiPoly:
     """b1(X1; Y1) * b1(X2; Y2) as a four-variable series."""
-    b1 = _as_biseries(b1)
-    cap = b1.cap if degree is None else degree
-    return b1.substitute(X1, Y1, cap) * b1.substitute(X2, Y2, cap)
+    b1 = _as_series(b1)
+    if degree is not None:
+        b1 = b1.truncate(degree)  # so the substitution prunes at the degree
+    return b1 * _at(b1, X2, Y2)
 
 
 _GR = GroupRingElem.matrix
@@ -103,7 +110,7 @@ def beta_combination(b1, degree: int) -> MultiPoly:
         (1/4) R*  | (5 - 3U + U epsilon)
       + (1/4) Rsh | (T^-1 (5 - 3 epsilon + U)).
     """
-    b1 = _as_biseries(b1)
+    b1 = _as_series(b1)
     quarter = Fraction(1, 4)
     rstar = divided_difference(b1, "star").truncate(degree)
     rshuffle = divided_difference(b1, "shuffle").truncate(degree)
@@ -123,7 +130,7 @@ def build_b2(b1, degree: int) -> MultiPoly:
     differences lower the exact degree by one.  The coefficients may be
     q-series or :class:`AtomCombination` values.
     """
-    b1 = _as_biseries(b1)
+    b1 = _as_series(b1)
     _require_odd(b1)
     if b1.cap is not None and b1.cap < degree + 1:
         raise ValueError(f"need depth-one entries to degree {degree + 1}, have {b1.cap}")
@@ -194,15 +201,15 @@ def _cached(cache: dict, key, q_order: int, make) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def symbolic_b1(degree: int) -> BiSeries:
+def symbolic_b1(degree: int) -> MultiPoly:
     """The table of :class:`KroneckerTable` with one atom (k, m) per coefficient."""
     terms = {}
     for r in range(degree + 1):
         for s in range(degree + 1 - r):
             if (r + s) % 2:  # otherwise k = |r-s|+1 is odd and G_k vanishes
                 c = Fraction(factorial(abs(r - s)), factorial(r) * factorial(s))
-                terms[(r, s)] = AtomCombination({((abs(r - s) + 1, min(r, s)),): c})
-    return BiSeries(terms, degree)
+                terms[(r, 0, s, 0)] = AtomCombination({((abs(r - s) + 1, min(r, s)),): c})
+    return MultiPoly(terms, degree)
 
 
 #: The largest symbolic b2 built so far; it serves every smaller degree, so
@@ -234,7 +241,7 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
     which must vanish identically up to total degree ``degree`` + 2 and
     q-order ``q_order``.
     """
-    regular = _as_biseries(regular) if regular is not None else BiSeries.zero(degree)
+    regular = _as_series(regular) if regular is not None else MultiPoly.zero(degree)
     cap = degree if regular.cap is None else min(regular.cap, degree)
 
     def to_series(c):
@@ -242,29 +249,29 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
             return c.truncate(min(c.order, q_order))
         return QSeries.constant(c, q_order)
 
-    xy = BiSeries.monomial(1, 1, Fraction(1))
+    xy = MultiPoly.monomial((1, 0, 1, 0), Fraction(1))
     cleared = (xy * _lift_cap(regular.truncate(cap), 2)).map_coefficients(to_series)
     if include_pole:
         half = QSeries.constant(Fraction(-1, 2), q_order)
-        cleared = cleared + BiSeries({(1, 0): half, (0, 1): half}, cap + 2)
+        cleared = cleared + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half}, cap + 2)
 
     x1mx2 = (1, -1, 0, 0)
     y1py2 = (0, 0, 1, 1)
     neg = lambda f: tuple(-v for v in f)
 
     t1 = (
-        cleared.substitute(X1, Y1)
-        * cleared.substitute(X2, Y2)
+        cleared
+        * _at(cleared, X2, Y2)
         * (MultiPoly.from_form(x1mx2) * MultiPoly.from_form(y1py2))
     )
     t2 = (
-        cleared.substitute(x1mx2, neg(Y2))
-        * cleared.substitute(X1, y1py2)
+        _at(cleared, x1mx2, neg(Y2))
+        * _at(cleared, X1, y1py2)
         * (MultiPoly.from_form(X2) * MultiPoly.from_form(Y1))
     )
     t3 = (
-        cleared.substitute(neg(X2), neg(y1py2))
-        * cleared.substitute(x1mx2, Y1)
+        _at(cleared, neg(X2), neg(y1py2))
+        * _at(cleared, x1mx2, Y1)
         * (MultiPoly.from_form(X1) * MultiPoly.from_form(Y2))
     )
     return not (t1 - t2 + t3)
@@ -282,20 +289,20 @@ def polar_product_candidate(q_order: int) -> RationalFunction4:
 
 def kronecker_wplus_candidate(b1, degree: int, q_order: int) -> RationalFunction4:
     """The full two-point Kronecker product, cleared over X1 Y1 X2 Y2."""
-    b1 = _as_biseries(b1)
+    b1 = _as_series(b1)
     half = Fraction(-1, 2)
-    xy = BiSeries.monomial(1, 1, Fraction(1))
-    cleared = xy * _lift_cap(b1, 2) + BiSeries({(1, 0): half, (0, 1): half})
+    xy = MultiPoly.monomial((1, 0, 1, 0), Fraction(1))
+    cleared = xy * _lift_cap(b1, 2) + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half})
     cleared = cleared.map_coefficients(
         lambda c: c if isinstance(c, QSeries) else QSeries.constant(c, q_order)
     )
-    num = cleared.substitute(X1, Y1) * cleared.substitute(X2, Y2)
+    num = cleared * _at(cleared, X2, Y2)
     return RationalFunction4(num, {0: 1, 1: 1, 2: 1, 3: 1})
 
 
 def polar_cross_terms(b1, q_order: int) -> RationalFunction4:
     """-(1/2)[(1/X2 + 1/Y2) b1(X1;Y1) + (1/X1 + 1/Y1) b1(X2;Y2)]."""
-    b1 = _as_biseries(b1)
+    b1 = _as_series(b1)
     half = Fraction(-1, 2)
     b = _lift_cap(b1, 3).map_coefficients(
         lambda c: c if isinstance(c, QSeries) else QSeries.constant(c, q_order)
@@ -304,11 +311,11 @@ def polar_cross_terms(b1, q_order: int) -> RationalFunction4:
         (MultiPoly.from_form(X2) + MultiPoly.from_form(Y2))
         * MultiPoly.from_form(X1)
         * MultiPoly.from_form(Y1)
-        * b.substitute(X1, Y1)
+        * b
         + (MultiPoly.from_form(X1) + MultiPoly.from_form(Y1))
         * MultiPoly.from_form(X2)
         * MultiPoly.from_form(Y2)
-        * b.substitute(X2, Y2)
+        * _at(b, X2, Y2)
     ) * half
     return RationalFunction4(num, {0: 1, 1: 1, 2: 1, 3: 1})
 
@@ -364,7 +371,7 @@ class KroneckerRealization:
     def _combination(self, gen: GenId) -> AtomCombination:
         if gen.kind == "G1":
             k, d = gen.args
-            c = symbolic_b1(self.max_weight - 1).coefficient(k - 1, d)
+            c = symbolic_b1(self.max_weight - 1).coefficient((k - 1, 0, d, 0))
             scale = factorial(d)
         else:
             k1, k2, d1, d2 = gen.args

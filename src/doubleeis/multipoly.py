@@ -1,11 +1,11 @@
 """Truncated polynomial series in X1, X2, Y1, Y2 and their polar companions.
 
-Three carriers live here:
+Two carriers live here:
 
-* :class:`BiSeries` -- two-variable truncated series t(X; Y), the shape of
-  depth-one generating series.
 * :class:`MultiPoly` -- four-variable truncated series, the carrier of
-  depth-two generating series and of the matrix action.
+  depth-two generating series and of the matrix action.  A depth-one
+  series t(X; Y) is stored in the X1 and Y1 slots, with exponents
+  (r, 0, s, 0), so t(u; v) is ``substitute((u, X2, v, Y2))``.
 * :class:`RationalFunction4` -- a MultiPoly numerator over a denominator
   that is a product of forms from the fixed set ``FORMS``; division never
   happens on series, equalities are checked after cross-multiplication.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Literal
+from typing import Callable, Literal
 
 LinForm = tuple[int, int, int, int]
 
@@ -258,128 +258,8 @@ class MultiPoly:
         return f"MultiPoly({{{inner}{more}}}, cap={self.cap})"
 
 
-class BiSeries:
-    """Truncated series in two variables (X; Y) with generic coefficients."""
-
-    __slots__ = ("_t", "cap")
-
-    def __init__(self, terms=(), cap: int | None = None):
-        t = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for exps, c in items:
-            exps = tuple(exps)
-            if cap is not None and exps[0] + exps[1] > cap:
-                continue
-            if c:
-                t[exps] = t[exps] + c if exps in t else c
-        self._t = {k: v for k, v in t.items() if v}
-        self.cap = cap
-
-    @classmethod
-    def zero(cls, cap: int | None = None) -> "BiSeries":
-        return cls((), cap)
-
-    @classmethod
-    def monomial(cls, r: int, s: int, coefficient, cap: int | None = None) -> "BiSeries":
-        return cls([((r, s), coefficient)], cap)
-
-    def terms(self):
-        return sorted(self._t.items())
-
-    def coefficient(self, r: int, s: int):
-        return self._t.get((r, s))
-
-    def __bool__(self) -> bool:
-        return bool(self._t)
-
-    def truncate(self, cap: int | None) -> "BiSeries":
-        if cap is None or (self.cap is not None and cap >= self.cap):
-            return self
-        return BiSeries({k: v for k, v in self._t.items() if k[0] + k[1] <= cap}, cap)
-
-    def map_coefficients(self, fn: Callable) -> "BiSeries":
-        return BiSeries({k: fn(v) for k, v in self._t.items()}, self.cap)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries({k: -v for k, v in self._t.items()}, self.cap)
-
-    def __add__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        cap = _min_cap(self.cap, other.cap)
-        t = dict(self.truncate(cap)._t)
-        for k, v in other.truncate(cap)._t.items():
-            t[k] = t[k] + v if k in t else v
-        return BiSeries(t, cap)
-
-    def __sub__(self, other) -> "BiSeries":
-        return self.__add__(-other)
-
-    def __mul__(self, other) -> "BiSeries":
-        if isinstance(other, BiSeries):
-            cap = _min_cap(self.cap, other.cap)
-            t: dict = {}
-            for (r1, s1), c1 in self._t.items():
-                for (r2, s2), c2 in other._t.items():
-                    if cap is not None and r1 + s1 + r2 + s2 > cap:
-                        continue
-                    key = (r1 + r2, s1 + s2)
-                    prod = c1 * c2
-                    t[key] = t[key] + prod if key in t else prod
-            return BiSeries(t, cap)
-        if not other:
-            return BiSeries.zero(self.cap)
-        return BiSeries({k: v * other for k, v in self._t.items()}, self.cap)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        cap = _min_cap(self.cap, other.cap)
-        a = self.truncate(cap)._t
-        b = other.truncate(cap)._t
-        return set(a) == set(b) and all(a[k] == b[k] for k in a)
-
-    __hash__ = None
-
-    def partial_x(self) -> "BiSeries":
-        t = {}
-        for (r, s), c in self._t.items():
-            if r:
-                t[(r - 1, s)] = c * r
-        return BiSeries(t, None if self.cap is None else self.cap - 1)
-
-    def partial_y(self) -> "BiSeries":
-        t = {}
-        for (r, s), c in self._t.items():
-            if s:
-                t[(r, s - 1)] = c * s
-        return BiSeries(t, None if self.cap is None else self.cap - 1)
-
-    def substitute(self, image_x: LinForm, image_y: LinForm, cap: int | None = None) -> MultiPoly:
-        """Evaluate t(image_x; image_y) as a four-variable polynomial."""
-        if cap is None:
-            cap = self.cap
-        else:
-            cap = _min_cap(cap, self.cap)
-        image_x = tuple(image_x)
-        image_y = tuple(image_y)
-        t: dict = {}
-        for (r, s), c in self._t.items():
-            for key, ic in _monomial_expansion((image_x, image_y, (0, 0, 0, 0), (0, 0, 0, 0)), (r, s, 0, 0), cap):
-                scaled = c * ic
-                t[key] = t[key] + scaled if key in t else scaled
-        return MultiPoly(t, cap)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in list(self.terms())[:4])
-        more = "" if len(self._t) <= 4 else f", ... ({len(self._t)} terms)"
-        return f"BiSeries({{{inner}{more}}}, cap={self.cap})"
-
-
-def divided_difference(t: BiSeries, mode: Literal["star", "shuffle"]) -> MultiPoly:
-    """The two divided-difference images of a depth-one series.
+def divided_difference(t: MultiPoly, mode: Literal["star", "shuffle"]) -> MultiPoly:
+    """The two divided-difference images of a depth-one series t(X1; Y1).
 
     ``star`` returns (t(X1; Y1+Y2) - t(X2; Y1+Y2)) / (X1 - X2) and
     ``shuffle`` returns (t(X1+X2; Y1) - t(X1+X2; Y2)) / (Y1 - Y2), both
@@ -395,7 +275,7 @@ def divided_difference(t: BiSeries, mode: Literal["star", "shuffle"]) -> MultiPo
         out[key] = out[key] + value if key in out else value
 
     if mode == "star":
-        for (a, s), c in t._t.items():
+        for (a, _, s, _), c in t._t.items():
             if a == 0:
                 continue
             ypows = _form_power((0, 0, 1, 1), s)  # (Y1+Y2)^s
@@ -406,7 +286,7 @@ def divided_difference(t: BiSeries, mode: Literal["star", "shuffle"]) -> MultiPo
                         continue
                     bump(key, c * yc)
     elif mode == "shuffle":
-        for (a, s), c in t._t.items():
+        for (a, _, s, _), c in t._t.items():
             if s == 0:
                 continue
             xpows = _form_power((1, 1, 0, 0), a)  # (X1+X2)^a
@@ -419,61 +299,6 @@ def divided_difference(t: BiSeries, mode: Literal["star", "shuffle"]) -> MultiPo
     else:
         raise ValueError(f"unknown divided-difference mode {mode!r}")
     return MultiPoly(out, cap)
-
-
-def divide_exact_linear(p: MultiPoly, f: LinForm) -> MultiPoly | None:
-    """Exact quotient p / f for a fixed-set linear form, or None.
-
-    Only forms with one or two unit-coefficient variables occur in the fixed
-    set.  Division proceeds top-down in the leading variable; when ``p`` is
-    the truncation of a divisible series the quotient is exact one degree
-    below the cap (terms the truncation removed sit strictly above it).
-    """
-    vars_ = [(i, c) for i, c in enumerate(f) if c]
-    if not vars_ or any(abs(c) != 1 for _, c in vars_) or len(vars_) > 2:
-        raise UnsupportedFormError(f"cannot divide by form {f}")
-    cap = None if p.cap is None else p.cap - 1
-    if not p:
-        return MultiPoly.zero(cap)
-
-    u, a = vars_[0]
-    if len(vars_) == 1:
-        t = {}
-        for exps, c in p._t.items():
-            if exps[u] == 0:
-                return None
-            key = tuple(v - (1 if i == u else 0) for i, v in enumerate(exps))
-            t[key] = c * a  # 1/a == a for a unit
-        return MultiPoly(t, cap)
-
-    v, b = vars_[1]
-    # layers[j] maps the monomial with the u-exponent removed to its coefficient
-    layers: dict[int, dict] = {}
-    for exps, c in p._t.items():
-        rest = tuple(0 if i == u else e for i, e in enumerate(exps))
-        layers.setdefault(exps[u], {})[rest] = c
-    top = max(layers)
-    q_layer: dict = {}
-    quotient: dict = {}
-    for j in range(top, 0, -1):
-        cur = dict(layers.get(j, {}))
-        for rest, c in q_layer.items():  # subtract b * v * q_j
-            key = tuple(e + (1 if i == v else 0) for i, e in enumerate(rest))
-            nv = cur.get(key)
-            cur[key] = (nv - c * b) if nv is not None else -(c * b)
-        q_layer = {rest: c * a for rest, c in cur.items() if c}  # q_{j-1} = cur / a
-        for rest, c in q_layer.items():
-            key = tuple(e + (j - 1 if i == u else 0) for i, e in enumerate(rest))
-            quotient[key] = c
-    # remainder check at u-degree 0
-    rem = dict(layers.get(0, {}))
-    for rest, c in q_layer.items():
-        key = tuple(e + (1 if i == v else 0) for i, e in enumerate(rest))
-        nv = rem.get(key)
-        rem[key] = (nv - c * b) if nv is not None else -(c * b)
-    if any(rem.values()):
-        return None
-    return MultiPoly(quotient, cap)
 
 
 class RationalFunction4:
@@ -555,25 +380,6 @@ class RationalFunction4:
         return (self - other).is_zero()
 
     __hash__ = None
-
-    def normalize(self) -> "RationalFunction4":
-        """Cancel denominator forms dividing the numerator exactly.
-
-        A zero numerator normalizes to denominator 1.  Cancellation on a
-        truncated numerator lowers its cap by one per cancelled factor.
-        """
-        if not self.num:
-            return RationalFunction4(self.num, {})
-        num = self.num
-        den = dict(self.den)
-        for i in sorted(den):
-            while den.get(i, 0) > 0:
-                q = divide_exact_linear(num, FORMS[i])
-                if q is None:
-                    break
-                num = q
-                den[i] -= 1
-        return RationalFunction4(num, den)
 
     def __repr__(self) -> str:
         den = " * ".join(

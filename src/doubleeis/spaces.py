@@ -249,15 +249,27 @@ class RelationSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RelationSystem":
-        from .elements import parse_genid
+        """Load a cached system; raise ValueError when the file contradicts itself.
 
-        if data.get("format_version") != CACHE_FORMAT_VERSION:
+        The basis must be the enumeration of its (space, weight), the rank
+        must equal the row count, and the pivots must be distinct basis
+        indices.  The rows are not re-reduced, so loading stays cheap.
+        """
+        if not isinstance(data, dict) or data.get("format_version") != CACHE_FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
-        basis = [parse_genid(t) for t in data["basis"]]
+        space, weight = _space(data["space"]), data["weight"]
+        basis = enumerate_generators(space, weight)
+        if data["basis"] != [str(g) for g in basis]:
+            raise ValueError(f"cached basis is not the {space}_{weight} generator list")
         rows = [
             (r["pivot"], {int(j): Fraction(v) for j, v in r["entries"]}) for r in data["rows"]
         ]
-        return cls(data["space"], data["weight"], basis, rows)
+        if data["rank"] != len(rows):
+            raise ValueError(f"cached rank {data['rank']} differs from its {len(rows)} rows")
+        pivots = {c for c, _ in rows}
+        if len(pivots) != len(rows) or not all(0 <= c < len(basis) for c in pivots):
+            raise ValueError("cached pivots repeat or fall outside the basis")
+        return cls(space, weight, basis, rows)
 
 
 # -- construction with caching --------------------------------------------
@@ -290,7 +302,11 @@ def _atomic_write_json(path: Path, data: dict):
 
 
 def relation_system(space: str, weight: int, cache_dir: str | Path | None = None, use_disk: bool = True) -> RelationSystem:
-    """The relation system of one weight, memoized and optionally disk-cached."""
+    """The relation system of one weight, memoized and optionally disk-cached.
+
+    A cache file that fails to load or belongs to another (space, weight)
+    is rebuilt and rewritten.
+    """
     space = _space(space)
     key = (space, weight)
     path = None
@@ -301,12 +317,14 @@ def relation_system(space: str, weight: int, cache_dir: str | Path | None = None
         if path is not None and not path.exists():
             _atomic_write_json(path, sys_.to_json_dict())
         return sys_
-    if path is not None:
-        if path.exists():
-            try:
-                sys_ = RelationSystem.from_json_dict(json.loads(path.read_text()))
-            except (ValueError, KeyError, json.JSONDecodeError):
-                sys_ = None  # stale or foreign file: rebuild
+    if path is not None and path.exists():
+        # a stale, foreign or inconsistent file is rebuilt and rewritten
+        try:
+            sys_ = RelationSystem.from_json_dict(json.loads(path.read_text()))
+        except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+            sys_ = None
+        if sys_ is not None and (sys_.space, sys_.weight) != key:
+            sys_ = None
     if sys_ is None:
         sys_ = RelationSystem.build(space, weight)
         if path is not None:
@@ -352,12 +370,13 @@ def cache_clear(cache_dir: str | Path | None = None) -> int:
 
 # -- tabular exports -------------------------------------------------------
 
-def relation_rows(space: str, weight: int, reduced: bool = False) -> tuple[list[GenId], list[list[Fraction]]]:
+def relation_rows(space: str, weight: int, reduced: bool = False,
+                  cache_dir: str | Path | None = None) -> tuple[list[GenId], list[list[Fraction]]]:
     """Dense relation rows over the ordered basis, raw or row-reduced."""
     space = _space(space)
     basis = enumerate_generators(space, weight)
     if reduced:
-        sys_ = relation_system(space, weight)
+        sys_ = relation_system(space, weight, cache_dir=cache_dir)
         dense = []
         for c, row in sys_.rref_rows:
             vec = [Fraction(0)] * len(basis)
@@ -376,8 +395,9 @@ def relation_rows(space: str, weight: int, reduced: bool = False) -> tuple[list[
     return basis, dense
 
 
-def relations_to_csv(space: str, weight: int, reduced: bool = False) -> str:
-    basis, rows = relation_rows(space, weight, reduced)
+def relations_to_csv(space: str, weight: int, reduced: bool = False,
+                     cache_dir: str | Path | None = None) -> str:
+    basis, rows = relation_rows(space, weight, reduced, cache_dir)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([str(g) for g in basis])
@@ -386,8 +406,9 @@ def relations_to_csv(space: str, weight: int, reduced: bool = False) -> str:
     return buf.getvalue()
 
 
-def relations_to_json(space: str, weight: int, reduced: bool = False) -> dict:
-    basis, rows = relation_rows(space, weight, reduced)
+def relations_to_json(space: str, weight: int, reduced: bool = False,
+                      cache_dir: str | Path | None = None) -> dict:
+    basis, rows = relation_rows(space, weight, reduced, cache_dir)
     return {
         "space": _space(space),
         "weight": weight,

@@ -165,12 +165,6 @@ def test_wplus_check_command(capsys):
     assert code == 0
 
 
-def test_act_command(capsys):
-    code, out, _ = invoke(capsys, "act", "--matrix", "5-3*U+U*epsilon")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 3
-
-
 def test_verify_ramanujan(capsys):
     code, out, _ = invoke(capsys, "verify", "--identity", "ramanujan", "--q-order", "20")
     assert code == 0
@@ -214,6 +208,29 @@ def test_cache_commands(tmp_path, capsys):
     assert "removed 1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "sum-formula", "--max-weight", "3", "--q-order", "4"),
+    ("relations", "--weight", "3", "--reduced"),
+])
+def test_cache_dir_reaches_the_relation_systems(tmp_path, capsys, argv):
+    code, _, _ = invoke(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "relations_E_3.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("dimension", "--weights", "2", "--q-order", "5"),
+    ("reduce", "--expr", "G(2;0)", "--degree", "4"),
+    ("realize", "--gen", "G(2;0)", "--cache-dir", "unused"),
+    ("recognize", "--gen", "G(4;0)", "--degree", "4"),
+    ("verify", "--identity", "ramanujan", "--degree", "4"),
+    ("act", "--matrix", "1+T^-1"),
+])
+def test_flags_and_commands_without_effect_are_usage_errors(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 2 and not out
+
+
 def test_determinism(capsys):
     a = invoke(capsys, "dimension", "--space", "E", "--weights", "1..5", "--format", "json")[1]
     b = invoke(capsys, "dimension", "--space", "E", "--weights", "1..5", "--format", "json")[1]
@@ -225,7 +242,7 @@ def test_determinism(capsys):
     ("recognize", "--gen", "G(4;0)", "--q-order", "-3"),
     ("fay-check", "--degree", "-1"),
     ("verify", "--identity", "ramanujan", "--q-order", "-1"),
-    ("dimension", "--weights", "1..2", "--degree", "-1"),
+    ("wplus-check", "--degree", "-1"),
 ])
 def test_negative_bounds_exit_two(capsys, argv):
     code, out, err = invoke(capsys, *argv)

@@ -269,6 +269,48 @@ def test_disk_cache_roundtrip(tmp_path):
     assert [str(g) for g in reloaded.basis] == [str(g) for g in sys_.basis]
 
 
+def _drop_two_rows(data):
+    data["rows"] = data["rows"][:-2]
+
+
+def _repeat_a_pivot(data):
+    data["rows"][1]["pivot"] = data["rows"][0]["pivot"]
+
+
+def _pivot_out_of_range(data):
+    data["rows"][-1]["pivot"] = len(data["basis"])
+
+
+@pytest.mark.parametrize("weight, corrupt, expected", [
+    (5, None, 15),  # the weight-4 file copied to the weight-5 name
+    (4, _drop_two_rows, 8),
+    (4, _repeat_a_pivot, 8),
+    (4, _pivot_out_of_range, 8),
+])
+def test_disk_cache_rejects_files_that_do_not_match(tmp_path, monkeypatch, weight, corrupt, expected):
+    from doubleeis import spaces
+
+    relation_system("E", 4, cache_dir=tmp_path)
+    data = json.loads((tmp_path / "relations_E_4.json").read_text())
+    if corrupt:
+        corrupt(data)
+    bad = tmp_path / f"relations_E_{weight}.json"
+    bad.write_text(json.dumps(data))
+    monkeypatch.setattr(spaces, "_MEMO", {})  # force a read from disk
+    assert relation_system("E", weight, cache_dir=tmp_path).dimension == expected
+    assert json.loads(bad.read_text()) == RelationSystem.build("E", weight).to_json_dict()
+
+
+def test_disk_cache_reads_a_matching_file(tmp_path, monkeypatch):
+    from doubleeis import spaces
+
+    built = relation_system("E", 4, cache_dir=tmp_path)
+    monkeypatch.setattr(spaces, "_MEMO", {})
+    monkeypatch.setattr(RelationSystem, "build", None)  # a rebuild would raise
+    loaded = relation_system("E", 4, cache_dir=tmp_path)
+    assert loaded is not built and loaded.rref_rows == built.rref_rows
+
+
 def test_cache_status_and_clear(tmp_path):
     from doubleeis.spaces import cache_clear, cache_status
 
