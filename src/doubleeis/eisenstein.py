@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .series import QSeries
+from .series import QSeries, cached_at_order
 
 
 @lru_cache(maxsize=None)
@@ -77,6 +77,20 @@ def quasimodular_monomials(weight: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
+#: G2^a G4^b G6^c by exponent triple (a, b, c), each kept at the largest
+#: q-order asked for.
+_MONOMIALS: dict[tuple[int, int, int], QSeries] = {}
+
+
+def _monomial_qexp(mon: tuple[int, int, int], n_order: int) -> QSeries:
+    """G2^a G4^b G6^c as a monomial of lower degree times one Eisenstein series."""
+    if not any(mon):
+        return QSeries.constant(1, n_order)
+    i = next(i for i, e in enumerate(mon) if e)
+    lower = mon[:i] + (mon[i] - 1,) + mon[i + 1 :]
+    return cached_at_order(_MONOMIALS, lower, n_order, _monomial_qexp) * eisenstein_qexp(2 * i + 2, n_order)
+
+
 @dataclass(frozen=True)
 class QuasimodularBasis:
     """The monomial basis G2^a G4^b G6^c of one weight, with expansions."""
@@ -88,10 +102,7 @@ class QuasimodularBasis:
     @classmethod
     def build(cls, weight: int, n_order: int) -> "QuasimodularBasis":
         mons = tuple(quasimodular_monomials(weight))
-        g2 = eisenstein_qexp(2, n_order)
-        g4 = eisenstein_qexp(4, n_order)
-        g6 = eisenstein_qexp(6, n_order)
-        exps = tuple(g2**a * g4**b * g6**c for a, b, c in mons)
+        exps = tuple(cached_at_order(_MONOMIALS, m, n_order, _monomial_qexp) for m in mons)
         return cls(weight, mons, exps)
 
 

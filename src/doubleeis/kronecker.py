@@ -36,7 +36,7 @@ from .multipoly import (
     Y2,
     divided_difference,
 )
-from .series import QSeries
+from .series import QSeries, cached_at_order
 from .spaces import enumerate_generators
 
 
@@ -177,7 +177,7 @@ class AtomCombination(dict):
 
     def evaluate(self, q_order: int) -> QSeries:
         """The combination as a q-series truncated at ``q_order``."""
-        terms = (_cached(_SERIES, m, q_order, _monomial_series) * c for m, c in self.items())
+        terms = (cached_at_order(_SERIES, m, q_order, _monomial_series) * c for m, c in self.items())
         return sum(terms, QSeries.zero(q_order))
 
 
@@ -187,17 +187,9 @@ def _monomial_series(monomial: tuple, q_order: int) -> QSeries:
 
 
 #: Series of monomials and of generators' values, each kept at the largest
-#: q-order asked for: truncation commutes with sums and products, so one
-#: entry serves every lower order.
+#: q-order asked for (see :func:`cached_at_order`).
 _SERIES: dict[tuple, QSeries] = {}
 _VALUES: dict[GenId, QSeries] = {}
-
-
-def _cached(cache: dict, key, q_order: int, make) -> QSeries:
-    s = cache.get(key)
-    if s is None or s.order < q_order:
-        s = cache[key] = make(key, q_order)
-    return s if s.order == q_order else s.truncate(q_order)
 
 
 @lru_cache(maxsize=None)
@@ -386,7 +378,7 @@ class KroneckerRealization:
             raise ValueError("the Kronecker realization is defined on the Eisenstein space")
         if gen.weight > self.max_weight:
             raise ValueError(f"weight {gen.weight} exceeds this context's maximum {self.max_weight}")
-        return _cached(_VALUES, gen, self.q_order, lambda _, q: self._combination(gen).evaluate(q))
+        return cached_at_order(_VALUES, gen, self.q_order, lambda _, q: self._combination(gen).evaluate(q))
 
     def element_value(self, element: FormalElement) -> QSeries:
         out = self._zero

@@ -168,3 +168,15 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"QSeries({self.to_text()!r})"
+
+
+def cached_at_order(cache: dict, key, order: int, make) -> QSeries:
+    """``cache[key]`` truncated at ``order``, from ``make(key, order)`` when missing or too short.
+
+    Truncation commutes with sums and products, so an entry kept at the
+    largest order asked for serves every lower order.
+    """
+    s = cache.get(key)
+    if s is None or s.order < order:
+        s = cache[key] = make(key, order)
+    return s if s.order == order else s.truncate(order)

@@ -2,26 +2,32 @@
 
 A weight is presented by its ordered generator list together with the row
 reduced form of the double-shuffle relation rows; dimensions, membership
-tests and canonical normal forms all read off the reduced system.  Built
+tests and canonical normal forms all read off the reduced system.  The
+reduction takes the rows sparsest first and eliminates on sparse integer
+rows kept primitive (divided by the gcd of their entries); only the final
+pivot rows are scaled to a leading 1.  The reduced form is unique once the
+basis order is fixed, so it does not depend on these choices.  Built
 systems are immutable and memoized in-process; they can additionally be
-cached on disk as JSON keyed by (space, weight).
+cached on disk as JSON keyed by (space, weight), with a digest of the
+basis and rows that is checked on reading.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
 import tempfile
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from pathlib import Path
 
 from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2, ZP
 
 CACHE_ENV_VAR = "DOUBLEEIS_CACHE_DIR"
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 _SPACE_NAMES = {EISENSTEIN: EISENSTEIN, ZETA: ZETA, "e": EISENSTEIN, "z": ZETA}
 
@@ -127,45 +133,53 @@ def zeta_relations(weight: int) -> list[FormalElement]:
     return rows
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by its content, the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
+
+
+def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive multiple of ``a*row - b*piv`` with column c cleared."""
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    out = {j: a * v for j, v in row.items() if j != c}
+    for j, v in piv.items():
+        if j != c:
+            w = out.get(j, 0) - b * v
+            if w:
+                out[j] = w
+            else:
+                del out[j]
+    return _primitive(out)
+
+
 def _rref(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
-    """Reduced row echelon form of sparse rows, pivoting on the first column."""
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
+    """Reduced row echelon form of sparse rows, pivoting on the first column.
+
+    The rows are taken sparsest first and eliminated as primitive integer
+    rows; only the finished pivot rows are divided by their pivot entry.
+    The reduced form is unique for the column order, so neither the row
+    order nor the integer scaling changes the result.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=lambda r: (len(r), max(r, default=0))):
+        den = lcm(*(v.denominator for v in row.values()))
+        row = _primitive({j: v.numerator * (den // v.denominator) for j, v in row.items()})
         while row:
             c = min(row)
             piv = pivot_rows.get(c)
             if piv is None:
-                inv = 1 / row[c]
-                pivot_rows[c] = {j: v * inv for j, v in row.items()}
+                pivot_rows[c] = row
                 break
-            f = row.pop(c)
-            for j, v in piv.items():
-                if j == c:
-                    continue
-                w = row.get(j)
-                w = -f * v if w is None else w - f * v
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
+            row = _eliminate(row, piv, c)
     # back-substitution: clear pivot columns from the other rows
     for c in sorted(pivot_rows, reverse=True):
         src = pivot_rows[c]
         for p, row in pivot_rows.items():
-            if p >= c or c not in row:
-                continue
-            f = row.pop(c)
-            for j, v in src.items():
-                if j == c:
-                    continue
-                w = row.get(j)
-                w = -f * v if w is None else w - f * v
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
-    return [(c, pivot_rows[c]) for c in sorted(pivot_rows)]
+            if p < c and c in row:
+                pivot_rows[p] = _eliminate(row, src, c)
+    return [(c, {j: Fraction(v, row[c]) for j, v in row.items()}) for c, row in sorted(pivot_rows.items())]
 
 
 class RelationSystem:
@@ -234,29 +248,35 @@ class RelationSystem:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        basis = [str(g) for g in self.basis]
+        rows = [
+            {"pivot": c, "entries": [[j, str(v)] for j, v in sorted(row.items())]}
+            for c, row in self.rref_rows
+        ]
         return {
             "format_version": CACHE_FORMAT_VERSION,
             "space": self.space,
             "weight": self.weight,
-            "basis": [str(g) for g in self.basis],
+            "basis": basis,
             "rank": self.rank,
             "dimension": self.dimension,
-            "rows": [
-                {"pivot": c, "entries": [[j, str(v)] for j, v in sorted(row.items())]}
-                for c, row in self.rref_rows
-            ],
+            "rows": rows,
+            "digest": _digest(basis, rows),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RelationSystem":
         """Load a cached system; raise ValueError when the file contradicts itself.
 
-        The basis must be the enumeration of its (space, weight), the rank
-        must equal the row count, and the pivots must be distinct basis
-        indices.  The rows are not re-reduced, so loading stays cheap.
+        The digest must match the basis and rows, the basis must be the
+        enumeration of its (space, weight), the rank must equal the row
+        count, and the pivots must be distinct basis indices.  The rows are
+        not re-reduced, so loading stays cheap.
         """
         if not isinstance(data, dict) or data.get("format_version") != CACHE_FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
+        if data.get("digest") != _digest(data["basis"], data["rows"]):
+            raise ValueError("cached basis and rows do not match their digest")
         space, weight = _space(data["space"]), data["weight"]
         basis = enumerate_generators(space, weight)
         if data["basis"] != [str(g) for g in basis]:
@@ -270,6 +290,12 @@ class RelationSystem:
         if len(pivots) != len(rows) or not all(0 <= c < len(basis) for c in pivots):
             raise ValueError("cached pivots repeat or fall outside the basis")
         return cls(space, weight, basis, rows)
+
+
+def _digest(basis: list, rows: list) -> str:
+    """sha256 of the canonical JSON of a cache file's basis and rows."""
+    text = json.dumps([basis, rows], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # -- construction with caching --------------------------------------------

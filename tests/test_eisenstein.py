@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from doubleeis import eisenstein
 from doubleeis.eisenstein import (
+    QuasimodularBasis,
     UnderdeterminedTruncationError,
     bernoulli,
     derived_eisenstein,
@@ -100,6 +102,19 @@ def test_monomial_enumeration():
     assert quasimodular_monomials(4) == [(0, 1, 0), (2, 0, 0)]
     assert all(2 * a + 4 * b + 6 * c == 12 for a, b, c in quasimodular_monomials(12))
     assert len(quasimodular_monomials(12)) == 7
+
+
+@pytest.mark.parametrize("orders", [(10, 30, 0), (30, 10, 20)])
+def test_basis_expansions_are_the_monomial_powers(monkeypatch, orders):
+    # the shared cache serves lower orders by truncation and is rebuilt for higher ones
+    monkeypatch.setattr(eisenstein, "_MONOMIALS", {})
+    for n in orders:
+        g2, g4, g6 = (eisenstein_qexp(k, n) for k in (2, 4, 6))
+        for weight in (0, 2, 8, 12):
+            basis = QuasimodularBasis.build(weight, n)
+            assert basis.expansions == tuple(g2**a * g4**b * g6**c for a, b, c in basis.monomials)
+            assert all(e.order == n for e in basis.expansions)
+    assert max(s.order for s in eisenstein._MONOMIALS.values()) == max(orders)
 
 
 def test_recognize_basis_element():

@@ -1,8 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doubleeis.elements import (
     EISENSTEIN,
@@ -21,6 +24,7 @@ from doubleeis.elements import (
 from doubleeis.maps import map_partial, map_pi, map_sigma
 from doubleeis.spaces import (
     RelationSystem,
+    _rref,
     eisenstein_relations,
     enumerate_generators,
     is_zero_in_space,
@@ -120,6 +124,61 @@ def test_rref_invariants():
             if other_c != c:
                 assert other_c not in row
     assert sys_.rank + sys_.dimension == len(sys_.basis)
+
+
+def _reference_rref(rows):
+    """Textbook Gauss-Jordan elimination in Fraction arithmetic on dense rows."""
+    cols = sorted({j for row in rows for j in row})
+    m = [[Fraction(row.get(j, 0)) for j in cols] for row in rows]
+    r = 0
+    for k in range(len(cols)):
+        p = next((i for i in range(r, len(m)) if m[i][k]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][k] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][k]:
+                f = m[i][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    out = []
+    for row in m[:r]:
+        entries = {cols[k]: v for k, v in enumerate(row) if v}
+        out.append((min(entries), entries))
+    return out
+
+
+_F = Fraction
+_ROW = st.dictionaries(
+    st.integers(0, 7), st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)), max_size=4
+)
+# repeating up to half of the rows makes most systems rank deficient
+_ROWS = st.lists(_ROW, max_size=8).flatmap(lambda rows: st.permutations(rows + rows[: len(rows) // 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROWS)
+@example([{}, {0: _F(1)}, {}, {0: _F(1)}, {0: _F(1)}])  # zero and repeated rows
+@example([{0: _F(-3, 2), 2: _F(1, 3)}, {0: _F(-2, 5), 1: _F(7)}, {1: _F(-1, 6), 2: _F(-4)}])  # pivots < 0
+@example([{0: _F(2), 1: _F(-1)}, {1: _F(1, 2), 3: _F(3)}, {0: _F(2), 1: _F(-1, 2), 3: _F(3)}])  # rank 2
+def test_rref_equals_the_fraction_reference(rows):
+    assert _rref(rows) == _reference_rref(rows)
+
+
+def test_dimensions_to_weight_16():
+    assert [relation_system("E", w).dimension for w in range(13, 17)] == [195, 238, 295, 352]
+
+
+def test_reduced_rows_digest():
+    # recorded with the Fraction elimination that took the rows as generated
+    h = hashlib.sha256()
+    for space, weights in (("E", range(1, 13)), ("Z", range(1, 21))):
+        for weight in weights:
+            rows = [[c, [[j, str(v)] for j, v in sorted(row.items())]]
+                    for c, row in relation_system(space, weight).rref_rows]
+            h.update(json.dumps([space, weight, rows], separators=(",", ":")).encode())
+    assert h.hexdigest() == "68358b1bc3bce28f96919d662a117bb38b7f8aec23e37dabacaaa3ea3eba5bd9"
 
 
 def test_normal_form_examples():
@@ -273,6 +332,17 @@ def _drop_two_rows(data):
     data["rows"] = data["rows"][:-2]
 
 
+def _drop_two_rows_and_edit_counts(data):
+    data["rows"] = data["rows"][:-2]
+    data["rank"] -= 2
+    data["dimension"] += 2
+
+
+def _format_version_one(data):
+    data["format_version"] = 1
+    del data["digest"]
+
+
 def _repeat_a_pivot(data):
     data["rows"][1]["pivot"] = data["rows"][0]["pivot"]
 
@@ -284,6 +354,8 @@ def _pivot_out_of_range(data):
 @pytest.mark.parametrize("weight, corrupt, expected", [
     (5, None, 15),  # the weight-4 file copied to the weight-5 name
     (4, _drop_two_rows, 8),
+    (4, _drop_two_rows_and_edit_counts, 8),  # only the digest tells
+    (4, _format_version_one, 8),
     (4, _repeat_a_pivot, 8),
     (4, _pivot_out_of_range, 8),
 ])
