@@ -28,11 +28,11 @@ from .kronecker import (
     check_derivation_diagram,
     closed_form_depth2,
     fay_check,
-    kronecker_b1,
     kronecker_wplus_check,
     polar_product_candidate,
     realize_bernoulli,
     realize_kronecker,
+    symbolic_b1,
 )
 from .maps import map_partial, map_pi, map_sigma
 from .multipoly import MultiPoly
@@ -69,7 +69,12 @@ def _parse_weights(text: str) -> list[int]:
 
 
 def _check_bounds(args):
-    """Reject a negative truncation bound before any command runs."""
+    """Reject a negative truncation bound, or a q-order that no series uses,
+    before any command runs; then fill in the default q-order."""
+    if getattr(args, "kind", None) == "bernoulli" and args.q_order is not None:
+        raise UsageError("--q-order applies to the q-series realization only")
+    if getattr(args, "q_order", 0) is None:
+        args.q_order = 30
     for flag in ("q_order", "degree"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
@@ -80,7 +85,7 @@ def _common_flags(parser: argparse.ArgumentParser, q_order=False, degree=False, 
     """``--format`` everywhere; the other flags only where the command uses them."""
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     if q_order:
-        parser.add_argument("--q-order", type=int, default=30, help="q-series truncation order")
+        parser.add_argument("--q-order", type=int, default=None, help="q-series truncation order (default 30)")
     if degree:
         parser.add_argument("--degree", type=int, default=8, help="total-degree truncation")
     if cache_dir:
@@ -261,8 +266,7 @@ def _cmd_fay(args) -> int:
         ok = fay_check(True, None, args.degree, args.q_order)
         label = "polar part"
     else:
-        table = kronecker_b1(args.degree, args.q_order)
-        ok = fay_check(True, table, args.degree, args.q_order)
+        ok = fay_check(True, symbolic_b1(args.degree), args.degree, args.q_order)
         label = "Kronecker function"
     _emit(args, [{"candidate": label, "degree": args.degree, "q_order": args.q_order, "holds": ok}],
           [f"Fay identity for the {label} at degree {args.degree}, q-order {args.q_order}: "

@@ -69,9 +69,6 @@ class GenId:
     def depth(self) -> int:
         return 1 if self.kind in ("G1", "Z1") else 2
 
-    def is_product(self) -> bool:
-        return self.kind in ("GP", "ZP")
-
     def sort_key(self):
         # matches the enumeration order: depth one by increasing d, depth two
         # lexicographic in (k1, d1, k2, d2), zeta generators by first index

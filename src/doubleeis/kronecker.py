@@ -12,7 +12,11 @@ constant terms gives the rational (Bernoulli-number) realization.
 ``b2`` is bilinear in ``b1``, so each of its coefficients is one rational
 combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
 Both are built once with :class:`AtomCombination` coefficients, and a value
-is evaluated from cached product series at the q-order asked for.
+is evaluated from cached product series at the q-order asked for.  The Fay
+check and the value of an element are formed the same way: the cleared Fay
+sum over the atoms, an element as one combination of its generators' atoms;
+each resulting coefficient is evaluated once, at the q-order asked for,
+which still bounds the comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .action import GroupRingElem, MATRICES, act_group_ring, wplus_check
 from .eisenstein import derived_eisenstein, eisenstein_qexp
@@ -145,8 +149,10 @@ class AtomCombination(dict):
     """A coefficient of the symbolic b1 or b2: a map from monomials to rationals.
 
     The atom (k, m) stands for (q d/dq)^m G_k and a monomial is a sorted
-    tuple of atoms.  The series and group-ring code needs sums, negation,
-    products and truthiness of a coefficient, so zero terms are dropped.
+    tuple of atoms; the empty monomial ``()`` is the constant 1, so a plain
+    rational added to a combination becomes a multiple of it.  The series
+    and group-ring code needs sums, negation, products and truthiness of a
+    coefficient, so zero terms are dropped.
     """
 
     __slots__ = ()
@@ -154,11 +160,15 @@ class AtomCombination(dict):
     def __init__(self, terms: dict | None = None):
         super().__init__((m, c) for m, c in (terms or {}).items() if c)
 
-    def __add__(self, other: "AtomCombination") -> "AtomCombination":
+    def __add__(self, other) -> "AtomCombination":
+        if not isinstance(other, AtomCombination):
+            other = {(): other}  # a rational is a multiple of the empty monomial
         t = dict(self)
         for m, c in other.items():
             t[m] = t.get(m, 0) + c
         return AtomCombination(t)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "AtomCombination":
         return self * -1
@@ -176,14 +186,27 @@ class AtomCombination(dict):
     __rmul__ = __mul__
 
     def evaluate(self, q_order: int) -> QSeries:
-        """The combination as a q-series truncated at ``q_order``."""
-        terms = (cached_at_order(_SERIES, m, q_order, _monomial_series) * c for m, c in self.items())
-        return sum(terms, QSeries.zero(q_order))
+        """The combination as a q-series truncated at ``q_order``.
+
+        The terms are summed as integers over one common denominator, so each
+        coefficient of the result becomes a Fraction only once.
+        """
+        terms = []
+        for m, c in self.items():
+            s = cached_at_order(_SERIES, m, q_order, _monomial_series).coefficients()
+            d = lcm(*(a.denominator for a in s))
+            terms.append((Fraction(c) / d, [a.numerator * (d // a.denominator) for a in s]))
+        den = lcm(*(c.denominator for c, _ in terms))
+        out = [0] * (q_order + 1)
+        for c, numerators in terms:
+            f = c.numerator * (den // c.denominator)
+            out = [o + f * n for o, n in zip(out, numerators)]
+        return QSeries([Fraction(n, den) for n in out])
 
 
 def _monomial_series(monomial: tuple, q_order: int) -> QSeries:
-    first, *rest = (derived_eisenstein(k, m, q_order) for k, m in monomial)
-    return prod(rest, start=first)
+    factors = (derived_eisenstein(k, m, q_order) for k, m in monomial)
+    return prod(factors, start=QSeries.constant(1, q_order))
 
 
 #: Series of monomials and of generators' values, each kept at the largest
@@ -231,20 +254,17 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
       + C(-X2,-(Y1+Y2)) C(X1-X2,Y1) X1 Y2
 
     which must vanish identically up to total degree ``degree`` + 2 and
-    q-order ``q_order``.
+    q-order ``q_order``.  The sum is formed in the coefficients of
+    ``regular`` (rationals, q-series or :class:`AtomCombination` values),
+    and only its coefficients are taken to q-order ``q_order`` at the end.
     """
     regular = _as_series(regular) if regular is not None else MultiPoly.zero(degree)
     cap = degree if regular.cap is None else min(regular.cap, degree)
 
-    def to_series(c):
-        if isinstance(c, QSeries):
-            return c.truncate(min(c.order, q_order))
-        return QSeries.constant(c, q_order)
-
     xy = MultiPoly.monomial((1, 0, 1, 0), Fraction(1))
-    cleared = (xy * _lift_cap(regular.truncate(cap), 2)).map_coefficients(to_series)
+    cleared = xy * _lift_cap(regular.truncate(cap), 2)
     if include_pole:
-        half = QSeries.constant(Fraction(-1, 2), q_order)
+        half = Fraction(-1, 2)
         cleared = cleared + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half}, cap + 2)
 
     x1mx2 = (1, -1, 0, 0)
@@ -266,7 +286,16 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
         * _at(cleared, x1mx2, Y1)
         * (MultiPoly.from_form(X1) * MultiPoly.from_form(Y2))
     )
-    return not (t1 - t2 + t3)
+    return not (t1 - t2 + t3).map_coefficients(lambda c: _at_order(c, q_order))
+
+
+def _at_order(c, q_order: int):
+    """A coefficient as a q-series truncated at ``q_order``; a rational stays as it is."""
+    if isinstance(c, AtomCombination):
+        return c.evaluate(q_order)
+    if isinstance(c, QSeries):
+        return c.truncate(min(c.order, q_order))
+    return c
 
 
 def polar_product_candidate(q_order: int) -> RationalFunction4:
@@ -347,7 +376,6 @@ class KroneckerRealization:
     def __init__(self, max_weight: int, q_order: int):
         self.max_weight = max(max_weight, 2)
         self.q_order = q_order
-        self._zero = QSeries.zero(q_order)
         self._b2: MultiPoly | None = None
 
     @property
@@ -373,18 +401,24 @@ class KroneckerRealization:
             scale = factorial(d1) * factorial(d2)
         return AtomCombination() if c is None else c * scale
 
-    def value(self, gen: GenId) -> QSeries:
+    def _check(self, gen: GenId):
         if gen.space != EISENSTEIN:
             raise ValueError("the Kronecker realization is defined on the Eisenstein space")
         if gen.weight > self.max_weight:
             raise ValueError(f"weight {gen.weight} exceeds this context's maximum {self.max_weight}")
+
+    def value(self, gen: GenId) -> QSeries:
+        self._check(gen)
         return cached_at_order(_VALUES, gen, self.q_order, lambda _, q: self._combination(gen).evaluate(q))
 
     def element_value(self, element: FormalElement) -> QSeries:
-        out = self._zero
+        """The value of an element, from the sum of its terms' atom combinations
+        evaluated once."""
+        total = AtomCombination()
         for gen, c in element._terms.items():
-            out = out + self.value(gen) * c
-        return out
+            self._check(gen)
+            total = total + self._combination(gen) * c
+        return total.evaluate(self.q_order)
 
     def realization_table(self, weight: int) -> RealizationTable:
         values = {g: self.value(g) for g in enumerate_generators(EISENSTEIN, weight)}

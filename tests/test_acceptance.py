@@ -25,9 +25,9 @@ from doubleeis.kronecker import (
     check_derivation_diagram,
     closed_form_depth2,
     fay_check,
-    kronecker_b1,
     realization,
     realize_bernoulli,
+    symbolic_b1,
 )
 from doubleeis.maps import map_partial, map_pi, map_sigma
 from doubleeis.spaces import (
@@ -78,7 +78,7 @@ def test_criterion_03_map_well_definedness():
 
 
 def test_criterion_04_fay_identity():
-    ok_kronecker = fay_check(True, kronecker_b1(8, 20), 8, 20)
+    ok_kronecker = fay_check(True, symbolic_b1(8), 8, 20)
     ok_polar = fay_check(True, None, 8, 20)
     report(4, ok_kronecker and ok_polar,
            "Fay identity at degree 8, q-order 20 for the Kronecker function and its pole part")

@@ -225,10 +225,21 @@ def test_cache_dir_reaches_the_relation_systems(tmp_path, capsys, argv):
     ("recognize", "--gen", "G(4;0)", "--degree", "4"),
     ("verify", "--identity", "ramanujan", "--degree", "4"),
     ("act", "--matrix", "1+T^-1"),
+    ("realize", "--kind", "bernoulli", "--gen", "G(2,2;0,0)", "--q-order", "3"),
 ])
 def test_flags_and_commands_without_effect_are_usage_errors(capsys, argv):
     code, out, _ = invoke(capsys, *argv)
     assert code == 2 and not out
+
+
+def test_bernoulli_realization_takes_no_q_order(capsys):
+    code, out, err = invoke(capsys, "realize", "--kind", "bernoulli", "--gen", "G(12;0)", "--q-order", "30")
+    assert code == 2 and not out
+    assert err.startswith("error: --q-order") and err.count("\n") == 1
+    # the control: without the flag the command runs as before
+    code, out, _ = invoke(capsys, "realize", "--kind", "bernoulli", "--gen", "G(12;0)")
+    assert code == 0
+    assert out == "G(12;0) -> 691/2615348736000\n"
 
 
 def test_determinism(capsys):
@@ -261,6 +272,12 @@ def test_checks_over_nothing_exit_two(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and "verified" not in out and ": ok" not in out
     assert err.startswith("error: ")
+
+
+def test_fay_check_reaches_degree_twelve_at_q_order_fifty(capsys):
+    code, out, _ = invoke(capsys, "fay-check", "--degree", "12", "--q-order", "50")
+    assert code == 0
+    assert out == "Fay identity for the Kronecker function at degree 12, q-order 50: verified\n"
 
 
 def test_smallest_checks_still_run(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from doubleeis import kronecker
 from doubleeis.action import GroupRingElem, MATRICES, act_group_ring
 from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp, recognize_quasimodular
-from doubleeis.elements import EISENSTEIN, FormalElement, G1, G2, GP
+from doubleeis.elements import EISENSTEIN, FormalElement, G1, G2, GP, Z1
 from doubleeis.kronecker import (
     AtomCombination,
     KroneckerRealization,
@@ -28,6 +28,7 @@ from doubleeis.kronecker import (
     realize_bernoulli,
     realize_element,
     realize_kronecker,
+    symbolic_b1,
     symbolic_b2,
 )
 from doubleeis.multipoly import MultiPoly, RationalFunction4, divided_difference
@@ -351,3 +352,78 @@ def test_realization_truncates_consistently(gen, orders, low_first):
         values[q] = realize_kronecker(gen, q)
     assert (values[q1].order, values[q2].order) == (q1, q2)
     assert values[q2].truncate(q1) == values[q1]
+
+
+# -- the Fay check and element values over atoms ---------------------------------
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_fay_check_over_atoms_agrees_with_the_series_table(degree):
+    for q_order in (0, 1, 5, 10):
+        symbolic = fay_check(True, symbolic_b1(degree), degree, q_order)
+        assert symbolic == fay_check(True, kronecker_b1(degree, q_order), degree, q_order)
+        assert symbolic
+
+
+# at degree 6 the cleared sum keeps total degree 8, which the pole (degree 1)
+# times the cleared entry of b1 (degree r + s + 2) times the cleared
+# denominator's quadratic factor reaches for r + s <= 3
+@pytest.mark.parametrize("key", sorted(symbolic_b1(3)._t))
+def test_fay_check_fails_with_one_atom_coefficient_doubled(key):
+    b1 = symbolic_b1(6)
+    bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
+    assert fay_check(True, b1, 6, 5)
+    assert not fay_check(True, bad, 6, 5)
+
+
+def test_fay_check_over_atoms_needs_the_pole():
+    # without the pole only products of two regular terms remain; they reach
+    # the kept total degree 3 + 3 + 2 = degree + 2 from degree 6 on
+    assert not fay_check(False, symbolic_b1(8), 8, 20)
+    assert not fay_check(False, symbolic_b1(6), 6, 0)
+
+
+@pytest.mark.parametrize("key", [(2, 0, 1, 0), (1, 0, 0, 0)])
+def test_fay_check_fails_with_a_rational_perturbation(key):
+    # (2,0,1,0) adds a new rational entry; (1,0,0,0) adds to the G2 atom,
+    # so the rational lands on the empty monomial
+    bad = symbolic_b1(6) + MultiPoly({key: Fraction(1, 7)}, 6)
+    assert not fay_check(True, bad, 6, 5)
+
+
+def test_rationals_are_multiples_of_the_empty_monomial():
+    g2 = AtomCombination({((2, 0),): Fraction(1)})
+    expected = eisenstein_qexp(2, 6) + Fraction(1, 2)
+    assert (g2 + Fraction(1, 2)).evaluate(6) == expected
+    assert (Fraction(1, 2) + g2).evaluate(6) == expected
+    assert AtomCombination({(): 3}).evaluate(4) == QSeries.constant(3, 4)
+    assert AtomCombination().evaluate(2) == QSeries.zero(2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda w: st.lists(
+        st.tuples(
+            st.sampled_from(enumerate_generators(EISENSTEIN, w)),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        ),
+        max_size=12,
+    )),
+    st.integers(0, 30),
+)
+def test_element_value_is_the_sum_of_generator_values(terms, q_order):
+    ctx = KroneckerRealization(8, q_order)
+    element = FormalElement(terms)
+    expected = QSeries.zero(q_order)
+    for gen, c in element.terms():
+        expected = expected + ctx.value(gen) * c
+    value = ctx.element_value(element)
+    assert value.order == q_order
+    assert value == expected
+
+
+def test_element_value_rejects_what_value_rejects():
+    ctx = KroneckerRealization(6, 5)
+    with pytest.raises(ValueError):
+        ctx.element_value(FormalElement.single(Z1(3)))
+    with pytest.raises(ValueError):
+        ctx.element_value(FormalElement.single(G1(8, 0)))
