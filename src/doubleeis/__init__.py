@@ -63,7 +63,6 @@ from .action import (
 from .kronecker import (
     KroneckerRealization,
     KroneckerTable,
-    RealizationTable,
     build_b2,
     check_derivation_diagram,
     closed_form_depth2,
@@ -104,7 +103,6 @@ __all__ = [
     "QSeries",
     "QuasimodularBasis",
     "RationalFunction4",
-    "RealizationTable",
     "RelationSystem",
     "UnderdeterminedTruncationError",
     "UnsupportedFormError",

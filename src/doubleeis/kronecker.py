@@ -51,19 +51,13 @@ class KroneckerTable:
     ``series`` is the depth-one series b1(X1; Y1) with plain monomial
     coefficients: the coefficient of X1^r Y1^s, at exponents (r, 0, s, 0),
     is |r-s|!/(r! s!) (q d/dq)^min(r,s) G_{|r-s|+1}, supported on odd r+s
-    only.  :meth:`entry` returns the series-convention entry (the
-    coefficient of X^r Y^s/s!), which is s! times the stored one.
+    only.  The series-convention entry (the coefficient of X^r Y^s/s!) is
+    s! times the stored one.
     """
 
     series: MultiPoly
     degree: int
     q_order: int
-
-    def entry(self, r: int, s: int) -> QSeries:
-        c = self.series.coefficient((r, 0, s, 0))
-        if c is None:
-            return QSeries.zero(self.q_order)
-        return c * factorial(s)
 
 
 def kronecker_b1(degree: int, q_order: int) -> KroneckerTable:
@@ -253,10 +247,13 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
       - C(X1-X2,-Y2) C(X1,Y1+Y2) X2 Y1
       + C(-X2,-(Y1+Y2)) C(X1-X2,Y1) X1 Y2
 
-    which must vanish identically up to total degree ``degree`` + 2 and
-    q-order ``q_order``.  The sum is formed in the coefficients of
-    ``regular`` (rationals, q-series or :class:`AtomCombination` values),
-    and only its coefficients are taken to q-order ``q_order`` at the end.
+    which must vanish identically up to total degree ``degree`` + 5 and
+    q-order ``q_order``: every C starts in degree 1, so a product of two is
+    exact one degree past their cap ``degree`` + 2, and times the quadratic
+    three degrees past, which reaches the entries of the table through
+    ``degree``.  The sum is formed in the coefficients of ``regular``
+    (rationals, q-series or :class:`AtomCombination` values), and only its
+    coefficients are taken to q-order ``q_order`` at the end.
     """
     regular = _as_series(regular) if regular is not None else MultiPoly.zero(degree)
     cap = degree if regular.cap is None else min(regular.cap, degree)
@@ -271,21 +268,13 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
     y1py2 = (0, 0, 1, 1)
     neg = lambda f: tuple(-v for v in f)
 
-    t1 = (
-        cleared
-        * _at(cleared, X2, Y2)
-        * (MultiPoly.from_form(x1mx2) * MultiPoly.from_form(y1py2))
-    )
-    t2 = (
-        _at(cleared, x1mx2, neg(Y2))
-        * _at(cleared, X1, y1py2)
-        * (MultiPoly.from_form(X2) * MultiPoly.from_form(Y1))
-    )
-    t3 = (
-        _at(cleared, neg(X2), neg(y1py2))
-        * _at(cleared, x1mx2, Y1)
-        * (MultiPoly.from_form(X1) * MultiPoly.from_form(Y2))
-    )
+    def term(a: MultiPoly, b: MultiPoly, f: LinForm, g: LinForm) -> MultiPoly:
+        ab = _lift_cap(a, 1) * _lift_cap(b, 1)
+        return _lift_cap(ab, 2) * (MultiPoly.from_form(f) * MultiPoly.from_form(g))
+
+    t1 = term(cleared, _at(cleared, X2, Y2), x1mx2, y1py2)
+    t2 = term(_at(cleared, x1mx2, neg(Y2)), _at(cleared, X1, y1py2), X2, Y1)
+    t3 = term(_at(cleared, neg(X2), neg(y1py2)), _at(cleared, x1mx2, Y1), X1, Y2)
     return not (t1 - t2 + t3).map_coefficients(lambda c: _at_order(c, q_order))
 
 
@@ -342,25 +331,6 @@ def polar_cross_terms(b1, q_order: int) -> RationalFunction4:
 
 
 # -- coefficient extraction ---------------------------------------------------
-
-@dataclass(frozen=True)
-class RealizationTable:
-    """Values of one weight's generators under a realization."""
-
-    weight: int
-    q_order: int
-    values: dict[GenId, QSeries]
-    provenance: str
-
-    def value(self, gen: GenId) -> QSeries:
-        return self.values[gen]
-
-    def to_json_list(self) -> list[dict]:
-        return [
-            {"gen": str(g), "value": s.to_text(), "provenance": self.provenance}
-            for g, s in sorted(self.values.items(), key=lambda t: t[0].sort_key())
-        ]
-
 
 class KroneckerRealization:
     """Extraction context: a view of the shared symbolic b1 and b2.
@@ -419,10 +389,6 @@ class KroneckerRealization:
             self._check(gen)
             total = total + self._combination(gen) * c
         return total.evaluate(self.q_order)
-
-    def realization_table(self, weight: int) -> RealizationTable:
-        values = {g: self.value(g) for g in enumerate_generators(EISENSTEIN, weight)}
-        return RealizationTable(weight, self.q_order, values, "series-extraction")
 
 
 def realization(max_weight: int, q_order: int) -> KroneckerRealization:

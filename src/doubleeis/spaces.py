@@ -4,12 +4,15 @@ A weight is presented by its ordered generator list together with the row
 reduced form of the double-shuffle relation rows; dimensions, membership
 tests and canonical normal forms all read off the reduced system.  The
 reduction takes the rows sparsest first and eliminates on sparse integer
-rows kept primitive (divided by the gcd of their entries); only the final
-pivot rows are scaled to a leading 1.  The reduced form is unique once the
-basis order is fixed, so it does not depend on these choices.  Built
-systems are immutable and memoized in-process; they can additionally be
-cached on disk as JSON keyed by (space, weight), with a digest of the
-basis and rows that is checked on reading.
+rows kept primitive (divided by the gcd of their entries).  The reduced
+form is unique once the basis order is fixed, so it does not depend on
+these choices.  A system keeps each reduced row as integers over one
+denominator.  A normal form touches only the pivots present in the
+element, since the rows are fully reduced, sums over one common
+denominator and forms each coefficient once.  Built systems are immutable
+and memoized in-process; they can additionally be cached on disk as JSON
+keyed by (space, weight), with a digest of the basis and rows that is
+checked on reading, as is the reduced form of the rows.
 """
 
 from __future__ import annotations
@@ -154,13 +157,14 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     return _primitive(out)
 
 
-def _rref(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
+def _rref(rows: list[dict[int, Fraction]]) -> dict[int, tuple[int, dict[int, int]]]:
     """Reduced row echelon form of sparse rows, pivoting on the first column.
 
     The rows are taken sparsest first and eliminated as primitive integer
-    rows; only the finished pivot rows are divided by their pivot entry.
-    The reduced form is unique for the column order, so neither the row
-    order nor the integer scaling changes the result.
+    rows.  The result maps each pivot, in increasing order, to its row as
+    ``(den, {j: num})``: the row is e_pivot + sum_j (num/den) e_j, with
+    den > 0.  The reduced form is unique for the column order, so neither
+    the row order nor the integer scaling changes the result.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=lambda r: (len(r), max(r, default=0))):
@@ -179,20 +183,35 @@ def _rref(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction
         for p, row in pivot_rows.items():
             if p < c and c in row:
                 pivot_rows[p] = _eliminate(row, src, c)
-    return [(c, {j: Fraction(v, row[c]) for j, v in row.items()}) for c, row in sorted(pivot_rows.items())]
+    out = {}
+    for c, row in sorted(pivot_rows.items()):
+        den = row.pop(c)
+        out[c] = (den, row) if den > 0 else (-den, {j: -v for j, v in row.items()})
+    return out
+
+
+def _fraction_rows(rows: dict[int, tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, Fraction]]]:
+    """Integer rows as ``(pivot, {j: Fraction})`` pairs, the pivot entry 1 first."""
+    return [(c, {c: Fraction(1), **{j: Fraction(n, den) for j, n in sorted(row.items())}})
+            for c, (den, row) in rows.items()]
 
 
 class RelationSystem:
-    """Ordered basis plus row-reduced relation rows for one weight."""
+    """Ordered basis plus row-reduced relation rows for one weight.
 
-    __slots__ = ("space", "weight", "basis", "index", "rref_rows")
+    The rows are kept as in :func:`_rref`, one integer row over one
+    denominator per pivot; ``rref_rows`` gives them as Fractions.
+    """
 
-    def __init__(self, space: str, weight: int, basis: list[GenId], rref_rows):
+    __slots__ = ("space", "weight", "basis", "index", "_rows", "_rref_rows")
+
+    def __init__(self, space: str, weight: int, basis: list[GenId], rows: dict[int, tuple[int, dict[int, int]]]):
         self.space = space
         self.weight = weight
         self.basis = list(basis)
         self.index = {g: i for i, g in enumerate(self.basis)}
-        self.rref_rows = [(c, dict(r)) for c, r in rref_rows]
+        self._rows = rows
+        self._rref_rows = None
 
     @classmethod
     def build(cls, space: str, weight: int) -> "RelationSystem":
@@ -204,43 +223,52 @@ class RelationSystem:
         return cls(space, weight, basis, _rref(rows))
 
     @property
+    def rref_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """The reduced rows as ``(pivot, {j: Fraction})`` pairs by increasing pivot."""
+        if self._rref_rows is None:
+            self._rref_rows = _fraction_rows(self._rows)
+        return self._rref_rows
+
+    @property
     def rank(self) -> int:
-        return len(self.rref_rows)
+        return len(self._rows)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis) - len(self.rref_rows)
-
-    def _vector(self, element: FormalElement) -> dict[int, Fraction]:
-        v = {}
-        for g, c in element._terms.items():
-            i = self.index.get(g)
-            if i is None:
-                raise ValueError(f"{g} is not a weight-{self.weight} generator of this space")
-            v[i] = c
-        return v
+        return len(self.basis) - len(self._rows)
 
     def normal_form(self, element: FormalElement) -> FormalElement:
-        """The canonical representative of an element modulo the relations."""
+        """The canonical representative of an element modulo the relations.
+
+        The rows are fully reduced, so a pivot column of the element is
+        replaced by its row once and never reappears: only the element's own
+        pivots are visited.  The terms are summed as integers over one
+        common denominator, and each coefficient becomes a Fraction once.
+        """
         if not element:
             return element
         if element.space != self.space or element.weight != self.weight:
             raise ValueError("element does not belong to this relation system")
-        v = self._vector(element)
-        for c, row in self.rref_rows:
-            f = v.pop(c, None)
-            if f is None:
-                continue
-            for j, w in row.items():
-                if j == c:
-                    continue
-                u = v.get(j)
-                u = -f * w if u is None else u - f * w
-                if u:
-                    v[j] = u
-                else:
-                    v.pop(j, None)
-        return FormalElement([(self.basis[i], c) for i, c in v.items()])
+        parts = []  # (denominator, factor, integer entries)
+        for g, c in element._terms.items():
+            i = self.index.get(g)
+            if i is None:
+                raise ValueError(f"{g} is not a weight-{self.weight} generator of this space")
+            row = self._rows.get(i)
+            if row is None:
+                parts.append((c.denominator, c.numerator, ((i, 1),)))
+            else:
+                parts.append((c.denominator * row[0], -c.numerator, row[1].items()))
+        den = lcm(*(d for d, _, _ in parts))
+        acc: dict[int, int] = {}
+        for d, f, entries in parts:
+            f *= den // d
+            for j, n in entries:
+                acc[j] = acc.get(j, 0) + f * n
+        terms = {self.basis[j]: Fraction(n, den) for j, n in acc.items() if n}
+        if not terms:
+            return FormalElement.zero()
+        return FormalElement._make(self.space, self.weight, terms)
 
     def is_zero(self, element: FormalElement) -> bool:
         return not self.normal_form(element)
@@ -250,8 +278,8 @@ class RelationSystem:
     def to_json_dict(self) -> dict:
         basis = [str(g) for g in self.basis]
         rows = [
-            {"pivot": c, "entries": [[j, str(v)] for j, v in sorted(row.items())]}
-            for c, row in self.rref_rows
+            {"pivot": c, "entries": [[c, "1"]] + [[j, str(Fraction(n, den))] for j, n in sorted(row.items())]}
+            for c, (den, row) in self._rows.items()
         ]
         return {
             "format_version": CACHE_FORMAT_VERSION,
@@ -270,8 +298,10 @@ class RelationSystem:
 
         The digest must match the basis and rows, the basis must be the
         enumeration of its (space, weight), the rank must equal the row
-        count, and the pivots must be distinct basis indices.  The rows are
-        not re-reduced, so loading stays cheap.
+        count, and the rows must be in reduced form: distinct pivots in the
+        basis, each row's pivot entry exactly 1, no entry left of its pivot,
+        beyond the basis or in another row's pivot column.  These checks
+        cost one pass over the entries; the rows are not re-reduced.
         """
         if not isinstance(data, dict) or data.get("format_version") != CACHE_FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
@@ -281,15 +311,29 @@ class RelationSystem:
         basis = enumerate_generators(space, weight)
         if data["basis"] != [str(g) for g in basis]:
             raise ValueError(f"cached basis is not the {space}_{weight} generator list")
-        rows = [
-            (r["pivot"], {int(j): Fraction(v) for j, v in r["entries"]}) for r in data["rows"]
-        ]
-        if data["rank"] != len(rows):
-            raise ValueError(f"cached rank {data['rank']} differs from its {len(rows)} rows")
-        pivots = {c for c, _ in rows}
-        if len(pivots) != len(rows) or not all(0 <= c < len(basis) for c in pivots):
-            raise ValueError("cached pivots repeat or fall outside the basis")
-        return cls(space, weight, basis, rows)
+        if data["rank"] != len(data["rows"]):
+            raise ValueError(f"cached rank {data['rank']} differs from its {len(data['rows'])} rows")
+        rows = {}
+        for r in data["rows"]:
+            c = r["pivot"]
+            if c in rows or not 0 <= c < len(basis):
+                raise ValueError("cached pivots repeat or fall outside the basis")
+            fractions = {}
+            for j, v in r["entries"]:
+                n, _, d = v.partition("/")
+                fractions[int(j)] = (int(n), int(d) if d else 1)
+            if any(d <= 0 for _, d in fractions.values()):
+                raise ValueError(f"cached row {c} has a denominator that is not positive")
+            n, d = fractions.pop(c, (0, 1))
+            if n != d:
+                raise ValueError(f"cached row {c} has pivot entry {n}/{d}, not 1")
+            if fractions and not (c < min(fractions) and max(fractions) < len(basis)):
+                raise ValueError(f"cached row {c} has an entry left of its pivot or beyond the basis")
+            den = lcm(*(d for _, d in fractions.values()))
+            rows[c] = (den, {j: n * (den // d) for j, (n, d) in fractions.items()})
+        if any(j in rows for _, row in rows.values() for j in row):
+            raise ValueError("a cached row has an entry in another row's pivot column")
+        return cls(space, weight, basis, dict(sorted(rows.items())))
 
 
 def _digest(basis: list, rows: list) -> str:
@@ -347,7 +391,7 @@ def relation_system(space: str, weight: int, cache_dir: str | Path | None = None
         # a stale, foreign or inconsistent file is rebuilt and rewritten
         try:
             sys_ = RelationSystem.from_json_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+        except (ValueError, KeyError, TypeError, AttributeError):  # JSONDecodeError is a ValueError
             sys_ = None
         if sys_ is not None and (sys_.space, sys_.weight) != key:
             sys_ = None

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -39,12 +40,12 @@ M = MATRICES
 
 
 def test_table_entries():
-    t = kronecker_b1(6, 10)
-    assert t.entry(1, 0) == eisenstein_qexp(2, 10)
-    assert t.entry(2, 1) == derived_eisenstein(2, 1, 10) * Fraction(1, 2)
-    assert not t.entry(1, 1)
-    assert t.entry(0, 1) == eisenstein_qexp(2, 10)
-    assert t.entry(0, 3) == derived_eisenstein(4, 0, 10) * 6  # |r-s|!/r! = 3!
+    t = kronecker_b1(6, 10).series
+    assert t.coefficient((1, 0, 0, 0)) * factorial(0) == eisenstein_qexp(2, 10)
+    assert t.coefficient((2, 0, 1, 0)) * factorial(1) == derived_eisenstein(2, 1, 10) * Fraction(1, 2)
+    assert t.coefficient((1, 0, 1, 0)) is None
+    assert t.coefficient((0, 0, 1, 0)) * factorial(1) == eisenstein_qexp(2, 10)
+    assert t.coefficient((0, 0, 3, 0)) * factorial(3) == derived_eisenstein(4, 0, 10) * 6  # |r-s|!/r! = 3!
 
 
 def test_table_only_odd_entries():
@@ -54,18 +55,16 @@ def test_table_only_odd_entries():
 
 def test_table_depth_one_consistency():
     # entry (k-1, d) with d <= k-1 is (k-d-1)!/(k-1)! (q d/dq)^d G_{k-d}
-    from math import factorial
-
-    t = kronecker_b1(9, 8)
+    t = kronecker_b1(9, 8).series
     for k in range(1, 10):
         for d in range(min(k, 10 - k)):
             expected = derived_eisenstein(k - d, d, 8) * Fraction(
                 factorial(k - d - 1), factorial(k - 1)
             ) if (k - d) % 2 == 0 else None
             if (k - 1 + d) % 2 == 1:
-                assert t.entry(k - 1, d) == expected
+                assert t.coefficient((k - 1, 0, d, 0)) * factorial(d) == expected
             else:
-                assert not t.entry(k - 1, d)
+                assert t.coefficient((k - 1, 0, d, 0)) is None
 
 
 def test_q_derivative_equals_mixed_partial():
@@ -268,15 +267,6 @@ def test_context_weight_guard():
         ctx.value(G2(4, 4, 0, 0))
 
 
-def test_realization_table_export():
-    ctx = KroneckerRealization(4, 6)
-    table = ctx.realization_table(2)
-    rows = table.to_json_list()
-    assert rows[0]["gen"] == "G(2;0)"
-    assert rows[0]["provenance"] == "series-extraction"
-    assert "O(q^7)" in rows[0]["value"]
-
-
 # -- the symbolic b2 and its evaluation -----------------------------------------
 
 #: sha256 over "<gen> -> <value>" lines for every E generator of weights
@@ -373,6 +363,18 @@ def test_fay_check_fails_with_one_atom_coefficient_doubled(key):
     bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
     assert fay_check(True, b1, 6, 5)
     assert not fay_check(True, bad, 6, 5)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 6, 8])
+def test_fay_check_reaches_every_entry_through_its_degree(degree):
+    # the cleared sum is kept exact through total degree degree + 5, which
+    # the pole times a cleared entry times the quadratic factor reaches for
+    # every entry of b1 through the degree checked
+    b1 = symbolic_b1(degree)
+    assert fay_check(True, b1, degree, 5)
+    for key in sorted(b1._t):
+        bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
+        assert not fay_check(True, bad, degree, 5), key
 
 
 def test_fay_check_over_atoms_needs_the_pole():

@@ -24,6 +24,8 @@ from doubleeis.elements import (
 from doubleeis.maps import map_partial, map_pi, map_sigma
 from doubleeis.spaces import (
     RelationSystem,
+    _digest,
+    _fraction_rows,
     _rref,
     eisenstein_relations,
     enumerate_generators,
@@ -163,7 +165,7 @@ _ROWS = st.lists(_ROW, max_size=8).flatmap(lambda rows: st.permutations(rows + r
 @example([{0: _F(-3, 2), 2: _F(1, 3)}, {0: _F(-2, 5), 1: _F(7)}, {1: _F(-1, 6), 2: _F(-4)}])  # pivots < 0
 @example([{0: _F(2), 1: _F(-1)}, {1: _F(1, 2), 3: _F(3)}, {0: _F(2), 1: _F(-1, 2), 3: _F(3)}])  # rank 2
 def test_rref_equals_the_fraction_reference(rows):
-    assert _rref(rows) == _reference_rref(rows)
+    assert _fraction_rows(_rref(rows)) == _reference_rref(rows)
 
 
 def test_dimensions_to_weight_16():
@@ -188,6 +190,61 @@ def test_normal_form_examples():
         assert is_zero_in_space(row)
     g = FormalElement.single(G1(1, 0))
     assert normal_form(g) == g
+
+
+def _reference_normal_form(sys_, element):
+    """Subtract each reduced row in turn, in Fraction arithmetic."""
+    v = {sys_.index[g]: c for g, c in element._terms.items()}
+    for c, row in sys_.rref_rows:
+        f = v.pop(c, None)
+        if f is None:
+            continue
+        for j, w in row.items():
+            if j != c:
+                u = v.get(j, 0) - f * w
+                if u:
+                    v[j] = u
+                else:
+                    v.pop(j, None)
+    return FormalElement([(sys_.basis[i], c) for i, c in v.items()])
+
+
+_COEFFICIENT = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+def _elements(space, weight):
+    gens = st.sampled_from(relation_system(space, weight).basis)
+    return st.lists(st.tuples(gens, _COEFFICIENT), max_size=6).map(FormalElement)
+
+
+_SPACE_WEIGHT = st.one_of(
+    st.tuples(st.just("E"), st.integers(1, 12)), st.tuples(st.just("Z"), st.integers(1, 20))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SPACE_WEIGHT.flatmap(lambda sw: st.tuples(_elements(*sw), _elements(*sw), _COEFFICIENT)))
+def test_normal_form_equals_the_row_by_row_reference(data):
+    x, y, c = data
+    nx, ny, nxy = normal_form(x), normal_form(y), normal_form(x + y * c)
+    for element, nf in ((x, nx), (y, ny)):
+        if element:
+            expected = _reference_normal_form(relation_system(element.space, element.weight), element)
+            assert nf == expected
+            assert (nf.space, nf.weight) == (expected.space, expected.weight)
+    assert nxy == nx + ny * c
+    assert normal_form(nx) == nx
+
+
+def test_normal_forms_of_all_generators_digest():
+    # recorded with the normal form that subtracted every reduced row in turn
+    h = hashlib.sha256()
+    for space, weights in (("E", range(1, 13)), ("Z", range(1, 21))):
+        for weight in weights:
+            sys_ = relation_system(space, weight)
+            for g in enumerate_generators(space, weight):
+                h.update(f"{g} -> {sys_.normal_form(FormalElement.single(g)).to_text()}\n".encode())
+    assert h.hexdigest() == "494fa1319f9bb12de763988effa826ab2eae7706f4f647cad19f1268b0adb18d"
 
 
 def test_normal_form_idempotent():
@@ -351,6 +408,40 @@ def _pivot_out_of_range(data):
     data["rows"][-1]["pivot"] = len(data["basis"])
 
 
+def _redigest(edit):
+    """A corruption that keeps the file's digest consistent, so that only the
+    reduced-form checks can tell."""
+    def corrupt(data):
+        edit(data)
+        data["digest"] = _digest(data["basis"], data["rows"])
+    corrupt.__name__ = edit.__name__
+    return corrupt
+
+
+@_redigest
+def _pivot_entry_not_one(data):
+    data["rows"][0]["entries"][0][1] = "2"
+
+
+@_redigest
+def _entry_left_of_pivot(data):
+    row = data["rows"][-1]
+    pivots = {r["pivot"] for r in data["rows"]}
+    j = max(set(range(row["pivot"])) - pivots)
+    row["entries"].insert(0, [j, "3"])
+
+
+@_redigest
+def _entry_in_another_pivot_column(data):
+    row = data["rows"][0]
+    row["entries"] = sorted(row["entries"] + [[data["rows"][1]["pivot"], "3"]])
+
+
+@_redigest
+def _entry_not_a_string(data):
+    data["rows"][0]["entries"][0][1] = 1
+
+
 @pytest.mark.parametrize("weight, corrupt, expected", [
     (5, None, 15),  # the weight-4 file copied to the weight-5 name
     (4, _drop_two_rows, 8),
@@ -358,6 +449,10 @@ def _pivot_out_of_range(data):
     (4, _format_version_one, 8),
     (4, _repeat_a_pivot, 8),
     (4, _pivot_out_of_range, 8),
+    (4, _pivot_entry_not_one, 8),
+    (4, _entry_left_of_pivot, 8),
+    (4, _entry_in_another_pivot_column, 8),
+    (4, _entry_not_a_string, 8),
 ])
 def test_disk_cache_rejects_files_that_do_not_match(tmp_path, monkeypatch, weight, corrupt, expected):
     from doubleeis import spaces
@@ -369,8 +464,12 @@ def test_disk_cache_rejects_files_that_do_not_match(tmp_path, monkeypatch, weigh
     bad = tmp_path / f"relations_E_{weight}.json"
     bad.write_text(json.dumps(data))
     monkeypatch.setattr(spaces, "_MEMO", {})  # force a read from disk
-    assert relation_system("E", weight, cache_dir=tmp_path).dimension == expected
-    assert json.loads(bad.read_text()) == RelationSystem.build("E", weight).to_json_dict()
+    loaded = relation_system("E", weight, cache_dir=tmp_path)
+    assert loaded.dimension == expected
+    fresh = RelationSystem.build("E", weight)
+    assert json.loads(bad.read_text()) == fresh.to_json_dict()
+    for g in enumerate_generators("E", weight):
+        assert loaded.normal_form(FormalElement.single(g)) == fresh.normal_form(FormalElement.single(g))
 
 
 def test_disk_cache_reads_a_matching_file(tmp_path, monkeypatch):
@@ -381,6 +480,22 @@ def test_disk_cache_reads_a_matching_file(tmp_path, monkeypatch):
     monkeypatch.setattr(RelationSystem, "build", None)  # a rebuild would raise
     loaded = relation_system("E", 4, cache_dir=tmp_path)
     assert loaded is not built and loaded.rref_rows == built.rref_rows
+
+
+@pytest.mark.parametrize("space, weight", [("E", 9), ("Z", 14)])
+def test_loaded_and_built_systems_agree(tmp_path, monkeypatch, space, weight):
+    from doubleeis import spaces
+
+    monkeypatch.setattr(spaces, "_MEMO", {})
+    built = relation_system(space, weight, cache_dir=tmp_path)
+    monkeypatch.setattr(spaces, "_MEMO", {})
+    monkeypatch.setattr(RelationSystem, "build", None)  # a rebuild would raise
+    loaded = relation_system(space, weight, cache_dir=tmp_path)
+    assert loaded is not built
+    for g in enumerate_generators(space, weight):
+        e = FormalElement.single(g, Fraction(-3, 5))
+        assert loaded.normal_form(e) == built.normal_form(e)
+    assert loaded.rref_rows == built.rref_rows
 
 
 def test_cache_status_and_clear(tmp_path):
