@@ -12,7 +12,9 @@ constant terms gives the rational (Bernoulli-number) realization.
 ``b2`` is bilinear in ``b1``, so each of its coefficients is one rational
 combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
 Both are built once with :class:`AtomCombination` coefficients, and a value
-is evaluated from cached product series at the q-order asked for.  The Fay
+is evaluated at the q-order asked for as the sum of cached product series
+times rationals; the series hold integer numerators over one denominator,
+so their products and sums run on integers (see :mod:`.series`).  The Fay
 check and the value of an element are formed the same way: the cleared Fay
 sum over the atoms, an element as one combination of its generators' atoms;
 each resulting coefficient is evaluated once, at the q-order asked for,
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 from .action import GroupRingElem, MATRICES, act_group_ring, wplus_check
 from .eisenstein import derived_eisenstein, eisenstein_qexp
@@ -146,56 +148,53 @@ class AtomCombination(dict):
     tuple of atoms; the empty monomial ``()`` is the constant 1, so a plain
     rational added to a combination becomes a multiple of it.  The series
     and group-ring code needs sums, negation, products and truthiness of a
-    coefficient, so zero terms are dropped.
+    coefficient, so no term is zero: the constructor takes nonzero terms,
+    and each operation drops the terms that cancel as it builds its result.
     """
 
     __slots__ = ()
 
-    def __init__(self, terms: dict | None = None):
-        super().__init__((m, c) for m, c in (terms or {}).items() if c)
-
     def __add__(self, other) -> "AtomCombination":
         if not isinstance(other, AtomCombination):
             other = {(): other}  # a rational is a multiple of the empty monomial
-        t = dict(self)
+        t = AtomCombination(self)
         for m, c in other.items():
-            t[m] = t.get(m, 0) + c
-        return AtomCombination(t)
+            v = t.get(m, 0) + c
+            if v:
+                t[m] = v
+            else:
+                t.pop(m, None)
+        return t
 
     __radd__ = __add__
 
     def __neg__(self) -> "AtomCombination":
-        return self * -1
+        return AtomCombination({m: -c for m, c in self.items()})
 
     def __mul__(self, other) -> "AtomCombination":
         if not isinstance(other, AtomCombination):
+            if not other:
+                return AtomCombination()
             return AtomCombination({m: c * other for m, c in self.items()})
-        t: dict = {}
+        t = AtomCombination()
         for m1, c1 in self.items():
             for m2, c2 in other.items():
                 m = tuple(sorted(m1 + m2))
-                t[m] = t.get(m, 0) + c1 * c2
-        return AtomCombination(t)
+                v = t.get(m, 0) + c1 * c2
+                if v:
+                    t[m] = v
+                else:
+                    t.pop(m, None)
+        return t
 
     __rmul__ = __mul__
 
     def evaluate(self, q_order: int) -> QSeries:
-        """The combination as a q-series truncated at ``q_order``.
-
-        The terms are summed as integers over one common denominator, so each
-        coefficient of the result becomes a Fraction only once.
-        """
-        terms = []
+        """The combination as a q-series truncated at ``q_order``."""
+        total = QSeries.zero(q_order)
         for m, c in self.items():
-            s = cached_at_order(_SERIES, m, q_order, _monomial_series).coefficients()
-            d = lcm(*(a.denominator for a in s))
-            terms.append((Fraction(c) / d, [a.numerator * (d // a.denominator) for a in s]))
-        den = lcm(*(c.denominator for c, _ in terms))
-        out = [0] * (q_order + 1)
-        for c, numerators in terms:
-            f = c.numerator * (den // c.denominator)
-            out = [o + f * n for o, n in zip(out, numerators)]
-        return QSeries([Fraction(n, den) for n in out])
+            total = total + cached_at_order(_SERIES, m, q_order, _monomial_series) * c
+        return total
 
 
 def _monomial_series(monomial: tuple, q_order: int) -> QSeries:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2, ZP
+from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2
 
 
 def _stuffle_terms(gen: GenId) -> list[tuple[GenId, int]]:

@@ -1,36 +1,59 @@
-"""Truncated power series in q with exact rational coefficients."""
+"""Truncated power series in q with exact rational coefficients.
+
+A series is stored as a list of integer numerators over one positive common
+denominator, in lowest terms, so arithmetic runs on integers: a product is
+an integer convolution, a sum scales both sides to the lcm of the two
+denominators, and one gcd pass per result restores lowest terms.
+Coefficients go in and come out as :class:`fractions.Fraction` values.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
-_ZERO = Fraction(0)
+
+def _reduced(numerators: list[int], denominator: int) -> "QSeries":
+    """The series ``numerators / denominator`` (denominator > 0) in lowest terms."""
+    g = gcd(denominator, *numerators)
+    if g != 1:
+        numerators = [n // g for n in numerators]
+        denominator //= g
+    s = QSeries.__new__(QSeries)
+    s._n = numerators
+    s._d = denominator
+    return s
 
 
 class QSeries:
     """A power series in q stored up to a fixed truncation order.
 
-    Coefficients are exact :class:`fractions.Fraction` values indexed by the
-    q-exponent, from 0 up to ``order`` inclusive.  Binary operations truncate
-    at the smaller order of the two operands, so a coefficient is only ever
-    reported when both inputs determine it exactly.  Instances are immutable.
+    The coefficient of q^n, for n from 0 up to ``order`` inclusive, is
+    ``_n[n] / _d`` with integers ``_n`` and ``_d > 0`` and
+    gcd(_d, *_n) == 1, so equal series of one order are stored equally.
+    Binary operations truncate at the smaller order of the two operands, so
+    a coefficient is only ever reported when both inputs determine it
+    exactly.  Instances are immutable.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coefficients: Iterable[Fraction | int] = (), order: int | None = None):
         c = [x if type(x) is Fraction else Fraction(x) for x in coefficients]
         if order is not None:
             if order < 0:
                 raise ValueError("truncation order must be >= 0")
-            if len(c) > order + 1:
-                del c[order + 1 :]
-            else:
-                c.extend([_ZERO] * (order + 1 - len(c)))
+            del c[order + 1 :]
         elif not c:
             raise ValueError("an empty coefficient list needs an explicit order")
-        self._c = c
+        # over the lcm of reduced denominators the numerators share no factor with it
+        d = lcm(*(x.denominator for x in c))
+        self._n = [x.numerator * (d // x.denominator) for x in c]
+        if order is not None:
+            self._n.extend([0] * (order + 1 - len(c)))
+        self._d = d
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
@@ -42,88 +65,82 @@ class QSeries:
 
     @classmethod
     def monomial(cls, coefficient, exponent: int, order: int) -> "QSeries":
-        s = cls((), order)
-        if exponent <= order:
-            s._c[exponent] = Fraction(coefficient)
-        return s
+        if exponent < 0:
+            raise ValueError(f"q-exponent must be >= 0, got {exponent}")
+        return cls([0] * exponent + [coefficient] if exponent <= order else (), order)
 
     @property
     def order(self) -> int:
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     def coefficient(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient of q^{n} lies beyond truncation order {self.order}")
-        return self._c[n]
+        return Fraction(self._n[n], self._d)
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(self._c)
+        d = self._d
+        return tuple(Fraction(n, d) for n in self._n)
 
     def truncate(self, order: int) -> "QSeries":
         """Drop coefficients beyond ``order`` (which must not exceed self.order)."""
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self._c[: order + 1], order)
+        return _reduced(self._n[: order + 1], self._d)
 
     def __bool__(self) -> bool:
-        return any(self._c)
+        return any(self._n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QSeries):
-            n = min(len(self._c), len(other._c))
-            return self._c[:n] == other._c[:n]
+            if len(self._n) == len(other._n):
+                return self._d == other._d and self._n == other._n
+            da, db = self._d, other._d
+            return all(a * db == b * da for a, b in zip(self._n, other._n))
         if isinstance(other, (int, Fraction)):
-            return self._c[0] == other and not any(self._c[1:])
+            return Fraction(self._n[0], self._d) == other and not any(self._n[1:])
         return NotImplemented
 
     __hash__ = None  # equality is order-relative
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-a for a in self._c])
+        return _reduced([-a for a in self._n], self._d)
+
+    def _plus(self, other, sign: int) -> "QSeries":
+        """self + sign * other for a series or a rational ``other``."""
+        if isinstance(other, QSeries):
+            d = lcm(self._d, other._d)
+            fa, fb = d // self._d, sign * (d // other._d)
+            return _reduced([a * fa + b * fb for a, b in zip(self._n, other._n)], d)
+        if isinstance(other, (int, Fraction)):
+            d = lcm(self._d, other.denominator)
+            fa = d // self._d
+            c = [a * fa for a in self._n]
+            c[0] += sign * other.numerator * (d // other.denominator)
+            return _reduced(c, d)
+        return NotImplemented
 
     def __add__(self, other) -> "QSeries":
-        if isinstance(other, QSeries):
-            n = min(len(self._c), len(other._c))
-            return QSeries([self._c[i] + other._c[i] for i in range(n)])
-        if isinstance(other, (int, Fraction)):
-            c = list(self._c)
-            c[0] += other
-            return QSeries(c)
-        return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSeries":
-        if isinstance(other, QSeries):
-            n = min(len(self._c), len(other._c))
-            return QSeries([self._c[i] - other._c[i] for i in range(n)])
-        if isinstance(other, (int, Fraction)):
-            c = list(self._c)
-            c[0] -= other
-            return QSeries(c)
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "QSeries":
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, QSeries):
-            a, b = self._c, other._c
+            a, b = self._n, other._n
             n = min(len(a), len(b))
-            out = [_ZERO] * n
-            for i in range(n):
-                ai = a[i]
-                if not ai:
-                    continue
-                for j in range(n - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return QSeries(out)
+            rb = b[n - 1 :: -1]  # b[k], b[k-1], ..., b[0] is rb[n-1-k:]
+            c = [sum(map(mul, a[: k + 1], rb[n - 1 - k :])) for k in range(n)]
+            return _reduced(c, self._d * other._d)
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return QSeries.zero(self.order)
-            return QSeries([a * other for a in self._c])
+            p = other.numerator
+            return _reduced([a * p for a in self._n], self._d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -142,7 +159,7 @@ class QSeries:
 
     def qderive(self) -> "QSeries":
         """Apply q d/dq: the coefficient of q^n is multiplied by n."""
-        return QSeries([n * a for n, a in enumerate(self._c)])
+        return _reduced([n * a for n, a in enumerate(self._n)], self._d)
 
     def to_text(self) -> str:
         """Canonical rendering ``a0 + a1*q + a2*q^2 + ... + O(q^{N+1})``.
@@ -151,7 +168,7 @@ class QSeries:
         fraction (``/1`` omitted), so the format round-trips losslessly.
         """
         parts = []
-        for n, a in enumerate(self._c):
+        for n, a in enumerate(self.coefficients()):
             mag = str(abs(a))
             if n == 0:
                 term = mag

@@ -171,6 +171,16 @@ def test_verify_ramanujan(capsys):
     assert "all verified" in out
 
 
+def test_verify_ramanujan_checks_only_the_weights_within_the_bound(capsys):
+    code, out, _ = invoke(capsys, "verify", "--identity", "ramanujan", "--max-weight", "6", "--q-order", "10")
+    assert code == 0
+    assert out == "ramanujan G2: ok\nramanujan G4: ok\n2 instances, all verified\n"
+    # the control: without the flag all three equations, weights 4, 6 and 8
+    code, out, _ = invoke(capsys, "verify", "--identity", "ramanujan", "--q-order", "10")
+    assert code == 0
+    assert out == "ramanujan G2: ok\nramanujan G4: ok\nramanujan G6: ok\n3 instances, all verified\n"
+
+
 def test_verify_sum_formula_small(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--identity", "sum-formula", "--max-weight", "5", "--q-order", "10"
@@ -267,6 +277,7 @@ def test_negative_bounds_exit_two(capsys, argv):
     ("verify", "--identity", "sum-formula", "--max-weight", "1"),
     ("verify", "--identity", "parity", "--max-weight", "2"),
     ("verify", "--identity", "diagram", "--max-weight", "0"),
+    ("verify", "--identity", "ramanujan", "--max-weight", "2"),
 ])
 def test_checks_over_nothing_exit_two(capsys, argv):
     code, out, err = invoke(capsys, *argv)

@@ -423,6 +423,31 @@ def test_element_value_is_the_sum_of_generator_values(terms, q_order):
     assert value == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2)), max_size=3).map(lambda m: tuple(sorted(m))),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+        max_size=6,
+    ),
+    st.integers(0, 20),
+)
+def test_evaluate_is_the_combination_of_monomial_series(terms, q_order):
+    expected = QSeries.zero(q_order)
+    for m, c in terms.items():
+        expected = expected + kronecker._monomial_series(m, q_order) * c
+    assert AtomCombination(terms).evaluate(q_order) == expected
+
+
+def test_atom_combination_results_hold_no_zero_terms():
+    g2 = AtomCombination({((2, 0),): Fraction(1), (): Fraction(3)})
+    assert g2 * 0 == {} and type(g2 * 0) is AtomCombination
+    assert g2 + (-g2) == {}
+    assert g2 + -3 == {((2, 0),): 1}
+    square = AtomCombination({((2, 0),): 1, (): 1}) * AtomCombination({((2, 0),): 1, (): -1})
+    assert square == {((2, 0), (2, 0)): 1, (): -1}
+
+
 def test_element_value_rejects_what_value_rejects():
     ctx = KroneckerRealization(6, 5)
     with pytest.raises(ValueError):

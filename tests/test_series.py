@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleeis.eisenstein import eisenstein_qexp
 from doubleeis.series import QSeries
@@ -118,3 +121,69 @@ def test_text_rendering():
     assert eisenstein_qexp(2, 3).to_text() == "-1/24 + 1*q + 3*q^2 + 4*q^3 + O(q^4)"
     assert QSeries.zero(1).to_text() == "0 + 0*q + O(q^2)"
     assert QSeries([Fraction(1, 2), Fraction(-3, 7)], 1).to_text() == "1/2 - 3/7*q + O(q^2)"
+
+
+def test_monomial_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        QSeries.monomial(1, -1, 3)
+    assert QSeries.monomial(1, 3, 3) == QSeries([0, 0, 0, 1], 3)
+    assert QSeries.monomial(1, 4, 3) == QSeries.zero(3)
+
+
+# -- the integer representation against a plain Fraction-list reference ---------
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+coefficient_lists = st.lists(rationals, min_size=1, max_size=9)
+scalars = st.one_of(st.just(Fraction(0)), st.integers(-7, 7), rationals)
+
+
+def assert_lowest_terms(s):
+    """Integer numerators over one positive denominator sharing no factor with it."""
+    assert type(s._d) is int and s._d > 0
+    assert all(type(n) is int for n in s._n)
+    assert gcd(s._d, *s._n) == 1
+    assert all(type(c) is Fraction for c in s.coefficients())
+
+
+def agrees(s, reference):
+    assert_lowest_terms(s)
+    return s.order == len(reference) - 1 and list(s.coefficients()) == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, coefficient_lists)
+def test_binary_operations_match_the_fraction_reference(a, b):
+    n = min(len(a), len(b))
+    sa, sb = QSeries(a), QSeries(b)
+    assert agrees(sa, a)
+    assert agrees(sa + sb, [x + y for x, y in zip(a, b)])
+    assert agrees(sa - sb, [x - y for x, y in zip(a, b)])
+    assert agrees(sa * sb, brute_cauchy(a, b, n - 1))
+    assert agrees(-sa, [-x for x in a])
+    assert (sa == sb) == (a[:n] == b[:n])
+    assert (sa - sb == 0) == (a[:n] == b[:n])
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, scalars)
+def test_scalar_operations_match_the_fraction_reference(a, c):
+    s = QSeries(a)
+    scaled = [x * c for x in a]
+    assert agrees(s * c, scaled)
+    assert agrees(c * s, scaled)
+    assert agrees(s + c, [a[0] + c] + a[1:])
+    assert agrees(s - c, [a[0] - c] + a[1:])
+    assert agrees(c - s, [c - a[0]] + [-x for x in a[1:]])
+    assert (s == c) == (a == [c] + [0] * (len(a) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, st.data())
+def test_qderive_and_truncate_match_the_fraction_reference(a, data):
+    s = QSeries(a)
+    assert agrees(s.qderive(), [n * x for n, x in enumerate(a)])
+    k = data.draw(st.integers(0, len(a) - 1))
+    assert agrees(s.truncate(k), a[: k + 1])
+    assert s.truncate(k) == s and s == s.truncate(k)
+    padded = data.draw(st.integers(len(a) - 1, len(a) + 3))
+    assert agrees(QSeries(a, padded), a + [Fraction(0)] * (padded + 1 - len(a)))
