@@ -62,7 +62,6 @@ from .action import (
 )
 from .kronecker import (
     KroneckerRealization,
-    KroneckerTable,
     build_b2,
     check_derivation_diagram,
     closed_form_depth2,
@@ -95,7 +94,6 @@ __all__ = [
     "GroupRingElem",
     "IntMatrix2",
     "KroneckerRealization",
-    "KroneckerTable",
     "MATRICES",
     "MixedSpaceError",
     "MixedWeightError",

@@ -1,4 +1,11 @@
-"""Bernoulli numbers, Eisenstein q-expansions, and quasimodular recognition."""
+"""Bernoulli numbers, Eisenstein q-expansions, and quasimodular recognition.
+
+Products of the atoms (k, m) = (q d/dq)^m G_k are kept in one cache,
+``_MONOMIALS``, keyed by sorted atom tuples; the realization values of
+:mod:`.kronecker` and the basis G2^a G4^b G6^c of recognition both read
+it.  Recognition row-reduces its linear system with :func:`.spaces._rref`
+and checks the solution on at least one coefficient it did not solve for.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +15,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .series import QSeries, cached_at_order
+from .spaces import _rref
 
 
 @lru_cache(maxsize=None)
@@ -77,18 +85,23 @@ def quasimodular_monomials(weight: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-#: G2^a G4^b G6^c by exponent triple (a, b, c), each kept at the largest
-#: q-order asked for.
-_MONOMIALS: dict[tuple[int, int, int], QSeries] = {}
+#: Products of atoms (k, m) = (q d/dq)^m G_k by sorted atom tuple, each kept
+#: at the largest q-order asked for; the empty tuple is the series 1.
+_MONOMIALS: dict[tuple[tuple[int, int], ...], QSeries] = {}
 
 
-def _monomial_qexp(mon: tuple[int, int, int], n_order: int) -> QSeries:
-    """G2^a G4^b G6^c as a monomial of lower degree times one Eisenstein series."""
-    if not any(mon):
+def product_series(atoms: tuple[tuple[int, int], ...], n_order: int) -> QSeries:
+    """The product of a sorted tuple of atoms (k, m), from the shared cache."""
+    return cached_at_order(_MONOMIALS, atoms, n_order, _product)
+
+
+def _product(atoms: tuple[tuple[int, int], ...], n_order: int) -> QSeries:
+    """One atom from :func:`derived_eisenstein`; more as the cached prefix times the last."""
+    if not atoms:
         return QSeries.constant(1, n_order)
-    i = next(i for i, e in enumerate(mon) if e)
-    lower = mon[:i] + (mon[i] - 1,) + mon[i + 1 :]
-    return cached_at_order(_MONOMIALS, lower, n_order, _monomial_qexp) * eisenstein_qexp(2 * i + 2, n_order)
+    if len(atoms) == 1:
+        return derived_eisenstein(*atoms[0], n_order)
+    return product_series(atoms[:-1], n_order) * product_series(atoms[-1:], n_order)
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,9 @@ class QuasimodularBasis:
     @classmethod
     def build(cls, weight: int, n_order: int) -> "QuasimodularBasis":
         mons = tuple(quasimodular_monomials(weight))
-        exps = tuple(cached_at_order(_MONOMIALS, m, n_order, _monomial_qexp) for m in mons)
+        # G2^a G4^b G6^c is the product of a atoms (2, 0), b atoms (4, 0) and c atoms (6, 0)
+        exps = tuple(product_series(((2, 0),) * a + ((4, 0),) * b + ((6, 0),) * c, n_order)
+                     for a, b, c in mons)
         return cls(weight, mons, exps)
 
 
@@ -117,48 +132,38 @@ RECOGNITION_MARGIN = 10
 def recognize_quasimodular(s: QSeries, weight: int) -> dict[tuple[int, int, int], Fraction] | None:
     """Express a q-series in the weight-graded basis G2^a G4^b G6^c.
 
-    Solves an exact linear system on the q-coefficients 0..(basis size +
-    margin) and then verifies every remaining stored coefficient.  Returns a
-    map from exponent triples to rational coefficients (zeros omitted), or
-    None when the series provably lies outside the graded piece.  Raises
+    Row-reduces the exact augmented system on the q-coefficients
+    0..(basis size + margin) with :func:`.spaces._rref` and then verifies
+    every remaining stored coefficient.  Returns a map from exponent triples
+    to rational coefficients (zeros omitted), or None when the series
+    provably lies outside the graded piece.  Raises
     :class:`UnderdeterminedTruncationError` when the truncation order is too
-    small to decide.
+    small to decide: the series needs more coefficients than the basis has
+    monomials, so that at least one of them is checked rather than solved for.
     """
     basis = QuasimodularBasis.build(weight, s.order)
     m = len(basis.monomials)
     if m == 0:
         return {} if not s else None
+    if s.order < m:
+        raise UnderdeterminedTruncationError(
+            f"{s.order + 1} q-coefficients for {m} weight-{weight} monomials leave no coefficient to check"
+        )
     rows_needed = min(s.order, m + RECOGNITION_MARGIN)
 
-    # Gaussian elimination on the augmented system, column per monomial.
-    aug = [
-        [e.coefficient(n) for e in basis.expansions] + [s.coefficient(n)]
+    # the augmented system: a column per monomial, then the series in column m
+    columns = basis.expansions + (s,)
+    reduced = _rref([
+        {j: c for j, e in enumerate(columns) if (c := e.coefficient(n))}
         for n in range(rows_needed + 1)
-    ]
-    pivots: list[int] = []
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if any(row[m] for row in aug[r:]):
+    ])
+    if m in reduced:
         return None  # inconsistent: no expression exists
-    if len(pivots) < m:
+    if len(reduced) < m:
         raise UnderdeterminedTruncationError(
             f"{rows_needed + 1} q-coefficients leave the weight-{weight} system underdetermined"
         )
-    solution = [Fraction(0)] * m
-    for i, col in enumerate(pivots):
-        solution[col] = aug[i][m]
+    solution = [Fraction(row.get(m, 0), den) for den, row in reduced.values()]
 
     # Verify the coefficients the solver did not consume.
     for n in range(rows_needed + 1, s.order + 1):

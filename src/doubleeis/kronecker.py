@@ -12,24 +12,24 @@ constant terms gives the rational (Bernoulli-number) realization.
 ``b2`` is bilinear in ``b1``, so each of its coefficients is one rational
 combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
 Both are built once with :class:`AtomCombination` coefficients, and a value
-is evaluated at the q-order asked for as the sum of cached product series
-times rationals; the series hold integer numerators over one denominator,
-so their products and sums run on integers (see :mod:`.series`).  The Fay
-check and the value of an element are formed the same way: the cleared Fay
-sum over the atoms, an element as one combination of its generators' atoms;
-each resulting coefficient is evaluated once, at the q-order asked for,
-which still bounds the comparison.
+is evaluated at the q-order asked for as the sum of product series times
+rationals, read from the one product cache of :mod:`.eisenstein`; the
+series hold integer numerators over one denominator, so their products and
+sums run on integers (see :mod:`.series`).  The Fay check and the value
+of an element are formed the same way: the cleared Fay sum over the atoms,
+an element as one combination of its generators' atoms; each resulting
+coefficient is evaluated once, at the q-order asked for, which still bounds
+the comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .action import GroupRingElem, MATRICES, act_group_ring, wplus_check
-from .eisenstein import derived_eisenstein, eisenstein_qexp
+from .eisenstein import derived_eisenstein, eisenstein_qexp, product_series
 from .elements import EISENSTEIN, FormalElement, G1, GenId
 from .maps import map_partial
 from .multipoly import (
@@ -42,34 +42,20 @@ from .multipoly import (
     Y2,
     divided_difference,
 )
-from .series import QSeries, cached_at_order
+from .series import QSeries
 from .spaces import enumerate_generators
 
 
-@dataclass(frozen=True)
-class KroneckerTable:
-    """The regular part of the Kronecker function as a coefficient table.
+def kronecker_b1(degree: int, q_order: int) -> MultiPoly:
+    """The regular part of the Kronecker function up to a total degree.
 
-    ``series`` is the depth-one series b1(X1; Y1) with plain monomial
+    This is the depth-one series b1(X1; Y1) with plain monomial
     coefficients: the coefficient of X1^r Y1^s, at exponents (r, 0, s, 0),
-    is |r-s|!/(r! s!) (q d/dq)^min(r,s) G_{|r-s|+1}, supported on odd r+s
-    only.  The series-convention entry (the coefficient of X^r Y^s/s!) is
-    s! times the stored one.
+    is |r-s|!/(r! s!) (q d/dq)^min(r,s) G_{|r-s|+1} truncated at
+    ``q_order``, supported on odd r+s only.  The series-convention entry
+    (the coefficient of X^r Y^s/s!) is s! times the stored one.
     """
-
-    series: MultiPoly
-    degree: int
-    q_order: int
-
-
-def kronecker_b1(degree: int, q_order: int) -> KroneckerTable:
-    """Tabulate the regular Kronecker coefficients up to a total degree."""
-    b1 = symbolic_b1(degree).map_coefficients(lambda c: c.evaluate(q_order))
-    return KroneckerTable(b1, degree, q_order)
-
-
-def _as_series(table) -> MultiPoly:
-    return table.series if isinstance(table, KroneckerTable) else table
+    return symbolic_b1(degree).map_coefficients(lambda c: c.evaluate(q_order))
 
 
 def _at(t: MultiPoly, x: LinForm, y: LinForm) -> MultiPoly:
@@ -92,7 +78,6 @@ def _require_odd(b1: MultiPoly):
 
 def pair_product(b1, degree: int | None = None) -> MultiPoly:
     """b1(X1; Y1) * b1(X2; Y2) as a four-variable series."""
-    b1 = _as_series(b1)
     if degree is not None:
         b1 = b1.truncate(degree)  # so the substitution prunes at the degree
     return b1 * _at(b1, X2, Y2)
@@ -110,7 +95,6 @@ def beta_combination(b1, degree: int) -> MultiPoly:
         (1/4) R*  | (5 - 3U + U epsilon)
       + (1/4) Rsh | (T^-1 (5 - 3 epsilon + U)).
     """
-    b1 = _as_series(b1)
     quarter = Fraction(1, 4)
     rstar = divided_difference(b1, "star").truncate(degree)
     rshuffle = divided_difference(b1, "shuffle").truncate(degree)
@@ -130,7 +114,6 @@ def build_b2(b1, degree: int) -> MultiPoly:
     differences lower the exact degree by one.  The coefficients may be
     q-series or :class:`AtomCombination` values.
     """
-    b1 = _as_series(b1)
     _require_odd(b1)
     if b1.cap is not None and b1.cap < degree + 1:
         raise ValueError(f"need depth-one entries to degree {degree + 1}, have {b1.cap}")
@@ -193,24 +176,13 @@ class AtomCombination(dict):
         """The combination as a q-series truncated at ``q_order``."""
         total = QSeries.zero(q_order)
         for m, c in self.items():
-            total = total + cached_at_order(_SERIES, m, q_order, _monomial_series) * c
+            total = total + product_series(m, q_order) * c
         return total
-
-
-def _monomial_series(monomial: tuple, q_order: int) -> QSeries:
-    factors = (derived_eisenstein(k, m, q_order) for k, m in monomial)
-    return prod(factors, start=QSeries.constant(1, q_order))
-
-
-#: Series of monomials and of generators' values, each kept at the largest
-#: q-order asked for (see :func:`cached_at_order`).
-_SERIES: dict[tuple, QSeries] = {}
-_VALUES: dict[GenId, QSeries] = {}
 
 
 @lru_cache(maxsize=None)
 def symbolic_b1(degree: int) -> MultiPoly:
-    """The table of :class:`KroneckerTable` with one atom (k, m) per coefficient."""
+    """The series of :func:`kronecker_b1` with one atom (k, m) per coefficient."""
     terms = {}
     for r in range(degree + 1):
         for s in range(degree + 1 - r):
@@ -254,7 +226,7 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
     (rationals, q-series or :class:`AtomCombination` values), and only its
     coefficients are taken to q-order ``q_order`` at the end.
     """
-    regular = _as_series(regular) if regular is not None else MultiPoly.zero(degree)
+    regular = regular if regular is not None else MultiPoly.zero(degree)
     cap = degree if regular.cap is None else min(regular.cap, degree)
 
     xy = MultiPoly.monomial((1, 0, 1, 0), Fraction(1))
@@ -298,7 +270,6 @@ def polar_product_candidate(q_order: int) -> RationalFunction4:
 
 def kronecker_wplus_candidate(b1, degree: int, q_order: int) -> RationalFunction4:
     """The full two-point Kronecker product, cleared over X1 Y1 X2 Y2."""
-    b1 = _as_series(b1)
     half = Fraction(-1, 2)
     xy = MultiPoly.monomial((1, 0, 1, 0), Fraction(1))
     cleared = xy * _lift_cap(b1, 2) + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half})
@@ -311,7 +282,6 @@ def kronecker_wplus_candidate(b1, degree: int, q_order: int) -> RationalFunction
 
 def polar_cross_terms(b1, q_order: int) -> RationalFunction4:
     """-(1/2)[(1/X2 + 1/Y2) b1(X1;Y1) + (1/X1 + 1/Y1) b1(X2;Y2)]."""
-    b1 = _as_series(b1)
     half = Fraction(-1, 2)
     b = _lift_cap(b1, 3).map_coefficients(
         lambda c: c if isinstance(c, QSeries) else QSeries.constant(c, q_order)
@@ -345,17 +315,6 @@ class KroneckerRealization:
     def __init__(self, max_weight: int, q_order: int):
         self.max_weight = max(max_weight, 2)
         self.q_order = q_order
-        self._b2: MultiPoly | None = None
-
-    @property
-    def b2(self) -> MultiPoly:
-        """The depth-two series to total degree max_weight - 2, evaluated at this q-order."""
-        if self._b2 is None:
-            degree = self.max_weight - 2
-            self._b2 = symbolic_b2(degree).truncate(degree).map_coefficients(
-                lambda c: c.evaluate(self.q_order)
-            )
-        return self._b2
 
     def _combination(self, gen: GenId) -> AtomCombination:
         if gen.kind == "G1":
@@ -378,7 +337,7 @@ class KroneckerRealization:
 
     def value(self, gen: GenId) -> QSeries:
         self._check(gen)
-        return cached_at_order(_VALUES, gen, self.q_order, lambda _, q: self._combination(gen).evaluate(q))
+        return self._combination(gen).evaluate(self.q_order)
 
     def element_value(self, element: FormalElement) -> QSeries:
         """The value of an element, from the sum of its terms' atom combinations

@@ -167,9 +167,6 @@ class MultiPoly:
     def coefficient(self, exps):
         return self._t.get(tuple(exps))
 
-    def degree(self) -> int:
-        return max((sum(k) for k in self._t), default=0)
-
     def __bool__(self) -> bool:
         return bool(self._t)
 

@@ -371,23 +371,21 @@ def _atomic_write_json(path: Path, data: dict):
         raise
 
 
-def relation_system(space: str, weight: int, cache_dir: str | Path | None = None, use_disk: bool = True) -> RelationSystem:
-    """The relation system of one weight, memoized and optionally disk-cached.
+def relation_system(space: str, weight: int, cache_dir: str | Path | None = None) -> RelationSystem:
+    """The relation system of one weight, memoized and disk-cached.
 
     A cache file that fails to load or belongs to another (space, weight)
     is rebuilt and rewritten.
     """
     space = _space(space)
     key = (space, weight)
-    path = None
-    if use_disk:
-        path = _cache_file(Path(cache_dir) if cache_dir else default_cache_dir(), space, weight)
+    path = _cache_file(Path(cache_dir) if cache_dir else default_cache_dir(), space, weight)
     sys_ = _MEMO.get(key)
     if sys_ is not None:
-        if path is not None and not path.exists():
+        if not path.exists():
             _atomic_write_json(path, sys_.to_json_dict())
         return sys_
-    if path is not None and path.exists():
+    if path.exists():
         # a stale, foreign or inconsistent file is rebuilt and rewritten
         try:
             sys_ = RelationSystem.from_json_dict(json.loads(path.read_text()))
@@ -397,8 +395,7 @@ def relation_system(space: str, weight: int, cache_dir: str | Path | None = None
             sys_ = None
     if sys_ is None:
         sys_ = RelationSystem.build(space, weight)
-        if path is not None:
-            _atomic_write_json(path, sys_.to_json_dict())
+        _atomic_write_json(path, sys_.to_json_dict())
     _MEMO[key] = sys_
     return sys_
 

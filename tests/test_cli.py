@@ -152,6 +152,17 @@ def test_recognize_command(capsys):
     assert data[0]["monomials"] == [{"exponents": [0, 2, 0], "coefficient": "6/7"}]
 
 
+def test_recognize_leaves_a_coefficient_to_check(capsys):
+    # at q-order 6 the seven weight-12 monomials take all seven coefficients
+    code, out, err = invoke(capsys, "recognize", "--gen", "G(1,11;0,0)", "--q-order", "6")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # the control: one coefficient more is checked and the output is as before
+    code, out, _ = invoke(capsys, "recognize", "--gen", "G(1,11;0,0)", "--q-order", "7")
+    assert code == 0
+    assert out == "G(1,11;0,0) = -1/2 * G2^0 G4^0 G6^2 + -6/7 * G2^0 G4^3 G6^0 + -10/11 * G2^1 G4^1 G6^1\n"
+
+
 def test_fay_check_command(capsys):
     code, out, _ = invoke(capsys, "fay-check", "--degree", "6", "--q-order", "6")
     assert code == 0

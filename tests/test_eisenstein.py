@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleeis import eisenstein
 from doubleeis.eisenstein import (
@@ -147,6 +149,42 @@ def test_recognize_underdetermined_is_distinct():
     short = eisenstein_qexp(4, 0)  # one coefficient, two weight-4 monomials
     with pytest.raises(UnderdeterminedTruncationError):
         recognize_quasimodular(short, 4)
+
+
+def test_recognition_leaves_a_coefficient_to_check():
+    # seven coefficients for the seven weight-12 monomials are all solved
+    # for, so none would be left to check the solution against
+    with pytest.raises(UnderdeterminedTruncationError, match="no coefficient to check"):
+        recognize_quasimodular(QSeries([1, 2, 3, 5, 7, 11, 13]), 12)
+    # the control: one more coefficient is checked, and this one fails
+    assert recognize_quasimodular(QSeries([1, 2, 3, 5, 7, 11, 13, 17]), 12) is None
+    assert recognize_quasimodular(eisenstein_qexp(4, 7) ** 3, 12) == {(0, 3, 0): 1}
+
+
+def _combination(weight, combo, n_order):
+    basis = QuasimodularBasis.build(weight, n_order)
+    total = QSeries.zero(n_order)
+    for mon, e in zip(basis.monomials, basis.expansions):
+        total = total + e * combo.get(mon, 0)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recognition_returns_the_combination_it_was_formed_from(data):
+    weight = data.draw(st.integers(0, 8).map(lambda h: 2 * h), label="weight")
+    mons = quasimodular_monomials(weight)
+    m = len(mons)
+    combo = data.draw(st.dictionaries(
+        st.sampled_from(mons),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+    ), label="combination")
+    n_order = data.draw(st.integers(m, 40), label="q-order")
+    assert recognize_quasimodular(_combination(weight, combo, n_order), weight) == combo
+    # q^n lies beyond the m + 11 solved coefficients, so only the check sees it
+    n_order = data.draw(st.integers(m + 11, 40), label="perturbed q-order")
+    perturbed = _combination(weight, combo, n_order) + QSeries.monomial(1, n_order, n_order)
+    assert recognize_quasimodular(perturbed, weight) is None
 
 
 def test_recognize_odd_weight():

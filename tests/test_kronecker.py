@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleeis import kronecker
+from doubleeis import eisenstein
 from doubleeis.action import GroupRingElem, MATRICES, act_group_ring
 from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp, recognize_quasimodular
 from doubleeis.elements import EISENSTEIN, FormalElement, G1, G2, GP, Z1
@@ -40,7 +40,7 @@ M = MATRICES
 
 
 def test_table_entries():
-    t = kronecker_b1(6, 10).series
+    t = kronecker_b1(6, 10)
     assert t.coefficient((1, 0, 0, 0)) * factorial(0) == eisenstein_qexp(2, 10)
     assert t.coefficient((2, 0, 1, 0)) * factorial(1) == derived_eisenstein(2, 1, 10) * Fraction(1, 2)
     assert t.coefficient((1, 0, 1, 0)) is None
@@ -50,12 +50,12 @@ def test_table_entries():
 
 def test_table_only_odd_entries():
     t = kronecker_b1(7, 5)
-    assert all((r + s) % 2 == 1 for (r, _, s, _) in t.series._t)
+    assert all((r + s) % 2 == 1 for (r, _, s, _) in t._t)
 
 
 def test_table_depth_one_consistency():
     # entry (k-1, d) with d <= k-1 is (k-d-1)!/(k-1)! (q d/dq)^d G_{k-d}
-    t = kronecker_b1(9, 8).series
+    t = kronecker_b1(9, 8)
     for k in range(1, 10):
         for d in range(min(k, 10 - k)):
             expected = derived_eisenstein(k - d, d, 8) * Fraction(
@@ -69,7 +69,7 @@ def test_table_depth_one_consistency():
 
 def test_q_derivative_equals_mixed_partial():
     # q d/dq of the table equals d/dX d/dY applied to it, entry by entry
-    t = kronecker_b1(8, 10).series
+    t = kronecker_b1(8, 10)
     lhs = t.map_coefficients(lambda s: s.qderive()).truncate(6)
     rhs = t.partial(0).partial(2).truncate(6)
     assert lhs == rhs
@@ -89,10 +89,9 @@ def test_build_b2_requires_degree_margin():
 
 def test_b2_solves_the_double_shuffle_system():
     n_order = 10
-    table = kronecker_b1(7, n_order)
-    b1 = table.series
+    b1 = kronecker_b1(7, n_order)
     degree = 6
-    b2 = build_b2(table, degree)
+    b2 = build_b2(b1, degree)
     p = pair_product(b1, degree)
     eps = GroupRingElem.matrix(M["epsilon"])
     t = GroupRingElem.matrix(M["T"])
@@ -107,8 +106,7 @@ def test_b2_zero_input():
 
 
 def test_b2_q_derivative_equals_pairing_operator():
-    ctx = KroneckerRealization(8, 8)
-    b2 = ctx.b2
+    b2 = symbolic_b2(6).truncate(6).map_coefficients(lambda c: c.evaluate(8))
     lhs = b2.map_coefficients(lambda s: s.qderive()).truncate(4)
     rhs = (b2.partial(0).partial(2) + b2.partial(1).partial(3)).truncate(4)
     assert lhs == rhs
@@ -118,8 +116,7 @@ def test_beta_correction_identities():
     # beta|(1+eps) = 3 R* + pol|(1 - T^-1 - T^-1 eps)
     # beta|T(1+eps) = 3 Rsh + pol|(1 - T - T eps)
     n_order = 8
-    table = kronecker_b1(7, n_order)
-    b1 = table.series
+    b1 = kronecker_b1(7, n_order)
     degree = 5
     beta = beta_combination(b1, degree)
     pol = polar_cross_terms(b1, n_order)
@@ -291,7 +288,7 @@ def test_realization_matches_golden_digest(q_order):
 
 
 def test_evaluated_symbolic_b2_equals_series_construction():
-    evaluated = KroneckerRealization(8, 10).b2
+    evaluated = symbolic_b2(6).truncate(6).map_coefficients(lambda c: c.evaluate(10))
     direct = build_b2(kronecker_b1(7, 10), 6)
     assert evaluated.cap == direct.cap == 6
     assert evaluated._t.keys() == direct._t.keys()
@@ -309,8 +306,8 @@ def test_symbolic_b2_has_bilinear_coefficients():
 
 def test_import_builds_nothing_and_requests_build_what_they_need():
     code = (
-        "from doubleeis import kronecker as k\n"
-        "assert k._symbolic_b2 is None and not k._SERIES and not k._VALUES\n"
+        "from doubleeis import eisenstein, kronecker as k\n"
+        "assert k._symbolic_b2 is None and not eisenstein._MONOMIALS\n"
         "assert k.symbolic_b1.cache_info().currsize == 0\n"
         "from doubleeis.elements import G2\n"
         "k.realize_kronecker(G2(2, 2, 0, 0), 10)\n"
@@ -332,13 +329,12 @@ def test_import_builds_nothing_and_requests_build_what_they_need():
     st.booleans(),
 )
 def test_realization_truncates_consistently(gen, orders, low_first):
-    # with the value cache emptied before each call, the second value is
-    # evaluated from monomial series cached at the first call's order
+    # with the product-series cache emptied first, the second value is
+    # evaluated from product series cached at the first call's order
     q1, q2 = orders
-    kronecker._SERIES.clear()
+    eisenstein._MONOMIALS.clear()
     values = {}
     for q in (q1, q2) if low_first else (q2, q1):
-        kronecker._VALUES.clear()
         values[q] = realize_kronecker(gen, q)
     assert (values[q1].order, values[q2].order) == (q1, q2)
     assert values[q2].truncate(q1) == values[q1]
@@ -435,7 +431,10 @@ def test_element_value_is_the_sum_of_generator_values(terms, q_order):
 def test_evaluate_is_the_combination_of_monomial_series(terms, q_order):
     expected = QSeries.zero(q_order)
     for m, c in terms.items():
-        expected = expected + kronecker._monomial_series(m, q_order) * c
+        product = QSeries.constant(1, q_order)
+        for k, d in m:
+            product = product * derived_eisenstein(k, d, q_order)
+        expected = expected + product * c
     assert AtomCombination(terms).evaluate(q_order) == expected
 
 
