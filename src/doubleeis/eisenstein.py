@@ -125,18 +125,14 @@ class UnderdeterminedTruncationError(ValueError):
     """The series is too short to pin down a unique quasimodular expression."""
 
 
-#: Extra q-coefficients used when solving, beyond the basis size.
-RECOGNITION_MARGIN = 10
-
-
 def recognize_quasimodular(s: QSeries, weight: int) -> dict[tuple[int, int, int], Fraction] | None:
     """Express a q-series in the weight-graded basis G2^a G4^b G6^c.
 
-    Row-reduces the exact augmented system on the q-coefficients
-    0..(basis size + margin) with :func:`.spaces._rref` and then verifies
-    every remaining stored coefficient.  Returns a map from exponent triples
-    to rational coefficients (zeros omitted), or None when the series
-    provably lies outside the graded piece.  Raises
+    Row-reduces the exact augmented system on the q-coefficients 0..m, m the
+    basis size, with :func:`.spaces._rref` and then verifies every remaining
+    stored coefficient.  Returns a map from exponent triples to rational
+    coefficients (zeros omitted), or None when the series provably lies
+    outside the graded piece.  Raises
     :class:`UnderdeterminedTruncationError` when the truncation order is too
     small to decide: the series needs more coefficients than the basis has
     monomials, so that at least one of them is checked rather than solved for.
@@ -149,24 +145,22 @@ def recognize_quasimodular(s: QSeries, weight: int) -> dict[tuple[int, int, int]
         raise UnderdeterminedTruncationError(
             f"{s.order + 1} q-coefficients for {m} weight-{weight} monomials leave no coefficient to check"
         )
-    rows_needed = min(s.order, m + RECOGNITION_MARGIN)
-
     # the augmented system: a column per monomial, then the series in column m
     columns = basis.expansions + (s,)
     reduced = _rref([
         {j: c for j, e in enumerate(columns) if (c := e.coefficient(n))}
-        for n in range(rows_needed + 1)
+        for n in range(m + 1)
     ])
     if m in reduced:
         return None  # inconsistent: no expression exists
     if len(reduced) < m:
         raise UnderdeterminedTruncationError(
-            f"{rows_needed + 1} q-coefficients leave the weight-{weight} system underdetermined"
+            f"{m + 1} q-coefficients leave the weight-{weight} system underdetermined"
         )
     solution = [Fraction(row.get(m, 0), den) for den, row in reduced.values()]
 
     # Verify the coefficients the solver did not consume.
-    for n in range(rows_needed + 1, s.order + 1):
+    for n in range(m + 1, s.order + 1):
         lhs = sum(c * e.coefficient(n) for c, e in zip(solution, basis.expansions))
         if lhs != s.coefficient(n):
             return None

@@ -2,14 +2,17 @@
 
 A weight is presented by its ordered generator list together with the row
 reduced form of the double-shuffle relation rows; dimensions, membership
-tests and canonical normal forms all read off the reduced system.  The
-reduction takes the rows sparsest first and eliminates on sparse integer
-rows kept primitive (divided by the gcd of their entries).  The reduced
-form is unique once the basis order is fixed, so it does not depend on
-these choices.  A system keeps each reduced row as integers over one
-denominator.  A normal form touches only the pivots present in the
-element, since the rows are fully reduced, sums over one common
-denominator and forms each coefficient once.  Built systems are immutable
+tests and canonical normal forms all read off the reduced system.  Every
+relation row has one P(k1,k2;d1,d2) or ZP(k1,k2) term; the rows are
+reduced per block of equal k1 + k2, and the union of the blocks' reduced
+rows is reduced once more.  Each reduction takes the rows sparsest first
+and eliminates on sparse integer rows kept primitive (divided by the gcd
+of their entries).  The reduced form is unique once the basis order is
+fixed, so it does not depend on these choices: the blocks give the same
+rows as one reduction of all of them.  A system keeps each reduced row
+as integers over one denominator.  A normal form touches only the pivots
+present in the element, since the rows are fully reduced, sums over one
+common denominator and forms each coefficient once.  Built systems are immutable
 and memoized in-process; they can additionally be cached on disk as JSON
 keyed by (space, weight), with a digest of the basis and rows that is
 checked on reading, as is the reduced form of the rows.
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from pathlib import Path
@@ -87,13 +91,13 @@ def stuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
 
 def shuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
     """P(k1,k2;d1,d2) minus its integral-shuffle expansion; zero in the space."""
-    terms: list[tuple[GenId, Fraction]] = [(GP(k1, k2, d1, d2), Fraction(1))]
+    terms: list[tuple[GenId, int | Fraction]] = [(GP(k1, k2, d1, d2), 1)]
     K, D = k1 + k2, d1 + d2
     for l1 in range(1, K):
         l2 = K - l1
         for e1 in range(D + 1):
             e2 = D - e1
-            c = Fraction(0)
+            c = 0
             if e1 <= d1:
                 c += comb(l1 - 1, k1 - 1) * comb(d1, e1) * (-1) ** (d1 - e1)
             if e1 <= d2:
@@ -157,14 +161,15 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     return _primitive(out)
 
 
-def _rref(rows: list[dict[int, Fraction]]) -> dict[int, tuple[int, dict[int, int]]]:
+def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[int, int]]]:
     """Reduced row echelon form of sparse rows, pivoting on the first column.
 
-    The rows are taken sparsest first and eliminated as primitive integer
-    rows.  The result maps each pivot, in increasing order, to its row as
-    ``(den, {j: num})``: the row is e_pivot + sum_j (num/den) e_j, with
-    den > 0.  The reduced form is unique for the column order, so neither
-    the row order nor the integer scaling changes the result.
+    The entries are Fractions or ints.  The rows are taken sparsest first
+    and eliminated as primitive integer rows.  The result maps each pivot,
+    in increasing order, to its row as ``(den, {j: num})``: the row is
+    e_pivot + sum_j (num/den) e_j, with den > 0.  The reduced form is unique
+    for the column order, so neither the row order nor the integer scaling
+    changes the result.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=lambda r: (len(r), max(r, default=0))):
@@ -188,6 +193,18 @@ def _rref(rows: list[dict[int, Fraction]]) -> dict[int, tuple[int, dict[int, int
         den = row.pop(c)
         out[c] = (den, row) if den > 0 else (-den, {j: -v for j, v in row.items()})
     return out
+
+
+def _rref_blocks(blocks: Iterable[list[dict[int, Fraction]]]) -> dict[int, tuple[int, dict[int, int]]]:
+    """:func:`_rref` of all the rows of some blocks, a partition of them.
+
+    Each block is reduced apart; the union of the reduced rows, as integer
+    rows, is then reduced once more.  The reduced rows of the blocks span the
+    same row space as the rows themselves and the reduced form is unique for
+    the column order, so the result is that of :func:`_rref` on all rows for
+    any partition.  Reducing each block apart keeps its fill out of the others.
+    """
+    return _rref([{c: den, **row} for block in blocks for c, (den, row) in _rref(block).items()])
 
 
 def _fraction_rows(rows: dict[int, tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, Fraction]]]:
@@ -219,8 +236,12 @@ class RelationSystem:
         basis = enumerate_generators(space, weight)
         index = {g: i for i, g in enumerate(basis)}
         relations = eisenstein_relations(weight) if space == EISENSTEIN else zeta_relations(weight)
-        rows = [{index[g]: c for g, c in rel._terms.items()} for rel in relations]
-        return cls(space, weight, basis, _rref(rows))
+        # each row has one P(k1,k2;d1,d2) or ZP(k1,k2) term; its k1 + k2 names the block
+        blocks: dict[int, list[dict[int, Fraction]]] = {}
+        for rel in relations:
+            k1, k2, *_ = next(g.args for g in rel._terms if g.kind in ("GP", "ZP"))
+            blocks.setdefault(k1 + k2, []).append({index[g]: c for g, c in rel._terms.items()})
+        return cls(space, weight, basis, _rref_blocks(blocks.values()))
 
     @property
     def rref_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
@@ -363,7 +384,7 @@ def _atomic_write_json(path: Path, data: dict):
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh)
+            fh.write(json.dumps(data))  # json.dump would take the pure-Python encoder
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -27,6 +27,7 @@ from doubleeis.spaces import (
     _digest,
     _fraction_rows,
     _rref,
+    _rref_blocks,
     eisenstein_relations,
     enumerate_generators,
     is_zero_in_space,
@@ -168,19 +169,49 @@ def test_rref_equals_the_fraction_reference(rows):
     assert _fraction_rows(_rref(rows)) == _reference_rref(rows)
 
 
+def _grouped(rows):
+    """Rows with a random partition of them into up to three groups."""
+    labels = st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))
+    return labels.map(lambda ls: [[r for r, l in zip(rows, ls) if l == g] for g in range(3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROWS.flatmap(lambda rows: st.tuples(st.just(rows), _grouped(rows))))
+@example(([{0: _F(1)}, {1: _F(2, 3)}], [[{0: _F(1)}], [{1: _F(2, 3)}], []]))
+def test_reducing_blocks_then_their_union_gives_the_reduced_form(case):
+    rows, groups = case
+    assert _rref_blocks(groups) == _rref(rows)
+    # negative control: a group that adds rank to the others cannot be left out
+    for g in range(len(groups)):
+        rest = groups[:g] + groups[g + 1:]
+        if len(_reference_rref([r for other in rest for r in other])) < len(_reference_rref(rows)):
+            assert _rref_blocks(rest) != _rref(rows)
+
+
 def test_dimensions_to_weight_16():
     assert [relation_system("E", w).dimension for w in range(13, 17)] == [195, 238, 295, 352]
 
 
-def test_reduced_rows_digest():
-    # recorded with the Fraction elimination that took the rows as generated
+def _reduced_rows_digest(spaces_and_weights):
     h = hashlib.sha256()
-    for space, weights in (("E", range(1, 13)), ("Z", range(1, 21))):
+    for space, weights in spaces_and_weights:
         for weight in weights:
             rows = [[c, [[j, str(v)] for j, v in sorted(row.items())]]
                     for c, row in relation_system(space, weight).rref_rows]
             h.update(json.dumps([space, weight, rows], separators=(",", ":")).encode())
-    assert h.hexdigest() == "68358b1bc3bce28f96919d662a117bb38b7f8aec23e37dabacaaa3ea3eba5bd9"
+    return h.hexdigest()
+
+
+def test_reduced_rows_digest():
+    # recorded with the Fraction elimination that took the rows as generated
+    digest = _reduced_rows_digest((("E", range(1, 13)), ("Z", range(1, 21))))
+    assert digest == "68358b1bc3bce28f96919d662a117bb38b7f8aec23e37dabacaaa3ea3eba5bd9"
+
+
+def test_reduced_rows_digest_to_weight_16():
+    # recorded with one reduction of all rows of a weight, before the k1 + k2 blocks
+    digest = _reduced_rows_digest((("E", range(13, 17)),))
+    assert digest == "3c092b0372fe2dc42e8697afb4a58121b66f135332e743972126ed9fe8ad2a0c"
 
 
 def test_normal_form_examples():
@@ -383,6 +414,11 @@ def test_disk_cache_roundtrip(tmp_path):
     assert reloaded.dimension == sys_.dimension
     assert reloaded.rref_rows == sys_.rref_rows
     assert [str(g) for g in reloaded.basis] == [str(g) for g in sys_.basis]
+
+
+def test_cache_file_is_the_json_of_the_system(tmp_path):
+    sys_ = relation_system("E", 5, cache_dir=tmp_path)
+    assert (tmp_path / "relations_E_5.json").read_bytes() == json.dumps(sys_.to_json_dict()).encode()
 
 
 def _drop_two_rows(data):
