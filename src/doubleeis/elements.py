@@ -6,18 +6,23 @@ Two families of symbols are supported, never mixed inside one element:
   ``P(k1,k2;d1,d2)`` of weight k+d resp. k1+k2+d1+d2;
 * zeta-space generators ``Z(k)``, ``Z(k1,k2)`` and ``ZP(k1,k2)`` of weight
   k resp. k1+k2.
+
+Generators are interned: each is one object, validated once when it is
+first named, that carries its space, weight and hash, so equal generators
+are identical and hashing one costs an attribute read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Mapping
 
 EISENSTEIN = "E"
 ZETA = "Z"
 
 _KIND_ORDER = {"G1": 0, "G2": 1, "GP": 2, "Z1": 0, "Z2": 1, "ZP": 2}
+_ARITY = {"G1": 2, "G2": 4, "GP": 4, "Z1": 1, "Z2": 2, "ZP": 2}
 _KIND_SPACE = {"G1": EISENSTEIN, "G2": EISENSTEIN, "GP": EISENSTEIN, "Z1": ZETA, "Z2": ZETA, "ZP": ZETA}
 
 
@@ -29,41 +34,54 @@ class MixedWeightError(ValueError):
     """Generators of different weights were combined in one element."""
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class GenId:
     """One formal generator, identified by kind and index tuple.
 
     Kinds: ``G1`` = G(k;d), ``G2`` = G(k1,k2;d1,d2), ``GP`` = P(k1,k2;d1,d2),
     ``Z1`` = Z(k), ``Z2`` = Z(k1,k2), ``ZP`` = ZP(k1,k2).
+
+    Generators are interned: ``GenId(kind, args)`` returns the one object for
+    ``(kind, tuple(args))``, validated when it is first made, so equality is
+    identity.  Each index must be an ``int``.  Generators are immutable and
+    order by ``(kind, args)``; copies and unpickled generators are the same
+    object.
     """
 
-    kind: str
-    args: tuple[int, ...]
+    __slots__ = ("kind", "args", "space", "weight", "_hash")
 
-    def __post_init__(self):
-        expected = {"G1": 2, "G2": 4, "GP": 4, "Z1": 1, "Z2": 2, "ZP": 2}.get(self.kind)
-        if expected is None:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if len(self.args) != expected:
-            raise ValueError(f"{self.kind} takes {expected} indices, got {self.args}")
-        if self.kind == "G1":
-            k, d = self.args
-            ok = k >= 1 and d >= 0
-        elif self.kind in ("G2", "GP"):
-            k1, k2, d1, d2 = self.args
-            ok = k1 >= 1 and k2 >= 1 and d1 >= 0 and d2 >= 0
-        else:
-            ok = all(k >= 1 for k in self.args)
-        if not ok:
-            raise ValueError(f"invalid indices {self.args} for kind {self.kind}")
+    def __new__(cls, kind: str, args: Iterable[int]):
+        args = tuple(args)
+        gen = _GENERATORS.get(kind, _EMPTY).get(args)
+        if gen is not None:
+            # a key can equal a made one through a non-int index, as 4.0 equals 4
+            for a in args:
+                if type(a) is not int:
+                    break
+            else:
+                return gen
+        return _intern(kind, args)
 
-    @property
-    def space(self) -> str:
-        return _KIND_SPACE[self.kind]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    @property
-    def weight(self) -> int:
-        return sum(self.args)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other):
+        if other.__class__ is not GenId:
+            return NotImplemented
+        return (self.kind, self.args) < (other.kind, other.args)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the table: the same object
+        return GenId, (self.kind, self.args)
+
+    def __repr__(self) -> str:
+        return f"GenId(kind={self.kind!r}, args={self.args!r})"
 
     @property
     def depth(self) -> int:
@@ -91,6 +109,38 @@ class GenId:
         if self.kind == "Z2":
             return "Z(%d,%d)" % self.args
         return "ZP(%d,%d)" % self.args
+
+
+#: kind -> args -> the generator
+_GENERATORS: dict[str, dict[tuple[int, ...], GenId]] = {kind: {} for kind in _ARITY}
+_EMPTY: dict = {}
+
+
+def _intern(kind: str, args: tuple) -> GenId:
+    """Validate a new generator and enter it in the table; raise ValueError if invalid."""
+    expected = _ARITY.get(kind)
+    if expected is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if len(args) != expected:
+        raise ValueError(f"{kind} takes {expected} indices, got {args}")
+    if not all(type(a) is int for a in args):
+        raise ValueError(f"invalid indices {args} for kind {kind}")
+    if kind == "G1":
+        k, d = args
+        ok = k >= 1 and d >= 0
+    elif kind in ("G2", "GP"):
+        k1, k2, d1, d2 = args
+        ok = k1 >= 1 and k2 >= 1 and d1 >= 0 and d2 >= 0
+    else:
+        ok = all(k >= 1 for k in args)
+    if not ok:
+        raise ValueError(f"invalid indices {args} for kind {kind}")
+    gen = object.__new__(GenId)
+    for attr, value in (("kind", kind), ("args", args), ("space", _KIND_SPACE[kind]),
+                        ("weight", sum(args)), ("_hash", hash((kind, args)))):
+        object.__setattr__(gen, attr, value)
+    # setdefault is atomic, so two threads naming a new generator get one object
+    return _GENERATORS[kind].setdefault(args, gen)
 
 
 def G1(k: int, d: int) -> GenId:
@@ -158,7 +208,8 @@ class FormalElement:
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[GenId, Fraction] = {}
         for gen, c in items:
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if not c:
                 continue
             acc[gen] = acc[gen] + c if gen in acc else c

@@ -5,15 +5,37 @@ splits it in the opposite direction, and ``map_partial`` raises the weight
 by two.  All three are linear and kill the defining relation rows of their
 source space; pi and partial are defined on the G-generators, and extend to
 P-generators through the harmonic-product row, which is the unique choice
-compatible with linearity modulo relations.
+compatible with linearity modulo relations.  The image of each generator is
+computed once and cached.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm
 
 from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2
+
+
+def _apply(image, element: FormalElement, space: str) -> FormalElement:
+    """The linear extension of a per-generator image, in the target space.
+
+    The products of the element's coefficients with the image coefficients
+    are summed as integers over one common denominator, and each result
+    coefficient becomes a Fraction once.  Images of generators of one weight
+    share one weight, so the result needs no further check.
+    """
+    parts = [(h, c.numerator * w.numerator, c.denominator * w.denominator)
+             for gen, c in element._terms.items() for h, w in image(gen)]
+    den = lcm(*(d for _, _, d in parts))
+    acc: dict[GenId, int] = {}
+    for h, n, d in parts:
+        acc[h] = acc.get(h, 0) + n * (den // d)
+    terms = {h: Fraction(n, den) for h, n in acc.items() if n}
+    if not terms:
+        return FormalElement.zero(space)
+    return FormalElement._make(space, next(iter(terms)).weight, terms)
 
 
 def _stuffle_terms(gen: GenId) -> list[tuple[GenId, int]]:
@@ -21,7 +43,8 @@ def _stuffle_terms(gen: GenId) -> list[tuple[GenId, int]]:
     return [(G2(k1, k2, d1, d2), 1), (G2(k2, k1, d2, d1), 1), (G1(k1 + k2, d1 + d2), 1)]
 
 
-def _pi_gen(gen: GenId) -> list[tuple[GenId, Fraction]]:
+@cache
+def _pi_gen(gen: GenId) -> tuple[tuple[GenId, Fraction], ...]:
     if gen.kind == "G1":
         k, d = gen.args
         out = []
@@ -29,7 +52,7 @@ def _pi_gen(gen: GenId) -> list[tuple[GenId, Fraction]]:
             out.append((Z1(k), Fraction(1)))
         if k == 1:
             out.append((Z1(d + 1), Fraction(factorial(d))))
-        return out
+        return tuple(out)
     if gen.kind == "G2":
         k1, k2, d1, d2 = gen.args
         out = []
@@ -40,32 +63,30 @@ def _pi_gen(gen: GenId) -> list[tuple[GenId, Fraction]]:
                 b = d1 + d2 + 2 - a
                 c = Fraction(factorial(d1) * factorial(a - 1), factorial(a - 1 - d2))
                 out.append((Z2(a, b), c))
-        return out
+        return tuple(out)
     # P-generators map through their harmonic-product expansion
     out = []
     for g, c in _stuffle_terms(gen):
         out.extend((h, c * w) for h, w in _pi_gen(g))
-    return out
+    return tuple(out)
 
 
 def map_pi(element: FormalElement) -> FormalElement:
     """Project an Eisenstein-space element onto the zeta space."""
     if element.space not in (None, EISENSTEIN):
         raise ValueError("map_pi expects an Eisenstein-space element")
-    terms: list[tuple[GenId, Fraction]] = []
-    for gen, c in element._terms.items():
-        terms.extend((h, c * w) for h, w in _pi_gen(gen))
-    return FormalElement(terms, space=ZETA)
+    return _apply(_pi_gen, element, ZETA)
 
 
-def _sigma_gen(gen: GenId) -> list[tuple[GenId, Fraction]]:
+@cache
+def _sigma_gen(gen: GenId) -> tuple[tuple[GenId, Fraction], ...]:
     half = Fraction(1, 2)
     if gen.kind == "Z1":
         (k,) = gen.args
         out = [(G1(k, 0), Fraction(1))]
         if k == 2:
             out.append((G1(2, 0), Fraction(-1)))
-        return out
+        return tuple(out)
     if gen.kind == "Z2":
         k1, k2 = gen.args
         out = [(G2(k1, k2, 0, 0), Fraction(1))]
@@ -75,7 +96,7 @@ def _sigma_gen(gen: GenId) -> list[tuple[GenId, Fraction]]:
             out.append((G1(k2, 1), -half))
         if k1 == 2:
             out.append((G1(k2 + 1, 1), half))
-        return out
+        return tuple(out)
     k1, k2 = gen.args
     out = [(GP(k1, k2, 0, 0), Fraction(1))]
     if k1 == 2:
@@ -84,40 +105,35 @@ def _sigma_gen(gen: GenId) -> list[tuple[GenId, Fraction]]:
         out.append((G1(k1 + 1, 1), half))
     if k1 == 1 and k2 == 1:
         out.append((G1(2, 0), Fraction(-1)))
-    return out
+    return tuple(out)
 
 
 def map_sigma(element: FormalElement) -> FormalElement:
     """Lift a zeta-space element into the Eisenstein space (splits map_pi for weight >= 3)."""
     if element.space not in (None, ZETA):
         raise ValueError("map_sigma expects a zeta-space element")
-    terms: list[tuple[GenId, Fraction]] = []
-    for gen, c in element._terms.items():
-        terms.extend((h, c * w) for h, w in _sigma_gen(gen))
-    return FormalElement(terms, space=EISENSTEIN)
+    return _apply(_sigma_gen, element, EISENSTEIN)
 
 
-def _partial_gen(gen: GenId) -> list[tuple[GenId, Fraction]]:
+@cache
+def _partial_gen(gen: GenId) -> tuple[tuple[GenId, Fraction], ...]:
     if gen.kind == "G1":
         k, d = gen.args
-        return [(G1(k + 1, d + 1), Fraction(k))]
+        return ((G1(k + 1, d + 1), Fraction(k)),)
     if gen.kind == "G2":
         k1, k2, d1, d2 = gen.args
-        return [
+        return (
             (G2(k1 + 1, k2, d1 + 1, d2), Fraction(k1)),
             (G2(k1, k2 + 1, d1, d2 + 1), Fraction(k2)),
-        ]
+        )
     out = []
     for g, c in _stuffle_terms(gen):
         out.extend((h, c * w) for h, w in _partial_gen(g))
-    return out
+    return tuple(out)
 
 
 def map_partial(element: FormalElement) -> FormalElement:
     """The weight-raising derivation, matching q d/dq under realization."""
     if element.space not in (None, EISENSTEIN):
         raise ValueError("map_partial expects an Eisenstein-space element")
-    terms: list[tuple[GenId, Fraction]] = []
-    for gen, c in element._terms.items():
-        terms.extend((h, c * w) for h, w in _partial_gen(gen))
-    return FormalElement(terms, space=EISENSTEIN)
+    return _apply(_partial_gen, element, EISENSTEIN)

@@ -28,6 +28,7 @@ import os
 import tempfile
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd, lcm
 from pathlib import Path
 
@@ -51,21 +52,27 @@ def enumerate_generators(space: str, weight: int) -> list[GenId]:
 
     Eisenstein: depth-one G(k;d) by increasing d, then depth-two G ordered
     lexicographically by (k1, d1, k2, d2), then the P generators in the same
-    order.  Zeta: Z(K), then Z(k1,k2) by k1, then ZP(k1,k2) by k1.
+    order.  Zeta: Z(K), then Z(k1,k2) by k1, then ZP(k1,k2) by k1.  The list
+    is made once per (space, weight); each call returns a fresh copy.
     """
     space = _space(space)
     if weight < 1:
         raise ValueError("weight must be >= 1")
+    return list(_generators(space, weight))
+
+
+@cache
+def _generators(space: str, weight: int) -> tuple[GenId, ...]:
     if space == ZETA:
         gens = [Z1(weight)]
         gens += [Z2(k1, weight - k1) for k1 in range(1, weight)]
         gens += [ZP(k1, weight - k1) for k1 in range(1, weight)]
-        return gens
+        return tuple(gens)
     gens = [G1(weight - d, d) for d in range(weight)]
     depth2 = list(_depth2_indices(weight))
     gens += [G2(k1, k2, d1, d2) for (k1, k2, d1, d2) in depth2]
     gens += [GP(k1, k2, d1, d2) for (k1, k2, d1, d2) in depth2]
-    return gens
+    return tuple(gens)
 
 
 def _depth2_indices(weight: int):
@@ -368,20 +375,24 @@ def _digest(basis: list, rows: list) -> str:
 _MEMO: dict[tuple[str, int], RelationSystem] = {}
 
 
-def default_cache_dir() -> Path:
+def _cache_dir(cache_dir: str | Path | None) -> str:
+    """The directory given, else $DOUBLEEIS_CACHE_DIR expanded, else ~/.cache/doubleeis."""
+    if cache_dir:
+        return os.fspath(cache_dir)
     env = os.environ.get(CACHE_ENV_VAR)
     if env:
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "doubleeis"
+        return os.path.expanduser(env)
+    return os.path.join(os.path.expanduser("~"), ".cache", "doubleeis")
 
 
-def _cache_file(cache_dir: Path, space: str, weight: int) -> Path:
-    return cache_dir / f"relations_{space}_{weight}.json"
+def default_cache_dir() -> Path:
+    return Path(_cache_dir(None))
 
 
-def _atomic_write_json(path: Path, data: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+def _atomic_write_json(path: str, data: dict):
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(data))  # json.dump would take the pure-Python encoder
@@ -400,16 +411,17 @@ def relation_system(space: str, weight: int, cache_dir: str | Path | None = None
     """
     space = _space(space)
     key = (space, weight)
-    path = _cache_file(Path(cache_dir) if cache_dir else default_cache_dir(), space, weight)
+    path = os.path.join(_cache_dir(cache_dir), f"relations_{space}_{weight}.json")
     sys_ = _MEMO.get(key)
     if sys_ is not None:
-        if not path.exists():
+        if not os.path.exists(path):
             _atomic_write_json(path, sys_.to_json_dict())
         return sys_
-    if path.exists():
+    if os.path.exists(path):
         # a stale, foreign or inconsistent file is rebuilt and rewritten
         try:
-            sys_ = RelationSystem.from_json_dict(json.loads(path.read_text()))
+            with open(path) as fh:
+                sys_ = RelationSystem.from_json_dict(json.loads(fh.read()))
         except (ValueError, KeyError, TypeError, AttributeError):  # JSONDecodeError is a ValueError
             sys_ = None
         if sys_ is not None and (sys_.space, sys_.weight) != key:
@@ -437,7 +449,7 @@ def is_zero_in_space(element: FormalElement, **kwargs) -> bool:
 
 
 def cache_status(cache_dir: str | Path | None = None) -> dict:
-    d = Path(cache_dir) if cache_dir else default_cache_dir()
+    d = Path(_cache_dir(cache_dir))
     files = sorted(d.glob("relations_*.json")) if d.is_dir() else []
     return {
         "cache_dir": str(d),
@@ -447,7 +459,7 @@ def cache_status(cache_dir: str | Path | None = None) -> dict:
 
 
 def cache_clear(cache_dir: str | Path | None = None) -> int:
-    d = Path(cache_dir) if cache_dir else default_cache_dir()
+    d = Path(_cache_dir(cache_dir))
     n = 0
     if d.is_dir():
         for f in d.glob("relations_*.json"):

@@ -43,6 +43,19 @@ from doubleeis.spaces import (
 EISEN_DIMS = {1: 1, 2: 2, 3: 5, 4: 8, 5: 15, 6: 22, 7: 35, 8: 48}
 
 
+def test_enumerate_returns_a_fresh_list():
+    gens = enumerate_generators("E", 3)
+    expected = list(gens)
+    gens.clear()
+    assert enumerate_generators("e", 3) == expected
+    zeta = enumerate_generators("Z", 3)
+    zeta[0] = G1(3, 0)
+    zeta.append(Z1(4))
+    assert enumerate_generators("Z", 3) == [Z1(3), Z2(1, 2), Z2(2, 1), ZP(1, 2), ZP(2, 1)]
+    with pytest.raises(ValueError):
+        enumerate_generators("E", 0)
+
+
 def test_enumerate_weight_one():
     assert enumerate_generators("E", 1) == [G1(1, 0)]
 
@@ -377,6 +390,47 @@ def test_pi_sigma_splitting():
             assert is_zero_in_space(map_pi(map_sigma(e)) - e)
 
 
+#: sha256 over "<gen> -> <image>" lines, image as ``to_text()``, for every
+#: generator of the source space in the given weights; recorded before the
+#: per-generator images were cached.
+MAP_IMAGE_DIGESTS = {
+    "pi": ("E", range(1, 13), "d16c34e69b1539dc7ae0d782da22c0bda71e8bf51f75d63ff52903c1607cbb31"),
+    "partial": ("E", range(1, 13), "f909e1f0c94a8bfa5ad6c2353dca6b9b97b5a9e6edf52fe21130692946cbf0cd"),
+    "sigma": ("Z", range(1, 21), "9d6a50513df85297c19f98ebfc263f52b7f3b5e8b48c77b94cb84a3ce7b55e43"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_IMAGE_DIGESTS))
+def test_map_images_of_generators_digest(name):
+    fn = {"pi": map_pi, "partial": map_partial, "sigma": map_sigma}[name]
+    space, weights, digest = MAP_IMAGE_DIGESTS[name]
+    for _ in range(2):  # the second pass reads the cached images
+        h = hashlib.sha256()
+        for w in weights:
+            for g in enumerate_generators(space, w):
+                h.update(f"{g} -> {fn(FormalElement.single(g)).to_text()}\n".encode())
+        assert h.hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_maps_are_the_linear_extension_of_the_generator_images(data):
+    name = data.draw(st.sampled_from(["pi", "partial", "sigma"]))
+    fn = {"pi": map_pi, "partial": map_partial, "sigma": map_sigma}[name]
+    space, target, shift = {"pi": ("E", ZETA, 0), "partial": ("E", EISENSTEIN, 2), "sigma": ("Z", EISENSTEIN, 0)}[name]
+    weight = data.draw(st.integers(1, 8))
+    gens = data.draw(st.lists(st.sampled_from(enumerate_generators(space, weight)), min_size=1, max_size=6))
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    terms = [(g, data.draw(coefficients)) for g in gens]
+    reference = FormalElement.zero(target)
+    for g, c in terms:
+        reference = reference + fn(FormalElement.single(g)) * c
+    image = fn(FormalElement(terms))
+    assert image == reference
+    assert image.space == target
+    assert image.weight == (weight + shift if image else None)
+
+
 def test_maps_reject_wrong_space():
     with pytest.raises(ValueError):
         map_pi(FormalElement.single(Z1(3)))
@@ -532,6 +586,25 @@ def test_loaded_and_built_systems_agree(tmp_path, monkeypatch, space, weight):
         e = FormalElement.single(g, Fraction(-3, 5))
         assert loaded.normal_form(e) == built.normal_form(e)
     assert loaded.rref_rows == built.rref_rows
+
+
+def test_cache_directory_is_resolved_on_every_call(tmp_path, monkeypatch):
+    from doubleeis.spaces import default_cache_dir
+
+    relation_system("E", 3)  # memoized before any of the directories below exist
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("DOUBLEEIS_CACHE_DIR", "~/env-cache")
+    assert default_cache_dir() == tmp_path / "env-cache"
+    relation_system("E", 3)
+    assert (tmp_path / "env-cache" / "relations_E_3.json").exists()
+    relation_system("E", 3, cache_dir=tmp_path / "given")
+    relation_system("E", 3, cache_dir=str(tmp_path / "given-str"))
+    assert (tmp_path / "given" / "relations_E_3.json").exists()
+    assert (tmp_path / "given-str" / "relations_E_3.json").exists()
+    monkeypatch.delenv("DOUBLEEIS_CACHE_DIR")
+    assert default_cache_dir() == tmp_path / ".cache" / "doubleeis"
+    relation_system("E", 3)
+    assert (tmp_path / ".cache" / "doubleeis" / "relations_E_3.json").exists()
 
 
 def test_cache_status_and_clear(tmp_path):
