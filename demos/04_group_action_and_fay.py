@@ -10,7 +10,7 @@ product an odd/symmetric bi-period object: it is killed by 1 + U + U^2,
 from fractions import Fraction
 
 from doubleeis import MATRICES, MultiPoly, act, act_group_ring, fay_check, kronecker_b1, parse_group_ring
-from doubleeis.kronecker import kronecker_wplus_check, polar_product_candidate
+from doubleeis.kronecker import kronecker_wplus_candidate, kronecker_wplus_check
 from doubleeis.multipoly import X1
 
 print("Named matrices:", ", ".join(sorted(k for k in MATRICES if k != "1")))
@@ -40,5 +40,5 @@ print()
 print("Bi-period membership (killed by 1+U+U^2, 1+S, 1-epsilon):")
 from doubleeis import wplus_check
 
-print("  (1/X1 + 1/Y1)(1/X2 + 1/Y2):", wplus_check(polar_product_candidate(4), MultiPoly.zero(6), 6, 4))
+print("  (1/X1 + 1/Y1)(1/X2 + 1/Y2):", wplus_check(kronecker_wplus_candidate(None, 6), 6, 4))
 print("  two-point Kronecker product:", kronecker_wplus_check(6, 8))

@@ -58,7 +58,6 @@ from .action import (
     act,
     act_group_ring,
     parse_group_ring,
-    wplus_check,
 )
 from .kronecker import (
     KroneckerRealization,
@@ -71,6 +70,7 @@ from .kronecker import (
     realize_bernoulli,
     realize_element,
     realize_kronecker,
+    wplus_check,
 )
 from .identities import (
     mfprod_i,

@@ -322,40 +322,3 @@ def _tokenize_group_ring(text: str):
             raise GroupRingSyntaxError(f"unexpected character {ch!r}", i)
     return tokens
 
-
-# -- the odd/symmetric bi-period condition ----------------------------------
-
-_M = MATRICES
-WPLUS_CONDITIONS = (
-    GroupRingElem([(1, IDENTITY), (1, _M["U"]), (1, _M["U"] * _M["U"])]),
-    GroupRingElem([(1, IDENTITY), (1, _M["S"])]),
-    GroupRingElem([(1, IDENTITY), (-1, _M["epsilon"])]),
-)
-
-
-def wplus_check(ppol: RationalFunction4, preg: MultiPoly, degree: int, q_order: int) -> bool:
-    """Test membership in the odd/symmetric bi-period space.
-
-    The candidate is the sum of a polar part and a regular part; it belongs
-    to the space when its images under 1 + U + U^2, 1 + S and 1 - epsilon
-    all vanish.  Each image is evaluated in the field of fractions by
-    cross-multiplying to the common denominator, and coefficients are
-    compared up to total degree ``degree`` (plus the denominator degree) and
-    q-order ``q_order``.
-    """
-    from .series import QSeries
-
-    def clip(c):
-        if isinstance(c, QSeries) and c.order > q_order:
-            return c.truncate(q_order)
-        return c
-
-    total = RationalFunction4(
-        ppol.num.truncate(degree + ppol.den_degree()).map_coefficients(clip),
-        dict(ppol.den),
-    ) + preg.truncate(degree).map_coefficients(clip)
-    for condition in WPLUS_CONDITIONS:
-        image = act_group_ring(condition, total)
-        if not image.is_zero():
-            return False
-    return True

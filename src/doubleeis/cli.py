@@ -28,14 +28,14 @@ from .kronecker import (
     check_derivation_diagram,
     closed_form_depth2,
     fay_check,
+    kronecker_wplus_candidate,
     kronecker_wplus_check,
-    polar_product_candidate,
     realize_bernoulli,
     realize_kronecker,
     symbolic_b1,
+    wplus_check,
 )
 from .maps import map_partial, map_pi, map_sigma
-from .multipoly import MultiPoly
 from .spaces import (
     cache_clear,
     cache_status,
@@ -80,13 +80,15 @@ def _check_bounds(args):
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
 
 
-def _common_flags(parser: argparse.ArgumentParser, q_order=False, degree=False, cache_dir=False):
-    """``--format`` everywhere; the other flags only where the command uses them."""
+def _common_flags(parser: argparse.ArgumentParser, q_order=False, degree: str | None = None,
+                  cache_dir=False):
+    """``--format`` everywhere; the other flags only where the command uses them
+    (``degree`` is the help of ``--degree``, which states its bound)."""
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     if q_order:
         parser.add_argument("--q-order", type=int, default=None, help="q-series truncation order (default 30)")
     if degree:
-        parser.add_argument("--degree", type=int, default=8, help="total-degree truncation")
+        parser.add_argument("--degree", type=int, default=8, help=degree)
     if cache_dir:
         parser.add_argument("--cache-dir", default=None, help="relation-system cache directory")
 
@@ -132,11 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fay-check", help="verify the three-term Fay identity")
     p.add_argument("--polar-only", action="store_true", help="check the bare pole part")
-    _common_flags(p, q_order=True, degree=True)
+    _common_flags(p, q_order=True, degree="total-degree truncation")
 
     p = sub.add_parser("wplus-check", help="bi-period space membership")
     p.add_argument("--candidate", choices=("kronecker", "polar"), default="kronecker")
-    _common_flags(p, q_order=True, degree=True)
+    _common_flags(p, q_order=True, degree="check the candidate through total degree D, "
+                  "so its numerator over X1 Y1 X2 Y2 through D + 4")
 
     p = sub.add_parser("verify", help="verify one identity family")
     p.add_argument(
@@ -275,10 +278,7 @@ def _cmd_fay(args) -> int:
 
 def _cmd_wplus(args) -> int:
     if args.candidate == "polar":
-        from .action import wplus_check
-
-        ok = wplus_check(polar_product_candidate(args.q_order), MultiPoly.zero(args.degree),
-                         args.degree, args.q_order)
+        ok = wplus_check(kronecker_wplus_candidate(None, args.degree), args.degree, args.q_order)
     else:
         ok = kronecker_wplus_check(args.degree, args.q_order)
     _emit(args, [{"candidate": args.candidate, "degree": args.degree,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .action import GroupRingElem, MATRICES, act_group_ring, wplus_check
+from .action import GroupRingElem, MATRICES, act_group_ring
 from .eisenstein import derived_eisenstein, eisenstein_qexp, product_series
 from .elements import EISENSTEIN, FormalElement, G1, GenId
 from .maps import map_partial
@@ -63,13 +63,6 @@ def _at(t: MultiPoly, x: LinForm, y: LinForm) -> MultiPoly:
     return t.substitute((x, X2, y, Y2))
 
 
-def _lift_cap(b: MultiPoly, extra: int) -> MultiPoly:
-    """Raise the exactness cap before multiplying by an exact polynomial of
-    degree ``extra``; valid because the product's low coefficients only draw
-    on stored ones."""
-    return b if b.cap is None else MultiPoly(b._t, b.cap + extra)
-
-
 def _require_odd(b1: MultiPoly):
     bad = [k for k in b1._t if sum(k) % 2 == 0]
     if bad:
@@ -77,9 +70,9 @@ def _require_odd(b1: MultiPoly):
 
 
 def pair_product(b1, degree: int | None = None) -> MultiPoly:
-    """b1(X1; Y1) * b1(X2; Y2) as a four-variable series."""
+    """b1(X1; Y1) * b1(X2; Y2) as a four-variable series, exact through ``degree``."""
     if degree is not None:
-        b1 = b1.truncate(degree)  # so the substitution prunes at the degree
+        b1 = b1.truncate(max(degree - 1, 0))  # each factor of an odd table starts in degree 1
     return b1 * _at(b1, X2, Y2)
 
 
@@ -206,7 +199,35 @@ def symbolic_b2(degree: int) -> MultiPoly:
     return b2
 
 
-# -- the Fay identity --------------------------------------------------------
+# -- the Fay identity and the bi-period space -----------------------------------
+
+def _cleared(include_pole: bool, regular, degree: int) -> MultiPoly:
+    """C(X;Y) = X Y f(X;Y) for f = -(1/X+1/Y)/2 * [pole] + regular.
+
+    ``regular`` is kept through total degree ``degree`` (``None`` is zero),
+    so C is exact through ``degree`` + 2; with the pole it starts in degree 1.
+    """
+    regular = MultiPoly.zero(degree) if regular is None else regular.truncate(degree)
+    c = MultiPoly.monomial((1, 0, 1, 0), Fraction(1)) * regular
+    if include_pole:  # X Y times the pole, an exact polynomial
+        half = Fraction(-1, 2)
+        c = c + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half})
+    return c
+
+
+def _at_order(c, q_order: int):
+    """A coefficient as a q-series truncated at ``q_order``; a rational stays as it is."""
+    if isinstance(c, AtomCombination):
+        return c.evaluate(q_order)
+    if isinstance(c, QSeries):
+        return c.truncate(min(c.order, q_order))
+    return c
+
+
+def _vanishes(p: MultiPoly, q_order: int) -> bool:
+    """Whether every stored coefficient of p is zero to q-order ``q_order``."""
+    return not p.map_coefficients(lambda c: _at_order(c, q_order))
+
 
 def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
     """Verify the three-term Fay identity for -(1/X+1/Y)/2 * [pole] + regular.
@@ -219,84 +240,64 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
       + C(-X2,-(Y1+Y2)) C(X1-X2,Y1) X1 Y2
 
     which must vanish identically up to total degree ``degree`` + 5 and
-    q-order ``q_order``: every C starts in degree 1, so a product of two is
-    exact one degree past their cap ``degree`` + 2, and times the quadratic
-    three degrees past, which reaches the entries of the table through
-    ``degree``.  The sum is formed in the coefficients of ``regular``
-    (rationals, q-series or :class:`AtomCombination` values), and only its
-    coefficients are taken to q-order ``q_order`` at the end.
+    q-order ``q_order``: every C is exact through ``degree`` + 2 and starts
+    in degree 1, so a product of two is exact through ``degree`` + 3, and
+    times the quadratic through ``degree`` + 5, which reaches the entries of
+    the table through ``degree``.  The sum is formed in the coefficients of
+    ``regular`` (rationals, q-series or :class:`AtomCombination` values), and
+    only its coefficients are taken to q-order ``q_order`` at the end.
     """
-    regular = regular if regular is not None else MultiPoly.zero(degree)
-    cap = degree if regular.cap is None else min(regular.cap, degree)
-
-    xy = MultiPoly.monomial((1, 0, 1, 0), Fraction(1))
-    cleared = xy * _lift_cap(regular.truncate(cap), 2)
-    if include_pole:
-        half = Fraction(-1, 2)
-        cleared = cleared + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half}, cap + 2)
-
+    c = _cleared(include_pole, regular, degree)
     x1mx2 = (1, -1, 0, 0)
     y1py2 = (0, 0, 1, 1)
     neg = lambda f: tuple(-v for v in f)
 
     def term(a: MultiPoly, b: MultiPoly, f: LinForm, g: LinForm) -> MultiPoly:
-        ab = _lift_cap(a, 1) * _lift_cap(b, 1)
-        return _lift_cap(ab, 2) * (MultiPoly.from_form(f) * MultiPoly.from_form(g))
+        return a * b * (MultiPoly.from_form(f) * MultiPoly.from_form(g))
 
-    t1 = term(cleared, _at(cleared, X2, Y2), x1mx2, y1py2)
-    t2 = term(_at(cleared, x1mx2, neg(Y2)), _at(cleared, X1, y1py2), X2, Y1)
-    t3 = term(_at(cleared, neg(X2), neg(y1py2)), _at(cleared, x1mx2, Y1), X1, Y2)
-    return not (t1 - t2 + t3).map_coefficients(lambda c: _at_order(c, q_order))
-
-
-def _at_order(c, q_order: int):
-    """A coefficient as a q-series truncated at ``q_order``; a rational stays as it is."""
-    if isinstance(c, AtomCombination):
-        return c.evaluate(q_order)
-    if isinstance(c, QSeries):
-        return c.truncate(min(c.order, q_order))
-    return c
+    t1 = term(c, _at(c, X2, Y2), x1mx2, y1py2)
+    t2 = term(_at(c, x1mx2, neg(Y2)), _at(c, X1, y1py2), X2, Y1)
+    t3 = term(_at(c, neg(X2), neg(y1py2)), _at(c, x1mx2, Y1), X1, Y2)
+    return _vanishes(t1 - t2 + t3, q_order)
 
 
-def polar_product_candidate(q_order: int) -> RationalFunction4:
-    """(1/X1 + 1/Y1)(1/X2 + 1/Y2) over the denominator X1 Y1 X2 Y2."""
-    one = QSeries.constant(1, q_order)
-    num = (
-        (MultiPoly.from_form(X1) + MultiPoly.from_form(Y1))
-        * (MultiPoly.from_form(X2) + MultiPoly.from_form(Y2))
-    ).map_coefficients(lambda c: c * one)
-    return RationalFunction4(num, {0: 1, 1: 1, 2: 1, 3: 1})
+def kronecker_wplus_candidate(regular, degree: int) -> RationalFunction4:
+    """The two-point product f(X1;Y1) f(X2;Y2) of f = -(1/X+1/Y)/2 + regular,
+    as C(X1;Y1) C(X2;Y2) over X1 Y1 X2 Y2, exact through total degree ``degree``.
+
+    ``regular`` is read through ``degree`` + 1, so each C is exact through
+    ``degree`` + 3 and starts in degree 1, and the numerator is exact
+    through ``degree`` + 4.  With ``regular`` None it is the product of the
+    two poles, (1/4)(1/X1 + 1/Y1)(1/X2 + 1/Y2).
+    """
+    c = _cleared(True, regular, degree + 1)
+    return RationalFunction4(c * _at(c, X2, Y2), {0: 1, 1: 1, 2: 1, 3: 1})
 
 
-def kronecker_wplus_candidate(b1, degree: int, q_order: int) -> RationalFunction4:
-    """The full two-point Kronecker product, cleared over X1 Y1 X2 Y2."""
-    half = Fraction(-1, 2)
-    xy = MultiPoly.monomial((1, 0, 1, 0), Fraction(1))
-    cleared = xy * _lift_cap(b1, 2) + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half})
-    cleared = cleared.map_coefficients(
-        lambda c: c if isinstance(c, QSeries) else QSeries.constant(c, q_order)
-    )
-    num = cleared * _at(cleared, X2, Y2)
-    return RationalFunction4(num, {0: 1, 1: 1, 2: 1, 3: 1})
+_U = _GR(MATRICES["U"])
+WPLUS_CONDITIONS = (1 + _U + _U * _U, 1 + _GR(MATRICES["S"]), 1 - _GR(MATRICES["epsilon"]))
 
 
-def polar_cross_terms(b1, q_order: int) -> RationalFunction4:
-    """-(1/2)[(1/X2 + 1/Y2) b1(X1;Y1) + (1/X1 + 1/Y1) b1(X2;Y2)]."""
-    half = Fraction(-1, 2)
-    b = _lift_cap(b1, 3).map_coefficients(
-        lambda c: c if isinstance(c, QSeries) else QSeries.constant(c, q_order)
-    )
-    num = (
-        (MultiPoly.from_form(X2) + MultiPoly.from_form(Y2))
-        * MultiPoly.from_form(X1)
-        * MultiPoly.from_form(Y1)
-        * b
-        + (MultiPoly.from_form(X1) + MultiPoly.from_form(Y1))
-        * MultiPoly.from_form(X2)
-        * MultiPoly.from_form(Y2)
-        * _at(b, X2, Y2)
-    ) * half
-    return RationalFunction4(num, {0: 1, 1: 1, 2: 1, 3: 1})
+def wplus_check(candidate: RationalFunction4, degree: int, q_order: int) -> bool:
+    """Test membership in the odd/symmetric bi-period space.
+
+    The candidate belongs to the space when its images under 1 + U + U^2,
+    1 + S and 1 - epsilon all vanish.  They are compared through total
+    degree ``degree`` of the candidate, so through ``degree`` + 4 of a
+    numerator over X1 Y1 X2 Y2 (``degree`` plus the denominator degree in
+    general), with coefficients taken to q-order ``q_order``.  Each image
+    is cross-multiplied to a common denominator, which keeps its numerator
+    exact through the same degree.  A numerator exact through less is
+    rejected rather than checked short.
+    """
+    through = degree + candidate.den_degree()
+    num = candidate.num
+    if num.cap is not None and num.cap < through:
+        raise ValueError(f"the candidate's numerator is exact through degree {num.cap}, "
+                         f"not the {through} that degree {degree} needs")
+    candidate = RationalFunction4(num.truncate(through), candidate.den)
+    return all(_vanishes(act_group_ring(condition, candidate).num, q_order)
+               for condition in WPLUS_CONDITIONS)
 
 
 # -- coefficient extraction ---------------------------------------------------
@@ -428,7 +429,7 @@ def check_derivation_diagram(weight: int, q_order: int, context: KroneckerRealiz
 
 
 def kronecker_wplus_check(degree: int, q_order: int) -> bool:
-    """Membership of the two-point Kronecker product in the bi-period space."""
-    b1 = kronecker_b1(degree + 2, q_order)
-    candidate = kronecker_wplus_candidate(b1, degree, q_order)
-    return wplus_check(candidate, MultiPoly.zero(degree), degree, q_order)
+    """Membership of the two-point Kronecker product in the bi-period space,
+    through total degree ``degree`` and q-order ``q_order``."""
+    candidate = kronecker_wplus_candidate(kronecker_b1(degree + 1, q_order), degree)
+    return wplus_check(candidate, degree, q_order)

@@ -12,9 +12,12 @@ Two carriers live here:
 
 Coefficients are generic: exact Fractions, QSeries, or any value supporting
 addition, negation, multiplication by scalars and truthiness (used to drop
-zero terms).  Total degree is capped by ``max_total_degree``; a cap of
-``None`` marks an exact polynomial that never truncates.  Binary operations
-keep the smaller cap, so stored coefficients are always exact.
+zero terms).  A series is exact through total degree ``cap``; a cap of
+``None`` marks an exact polynomial that never truncates.  Sums keep the
+smaller cap; a product is exact through min(cap(A) + val(B), cap(B) + val(A)),
+val the lowest stored degree (cap + 1 for a truncated zero, unbounded for an
+exact zero), so stored coefficients are always exact and no caller decides
+how far a product holds.
 """
 
 from __future__ import annotations
@@ -125,6 +128,19 @@ def _min_cap(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def _val(p: "MultiPoly") -> int | None:
+    """The lowest degree a series can have; None for an exact zero."""
+    if p._t:
+        return min(map(sum, p._t))
+    return None if p.cap is None else p.cap + 1
+
+
+def _product_cap(a: "MultiPoly", b: "MultiPoly") -> int | None:
+    """min(cap(a) + val(b), cap(b) + val(a)) over the bounds that exist."""
+    bounds = [c + v for c, v in ((a.cap, _val(b)), (b.cap, _val(a))) if None not in (c, v)]
+    return min(bounds, default=None)
+
+
 class MultiPoly:
     """Truncated series in X1, X2, Y1, Y2 with generic coefficients."""
 
@@ -197,7 +213,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            cap = _min_cap(self.cap, other.cap)
+            cap = _product_cap(self, other)
             t: dict = {}
             for k1, c1 in self._t.items():
                 d1 = sum(k1)
@@ -303,8 +319,8 @@ class RationalFunction4:
 
     ``den`` maps an index into :data:`FORMS` to a positive exponent.  Sums
     cross-multiply to the exponentwise maximum of the denominators, products
-    add exponents, and equality means the difference has zero numerator (up
-    to the tracked truncation).
+    add exponents, and equality means the difference has zero numerator
+    through its cap, which cross-multiplying raises with the denominator.
     """
 
     __slots__ = ("num", "den")

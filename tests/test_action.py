@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from doubleeis.action import (
     GroupRingElem,
@@ -12,9 +14,17 @@ from doubleeis.action import (
     act,
     act_group_ring,
     parse_group_ring,
-    wplus_check,
 )
-from doubleeis.multipoly import FORMS, X2, Y1, MultiPoly, RationalFunction4, divided_difference
+from doubleeis.kronecker import kronecker_wplus_candidate, wplus_check
+from doubleeis.multipoly import (
+    FORMS,
+    X2,
+    Y1,
+    MultiPoly,
+    RationalFunction4,
+    UnsupportedFormError,
+    divided_difference,
+)
 from doubleeis.series import QSeries
 
 M = MATRICES
@@ -77,6 +87,60 @@ def test_right_action_property():
                 assert act(M[n2], act(M[n1], x)) == act(M[n1] * M[n2], x)
 
 
+_letters = st.sampled_from(("S", "T", "U", "epsilon"))
+_words = st.lists(_letters, max_size=3)
+_group_ring = st.lists(st.tuples(st.integers(-3, 3), _words), min_size=1, max_size=2)
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), st.integers(-4, 4).map(Fraction), max_size=5
+)
+
+
+def _word_matrix(word) -> IntMatrix2:
+    out = IDENTITY
+    for letter in word:
+        out = out * M[letter]
+    return out
+
+
+def _element(combination) -> GroupRingElem:
+    return GroupRingElem([(c, _word_matrix(word)) for c, word in combination])
+
+
+def _right_action_sides(g1, g2, x):
+    """act(g1 g2, x) and act(g2, act(g1, x)); None when a denominator form
+    leaves the fixed set on either side."""
+    try:
+        return act_group_ring(g1 * g2, x), act_group_ring(g2, act_group_ring(g1, x))
+    except UnsupportedFormError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_ring, _group_ring, _polys, st.sampled_from((None, 4, 6)),
+       st.sampled_from(({}, {1: 1}, {1: 1, 2: 2}, {0: 1, 7: 1})))
+def test_right_action_law_on_group_ring_words(c1, c2, terms, cap, den):
+    # random integer combinations of words in S, T, U and epsilon act on the
+    # right: x | (g1 g2) = (x | g1) | g2, on series and on fractions
+    g1, g2 = _element(c1), _element(c2)
+    p = MultiPoly(terms, cap)
+    lhs, rhs = _right_action_sides(g1, g2, p)
+    assert lhs == rhs and lhs.cap == rhs.cap
+    sides = _right_action_sides(g1, g2, RationalFunction4(p, den))
+    assume(sides is not None)
+    assert sides[0] == sides[1]
+
+
+def test_right_action_law_negative_control():
+    # the left-action order fails: (x | T) | S is x | TS, not x | ST
+    g1, g2 = GroupRingElem.matrix(M["T"]), GroupRingElem.matrix(M["S"])
+    p = MultiPoly.monomial((1, 0, 0, 0), Fraction(1))  # X1
+    rf = RationalFunction4(p, {FORMS.index(X2): 1})  # X1 / X2
+    for x in (p, rf):
+        lhs, rhs = _right_action_sides(g1, g2, x)
+        assert lhs == rhs
+        assert act_group_ring(g2 * g1, x) != rhs
+
+
 def test_group_ring_cancellation():
     g = GroupRingElem([(1, M["T"]), (-1, M["T"])])
     assert not g.terms
@@ -137,19 +201,14 @@ def test_group_ring_parser_errors():
 
 
 def test_wplus_polar_product(kron50):
-    from doubleeis.kronecker import polar_product_candidate
-
-    candidate = polar_product_candidate(4)
-    assert wplus_check(candidate, MultiPoly.zero(6), 6, 4)
+    candidate = kronecker_wplus_candidate(None, 6)
+    assert wplus_check(candidate, 6, 4)
 
 
 def test_wplus_rejects_bare_monomial():
     one = QSeries.constant(1, 4)
-    from doubleeis.multipoly import RationalFunction4
-
-    preg = MultiPoly.monomial((1, 0, 0, 0), one, 6)
-    ppol = RationalFunction4(MultiPoly.zero(6), {})
-    assert not wplus_check(ppol, preg, 6, 4)
+    candidate = RationalFunction4.from_poly(MultiPoly.monomial((1, 0, 0, 0), one, 6))
+    assert not wplus_check(candidate, 6, 4)
 
 
 def test_wplus_kronecker_product():

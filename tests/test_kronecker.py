@@ -23,14 +23,14 @@ from doubleeis.kronecker import (
     closed_form_depth2,
     fay_check,
     kronecker_b1,
+    kronecker_wplus_candidate,
     pair_product,
-    polar_cross_terms,
-    polar_product_candidate,
     realize_bernoulli,
     realize_element,
     realize_kronecker,
     symbolic_b1,
     symbolic_b2,
+    wplus_check,
 )
 from doubleeis.multipoly import MultiPoly, RationalFunction4, divided_difference
 from doubleeis.series import QSeries
@@ -112,14 +112,20 @@ def test_b2_q_derivative_equals_pairing_operator():
     assert lhs == rhs
 
 
-def test_beta_correction_identities():
+_BETA_B1 = kronecker_b1(7, 8)
+_BETA_DEGREE = 5
+
+
+def _beta_correction_identities(beta, b1=_BETA_B1, degree=_BETA_DEGREE) -> tuple[bool, bool]:
     # beta|(1+eps) = 3 R* + pol|(1 - T^-1 - T^-1 eps)
     # beta|T(1+eps) = 3 Rsh + pol|(1 - T - T eps)
-    n_order = 8
-    b1 = kronecker_b1(7, n_order)
-    degree = 5
-    beta = beta_combination(b1, degree)
-    pol = polar_cross_terms(b1, n_order)
+    # pol = -(1/2)[(1/X2 + 1/Y2) b1(X1;Y1) + (1/X1 + 1/Y1) b1(X2;Y2)] is the
+    # cross term of the two-point product f(X1;Y1) f(X2;Y2), f = pole + b1
+    pol = (
+        kronecker_wplus_candidate(b1, degree)
+        - kronecker_wplus_candidate(None, degree)
+        - RationalFunction4.from_poly(pair_product(b1))
+    )
     eps = GroupRingElem.matrix(M["epsilon"])
     t = GroupRingElem.matrix(M["T"])
     tinv = GroupRingElem.matrix(M["T"].inverse())
@@ -127,20 +133,31 @@ def test_beta_correction_identities():
     rshuffle = divided_difference(b1, "shuffle").truncate(degree)
 
     lhs = act_group_ring(1 + eps, beta)
-    rhs_reg = rstar * 3
     rhs_pol = act_group_ring(1 - tinv - tinv * eps, pol)
-    assert RationalFunction4.from_poly(lhs - rhs_reg) == rhs_pol
+    first = RationalFunction4.from_poly(lhs - rstar * 3) == rhs_pol
 
     lhs = act_group_ring(t * (1 + eps), beta)
-    rhs_reg = rshuffle * 3
     rhs_pol = act_group_ring(1 - t - t * eps, pol)
-    assert RationalFunction4.from_poly(lhs - rhs_reg) == rhs_pol
+    second = RationalFunction4.from_poly(lhs - rshuffle * 3) == rhs_pol
+    return first, second
+
+
+def test_beta_correction_identities():
+    assert _beta_correction_identities(beta_combination(_BETA_B1, _BETA_DEGREE)) == (True, True)
+
+
+@pytest.mark.parametrize("key", [(1, 0, 0, 0), (2, 0, 1, 0), (2, 1, 1, 1)])
+def test_beta_correction_identities_fail_with_a_perturbed_term(key):
+    # degrees 1, 3 and 5: each identity is compared through degree 5
+    beta = beta_combination(_BETA_B1, _BETA_DEGREE)
+    bad = beta + MultiPoly({key: QSeries.constant(1, 8)}, beta.cap)
+    assert _beta_correction_identities(bad) == (False, False)
 
 
 def test_polar_solution_of_the_system():
     # for a candidate in the bi-period space, a third of its (1 + T^-1) image
     # reproduces it under both symmetrizations
-    p_tilde = polar_product_candidate(3)
+    p_tilde = kronecker_wplus_candidate(None, 3)
     third = Fraction(1, 3)
     b2 = act_group_ring(1 + GroupRingElem.matrix(M["T"].inverse()), p_tilde) * third
     eps = GroupRingElem.matrix(M["epsilon"])
@@ -296,6 +313,15 @@ def test_evaluated_symbolic_b2_equals_series_construction():
     assert all(c.order == 10 for c in evaluated._t.values())
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_b2_of_a_low_degree_is_the_truncation_of_a_larger_one(degree):
+    # the pair product reads b1 through degree - 1 but never below degree 0,
+    # where the weight-two value G(1,1;0,0) = -G2/2 lives
+    low = build_b2(symbolic_b1(degree + 1), degree)
+    assert low.cap == degree
+    assert low._t == symbolic_b2(6).truncate(degree)._t
+
+
 def test_symbolic_b2_has_bilinear_coefficients():
     b2 = symbolic_b2(6)
     assert b2
@@ -371,6 +397,22 @@ def test_fay_check_reaches_every_entry_through_its_degree(degree):
     for key in sorted(b1._t):
         bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
         assert not fay_check(True, bad, degree, 5), key
+
+
+def test_wplus_check_reaches_every_entry_through_its_degree():
+    # the candidate at degree 6 is compared through total degree 6, which the
+    # pole (degree -1) times an entry of b1 reaches for every entry through
+    # degree 7
+    b1 = kronecker_b1(8, 8)
+    assert wplus_check(kronecker_wplus_candidate(b1, 6), 6, 8)
+    for key in sorted(b1.truncate(7)._t):
+        bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
+        assert not wplus_check(kronecker_wplus_candidate(bad, 6), 6, 8), key
+
+
+def test_wplus_candidate_must_be_exact_through_the_degree():
+    with pytest.raises(ValueError):
+        wplus_check(kronecker_wplus_candidate(kronecker_b1(5, 8), 6), 6, 8)
 
 
 def test_fay_check_over_atoms_needs_the_pole():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleeis.action import MATRICES, act
 from doubleeis.multipoly import (
@@ -183,5 +185,49 @@ def test_min_cap_flows_through_operations():
     a = MultiPoly({(1, 0, 0, 0): Fraction(1)}, 4)
     b = MultiPoly({(0, 1, 0, 0): Fraction(1)}, None)
     assert (a + b).cap == 4
-    assert (a * b).cap == 4
+    assert (a * b).cap == 5  # cap(a) + val(b): b starts in degree 1
     assert MultiPoly({(1, 0, 0, 0): Fraction(1)}, 3).substitute((X1MX2, X2, Y1, Y2)).cap == 3
+
+
+_exact_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4), st.integers(-5, 5).map(Fraction), max_size=6
+).map(lambda terms: MultiPoly(terms, None))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_polys, _exact_polys, st.integers(0, 8), st.integers(0, 8))
+def test_truncated_product_is_exact_through_its_cap(a, b, cap_a, cap_b):
+    exact = a * b
+    assert exact.cap is None
+    product = a.truncate(cap_a) * b.truncate(cap_b)
+    assert product.cap >= min(cap_a, cap_b)
+    assert product == exact.truncate(product.cap)
+
+
+def test_truncated_product_cap_is_tight():
+    # cap(A B) = min(1 + val(X2), 5 + val(X1)) = 2; the true product has a
+    # term in degree 3 that the truncated factors cannot see
+    a = MultiPoly({(1, 0, 0, 0): Fraction(1), (2, 0, 0, 0): Fraction(1)}, None)
+    b = MultiPoly.from_form(X2)
+    product = a.truncate(1) * b.truncate(5)
+    assert product.cap == 2
+    assert product == a * b
+    assert MultiPoly(product.terms(), product.cap + 1) != a * b
+
+
+def test_truncated_zero_and_exact_zero_in_products():
+    x1 = MultiPoly.from_form(X1)
+    assert (MultiPoly.zero(3) * x1).cap == 4  # a truncated zero starts past its cap
+    assert (MultiPoly.zero(3) * MultiPoly.zero(2)).cap == 6
+    assert (MultiPoly.zero(None) * x1.truncate(3)).cap is None  # an exact zero is exact
+
+
+def test_cross_multiplied_fractions_keep_their_exactness():
+    # X1^3 / X1 = X1^2 and (X1^2 X2 + X2^3) / X2 = X1^2 + X2^2 differ in
+    # degree 2, which the numerators, exact through degree 3, determine
+    lhs = RationalFunction4(MultiPoly.monomial((3, 0, 0, 0), Fraction(1), 3), {0: 1})
+    rhs = RationalFunction4(
+        MultiPoly({(2, 1, 0, 0): Fraction(1), (0, 3, 0, 0): Fraction(1)}, 3), {1: 1}
+    )
+    assert lhs != rhs
+    assert lhs == RationalFunction4(MultiPoly.monomial((2, 1, 0, 0), Fraction(1), 3), {1: 1})
