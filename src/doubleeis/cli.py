@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .elements import EISENSTEIN, MixedSpaceError, MixedWeightError, parse_genid
@@ -93,6 +94,7 @@ def _common_flags(parser: argparse.ArgumentParser, q_order=False, degree: str | 
         parser.add_argument("--cache-dir", default=None, help="relation-system cache directory")
 
 
+@cache  # one parser per process; parsing fills a fresh namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doubleeis",

@@ -411,19 +411,17 @@ def closed_form_depth2(k1: int, k2: int, q_order: int) -> QSeries:
     return out
 
 
-def check_derivation_diagram(weight: int, q_order: int, context: KroneckerRealization | None = None) -> bool:
+def check_derivation_diagram(weight: int, q_order: int) -> bool:
     """q d/dq of every realized weight generator equals the realized image
     of the weight-raising map, compared to order q_order - 1."""
     if q_order < 1:
         raise ValueError("the diagram check needs q-order >= 1")
-    ctx = context if context is not None else realization(weight + 2, q_order)
-    if ctx.max_weight < weight + 2 or ctx.q_order < q_order:
-        raise ValueError("context is too small for this diagram check")
+    ctx = realization(weight + 2, q_order)
     n = q_order - 1
     for gen in enumerate_generators(EISENSTEIN, weight):
-        lhs = ctx.value(gen).truncate(q_order).qderive()
+        lhs = ctx.value(gen).qderive()
         rhs = ctx.element_value(map_partial(FormalElement.single(gen)))
-        if lhs.truncate(n) != rhs.truncate(min(n, rhs.order)):
+        if lhs.truncate(n) != rhs.truncate(n):
             return False
     return True
 

@@ -281,37 +281,19 @@ def divided_difference(t: MultiPoly, mode: Literal["star", "shuffle"]) -> MultiP
     polynomial division with no series inversion.  The output is exact one
     degree below the input's cap.
     """
-    cap = None if t.cap is None else t.cap - 1
-    out: dict = {}
-
-    def bump(key, value):
-        out[key] = out[key] + value if key in out else value
-
-    if mode == "star":
-        for (a, _, s, _), c in t._t.items():
-            if a == 0:
-                continue
-            ypows = _form_power((0, 0, 1, 1), s)  # (Y1+Y2)^s
-            for i in range(a):
-                for yk, yc in ypows:
-                    key = (i, a - 1 - i, yk[2], yk[3])
-                    if cap is not None and sum(key) > cap:
-                        continue
-                    bump(key, c * yc)
-    elif mode == "shuffle":
-        for (a, _, s, _), c in t._t.items():
-            if s == 0:
-                continue
-            xpows = _form_power((1, 1, 0, 0), a)  # (X1+X2)^a
-            for j in range(s):
-                for xk, xc in xpows:
-                    key = (xk[0], xk[1], j, s - 1 - j)
-                    if cap is not None and sum(key) > cap:
-                        continue
-                    bump(key, c * xc)
-    else:
+    if mode not in ("star", "shuffle"):
         raise ValueError(f"unknown divided-difference mode {mode!r}")
-    return MultiPoly(out, cap)
+    # shuffle is star conjugated by the slot swap X <-> Y: (a, b, s, u) -> (s, u, a, b)
+    swap = mode == "shuffle"
+    terms = []
+    for (a, _, s, _), c in t._t.items():
+        if swap:
+            a, s = s, a
+        ypows = _form_power((0, 0, 1, 1), s)  # (Y1+Y2)^s
+        for i in range(a):
+            for (_, _, y1, y2), yc in ypows:
+                terms.append(((y1, y2, i, a - 1 - i) if swap else (i, a - 1 - i, y1, y2), c * yc))
+    return MultiPoly(terms, None if t.cap is None else t.cap - 1)
 
 
 class RationalFunction4:

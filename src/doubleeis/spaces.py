@@ -14,8 +14,10 @@ as integers over one denominator.  A normal form touches only the pivots
 present in the element, since the rows are fully reduced, sums over one
 common denominator and forms each coefficient once.  Built systems are immutable
 and memoized in-process; they can additionally be cached on disk as JSON
-keyed by (space, weight), with a digest of the basis and rows that is
-checked on reading, as is the reduced form of the rows.
+keyed by (space, weight).  A cache file holds each row as the integers the
+system keeps, ``[pivot, den, [[j, num], ...]]``, with a digest of the basis
+and rows; both the digest and the reduced, primitive form of the rows are
+checked on reading.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2, ZP
 
 CACHE_ENV_VAR = "DOUBLEEIS_CACHE_DIR"
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 _SPACE_NAMES = {EISENSTEIN: EISENSTEIN, ZETA: ZETA, "e": EISENSTEIN, "z": ZETA}
 
@@ -305,10 +307,7 @@ class RelationSystem:
 
     def to_json_dict(self) -> dict:
         basis = [str(g) for g in self.basis]
-        rows = [
-            {"pivot": c, "entries": [[c, "1"]] + [[j, str(Fraction(n, den))] for j, n in sorted(row.items())]}
-            for c, (den, row) in self._rows.items()
-        ]
+        rows = [[c, den, [[j, n] for j, n in sorted(row.items())]] for c, (den, row) in self._rows.items()]
         return {
             "format_version": CACHE_FORMAT_VERSION,
             "space": self.space,
@@ -326,10 +325,12 @@ class RelationSystem:
 
         The digest must match the basis and rows, the basis must be the
         enumeration of its (space, weight), the rank must equal the row
-        count, and the rows must be in reduced form: distinct pivots in the
-        basis, each row's pivot entry exactly 1, no entry left of its pivot,
-        beyond the basis or in another row's pivot column.  These checks
-        cost one pass over the entries; the rows are not re-reduced.
+        count, and each row ``[pivot, den, [[j, num], ...]]`` must be the
+        canonical integer row that :func:`_rref` gives: distinct pivots in
+        the basis, ``den`` a positive int, nonzero int entries with one per
+        column and gcd(den, *entries) = 1, no entry left of its pivot, beyond
+        the basis or in another row's pivot column.  These checks cost one
+        pass over the entries; the rows are not re-reduced.
         """
         if not isinstance(data, dict) or data.get("format_version") != CACHE_FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
@@ -342,23 +343,17 @@ class RelationSystem:
         if data["rank"] != len(data["rows"]):
             raise ValueError(f"cached rank {data['rank']} differs from its {len(data['rows'])} rows")
         rows = {}
-        for r in data["rows"]:
-            c = r["pivot"]
-            if c in rows or not 0 <= c < len(basis):
+        for c, den, entries in data["rows"]:
+            if type(c) is not int or c in rows or not 0 <= c < len(basis):
                 raise ValueError("cached pivots repeat or fall outside the basis")
-            fractions = {}
-            for j, v in r["entries"]:
-                n, _, d = v.partition("/")
-                fractions[int(j)] = (int(n), int(d) if d else 1)
-            if any(d <= 0 for _, d in fractions.values()):
-                raise ValueError(f"cached row {c} has a denominator that is not positive")
-            n, d = fractions.pop(c, (0, 1))
-            if n != d:
-                raise ValueError(f"cached row {c} has pivot entry {n}/{d}, not 1")
-            if fractions and not (c < min(fractions) and max(fractions) < len(basis)):
+            row = dict(entries)
+            if not (type(den) is int and den > 0 and len(row) == len(entries)
+                    and all(type(j) is type(n) is int and n for j, n in entries)
+                    and gcd(den, *row.values()) == 1):
+                raise ValueError(f"cached row {c} is not a primitive integer row over a positive denominator")
+            if row and not (c < min(row) and max(row) < len(basis)):
                 raise ValueError(f"cached row {c} has an entry left of its pivot or beyond the basis")
-            den = lcm(*(d for _, d in fractions.values()))
-            rows[c] = (den, {j: n * (den // d) for j, (n, d) in fractions.items()})
+            rows[c] = (den, row)
         if any(j in rows for _, row in rows.values() for j in row):
             raise ValueError("a cached row has an entry in another row's pivot column")
         return cls(space, weight, basis, dict(sorted(rows.items())))

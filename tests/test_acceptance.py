@@ -162,8 +162,8 @@ def test_criterion_09_ramanujan(kron50):
     report(9, ok, "the three differential equations hold at order 50; the misprinted variant fails both checks")
 
 
-def test_criterion_10_derivation_diagram(kron50):
-    ok = all(check_derivation_diagram(weight, 30, context=kron50) for weight in range(1, 9))
+def test_criterion_10_derivation_diagram():
+    ok = all(check_derivation_diagram(weight, 30) for weight in range(1, 9))
     report(10, ok, "q d/dq intertwines the realization with the weight-raising map for K <= 8, order 30")
 
 

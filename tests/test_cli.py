@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from doubleeis.cli import run
+from doubleeis.cli import build_parser, run
 from doubleeis.elements import G1, GP, FormalElement, MixedSpaceError
 from doubleeis.expressions import ExpressionSyntaxError, parse_expression
 
@@ -261,6 +261,22 @@ def test_bernoulli_realization_takes_no_q_order(capsys):
     code, out, _ = invoke(capsys, "realize", "--kind", "bernoulli", "--gen", "G(12;0)")
     assert code == 0
     assert out == "G(12;0) -> 691/2615348736000\n"
+
+
+def test_one_parser_gives_each_command_its_own_defaults(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = invoke(capsys, "realize", "--gen", "G(2;0)", "--q-order", "3")
+    assert code == 0 and "O(q^4)" in out
+    # no --q-order is left over from the command before
+    code, out, _ = invoke(capsys, "realize", "--kind", "bernoulli", "--gen", "G(12;0)")
+    assert code == 0 and out == "G(12;0) -> 691/2615348736000\n"
+    code, out, _ = invoke(capsys, "realize", "--gen", "G(2;0)")
+    assert code == 0 and "O(q^31)" in out
+    code, out, _ = invoke(capsys, "dimension", "--space", "Z", "--weights", "3", "--format", "csv")
+    assert code == 0 and out.splitlines() == ["weight,dimension", "3,2"]
+    code, out, _ = invoke(capsys, "dimension", "--format", "csv")
+    assert code == 0 and out.splitlines()[1:] == [f"{w},{d}" for w, d in enumerate(
+        (1, 2, 5, 8, 15, 22, 35, 48, 69, 90, 121, 152), 1)]
 
 
 def test_determinism(capsys):

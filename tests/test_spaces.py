@@ -490,14 +490,6 @@ def _format_version_one(data):
     del data["digest"]
 
 
-def _repeat_a_pivot(data):
-    data["rows"][1]["pivot"] = data["rows"][0]["pivot"]
-
-
-def _pivot_out_of_range(data):
-    data["rows"][-1]["pivot"] = len(data["basis"])
-
-
 def _redigest(edit):
     """A corruption that keeps the file's digest consistent, so that only the
     reduced-form checks can tell."""
@@ -509,27 +501,108 @@ def _redigest(edit):
 
 
 @_redigest
-def _pivot_entry_not_one(data):
-    data["rows"][0]["entries"][0][1] = "2"
+def _repeat_a_pivot(data):
+    data["rows"][1][0] = data["rows"][0][0]
+
+
+@_redigest
+def _pivot_out_of_range(data):
+    data["rows"][-1][0] = len(data["basis"])
+
+
+@_redigest
+def _pivot_a_float(data):
+    data["rows"][0][0] = float(data["rows"][0][0])
+
+
+@_redigest
+def _format_version_two(data):
+    """The same system in the layout that format 2 wrote, with Fraction strings."""
+    data["format_version"] = 2
+    data["rows"] = [{"pivot": c, "entries": [[c, "1"]] + [[j, str(Fraction(n, den))] for j, n in entries]}
+                    for c, den, entries in data["rows"]]
+
+
+@_redigest
+def _pivot_in_its_own_entries(data):
+    c, den, entries = data["rows"][0]
+    entries.insert(0, [c, den])
 
 
 @_redigest
 def _entry_left_of_pivot(data):
     row = data["rows"][-1]
-    pivots = {r["pivot"] for r in data["rows"]}
-    j = max(set(range(row["pivot"])) - pivots)
-    row["entries"].insert(0, [j, "3"])
+    pivots = {r[0] for r in data["rows"]}
+    j = max(set(range(row[0])) - pivots)
+    row[2].insert(0, [j, 3])
 
 
 @_redigest
 def _entry_in_another_pivot_column(data):
     row = data["rows"][0]
-    row["entries"] = sorted(row["entries"] + [[data["rows"][1]["pivot"], "3"]])
+    row[2] = sorted(row[2] + [[data["rows"][1][0], 3]])
 
 
 @_redigest
-def _entry_not_a_string(data):
-    data["rows"][0]["entries"][0][1] = 1
+def _den_zero(data):
+    data["rows"][-1][1] = 0
+
+
+@_redigest
+def _den_minus_one(data):
+    """The last row (den 1) negated: the same rational row, not canonical."""
+    row = data["rows"][-1]
+    row[1] = -row[1]
+    row[2] = [[j, -n] for j, n in row[2]]
+
+
+@_redigest
+def _den_a_float(data):
+    data["rows"][-1][1] = 1.0
+
+
+@_redigest
+def _den_true(data):
+    data["rows"][-1][1] = True
+
+
+@_redigest
+def _row_scaled_by_two(data):
+    row = data["rows"][0]
+    row[1] *= 2
+    row[2] = [[j, 2 * n] for j, n in row[2]]
+
+
+@_redigest
+def _zero_entry(data):
+    """A zero in a free column: the same rational row, not canonical."""
+    c, _, entries = data["rows"][0]
+    taken = {r[0] for r in data["rows"]} | {j for j, _ in entries}
+    j = min(set(range(c + 1, len(data["basis"]))) - taken)
+    entries[:] = sorted(entries + [[j, 0]])
+
+
+@_redigest
+def _repeated_column(data):
+    entries = data["rows"][0][2]
+    entries.append(list(entries[-1]))
+
+
+@_redigest
+def _column_a_float(data):
+    entry = data["rows"][0][2][0]
+    entry[0] = float(entry[0])
+
+
+@_redigest
+def _entry_a_string(data):
+    entry = data["rows"][0][2][0]
+    entry[1] = str(entry[1])
+
+
+@_redigest
+def _entry_true(data):
+    data["rows"][-1][2][0][1] = True
 
 
 @pytest.mark.parametrize("weight, corrupt, expected", [
@@ -537,12 +610,23 @@ def _entry_not_a_string(data):
     (4, _drop_two_rows, 8),
     (4, _drop_two_rows_and_edit_counts, 8),  # only the digest tells
     (4, _format_version_one, 8),
+    (4, _format_version_two, 8),
     (4, _repeat_a_pivot, 8),
     (4, _pivot_out_of_range, 8),
-    (4, _pivot_entry_not_one, 8),
+    (4, _pivot_a_float, 8),
+    (4, _pivot_in_its_own_entries, 8),
     (4, _entry_left_of_pivot, 8),
     (4, _entry_in_another_pivot_column, 8),
-    (4, _entry_not_a_string, 8),
+    (4, _den_zero, 8),
+    (4, _den_minus_one, 8),
+    (4, _den_a_float, 8),
+    (4, _den_true, 8),
+    (4, _row_scaled_by_two, 8),
+    (4, _zero_entry, 8),
+    (4, _repeated_column, 8),
+    (4, _column_a_float, 8),
+    (4, _entry_a_string, 8),
+    (4, _entry_true, 8),
 ])
 def test_disk_cache_rejects_files_that_do_not_match(tmp_path, monkeypatch, weight, corrupt, expected):
     from doubleeis import spaces
@@ -560,6 +644,16 @@ def test_disk_cache_rejects_files_that_do_not_match(tmp_path, monkeypatch, weigh
     assert json.loads(bad.read_text()) == fresh.to_json_dict()
     for g in enumerate_generators("E", weight):
         assert loaded.normal_form(FormalElement.single(g)) == fresh.normal_form(FormalElement.single(g))
+
+
+def test_loaded_systems_keep_the_built_integer_rows():
+    for space, weights in (("E", range(1, 13)), ("Z", range(1, 21))):
+        for weight in weights:
+            built = RelationSystem.build(space, weight)
+            data = built.to_json_dict()
+            loaded = RelationSystem.from_json_dict(json.loads(json.dumps(data)))
+            assert loaded._rows == built._rows
+            assert loaded.to_json_dict() == data
 
 
 def test_disk_cache_reads_a_matching_file(tmp_path, monkeypatch):
