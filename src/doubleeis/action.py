@@ -11,12 +11,18 @@ substitution is applied to the numerator and to each denominator form
 separately; the fixed denominator set is closed under every matrix the
 theory uses, and an exotic matrix that maps a form outside the set raises
 :class:`~doubleeis.multipoly.UnsupportedFormError`.
+
+Group-ring words such as ``5-3*U+U*epsilon`` are read by
+:func:`parse_group_ring`, through the tokenizer of
+:mod:`doubleeis.expressions`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
+from .expressions import ExpressionSyntaxError, Tokens
 from .multipoly import (
     FORMS,
     LinForm,
@@ -220,105 +226,48 @@ def act_group_ring(elem, obj):
     return result
 
 
-# -- tiny expression grammar for group-ring elements ------------------------
+# -- the text grammar of group-ring elements ---------------------------------
 #
-#   expr   := term (('+' | '-') term)*
+#   expr   := ['+' | '-'] term (('+' | '-') term)*
 #   term   := factor ('*' factor)*
 #   factor := integer | name ('^' '-'? integer)?
 #
-# with names sigma, epsilon, delta, T, S, U, A (and 1 for the identity).
+# with names sigma, epsilon, delta, T, S, U, A (and 1 for the identity);
+# whitespace between tokens is skipped and digits are ASCII.
 
-class GroupRingSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class GroupRingSyntaxError(ExpressionSyntaxError):
+    """A malformed group-ring word, with the offending position attached."""
+
+
+_GROUP_RING_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<op>[-+*^])")
 
 
 def parse_group_ring(text: str) -> GroupRingElem:
     """Parse expressions like ``1+T^-1`` or ``5-3*U+U*epsilon``."""
-    tokens = _tokenize_group_ring(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    tokens = Tokens(_GROUP_RING_TOKEN, text, GroupRingSyntaxError)
 
     def parse_factor() -> GroupRingElem:
-        kind, value, at = take()
+        kind, m, at = tokens.take(("int", "name"), "an integer or a matrix name")
         if kind == "int":
-            return GroupRingElem.scalar(value)
-        if kind == "name":
-            m = MATRICES[value]
-            if peek() == "^":
-                take()
-                sign = 1
-                if peek() == "-":
-                    take()
-                    sign = -1
-                kind2, value2, at2 = take() if peek() == "int" else (None, None, at)
-                if kind2 != "int":
-                    raise GroupRingSyntaxError("expected an integer exponent", at2)
-                return GroupRingElem.matrix(m ** (sign * value2))
-            return GroupRingElem.matrix(m)
-        raise GroupRingSyntaxError(f"unexpected token {value!r}", at)
+            return GroupRingElem.scalar(int(m.group()))
+        matrix = MATRICES.get(m.group())
+        if matrix is None:
+            raise GroupRingSyntaxError(f"unknown matrix name {m.group()!r}", at)
+        if tokens.take_op("^"):
+            sign = -1 if tokens.take_op("-") else 1
+            _, exponent, _ = tokens.take(("int",), "an integer exponent")
+            return GroupRingElem.matrix(matrix ** (sign * int(exponent.group())))
+        return GroupRingElem.matrix(matrix)
 
     def parse_term() -> GroupRingElem:
         out = parse_factor()
-        while peek() == "*":
-            take()
+        while tokens.take_op("*"):
             out = out * parse_factor()
         return out
 
-    def parse_expr() -> GroupRingElem:
-        negate = False
-        if peek() in ("+", "-"):
-            negate = take()[0] == "-"
-        out = parse_term()
-        if negate:
-            out = -out
-        while peek() in ("+", "-"):
-            op = take()[0]
-            rhs = parse_term()
-            out = out - rhs if op == "-" else out + rhs
-        return out
-
-    result = parse_expr()
-    if pos < len(tokens):
-        raise GroupRingSyntaxError(f"trailing input {tokens[pos][1]!r}", tokens[pos][2])
-    return result
-
-
-def _tokenize_group_ring(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            name = text[i:j]
-            if name not in MATRICES:
-                raise GroupRingSyntaxError(f"unknown matrix name {name!r}", i)
-            tokens.append(("name", name, i))
-            i = j
-        else:
-            raise GroupRingSyntaxError(f"unexpected character {ch!r}", i)
-    return tokens
-
+    out = -parse_term() if tokens.take_op("+-") == "-" else parse_term()
+    while op := tokens.take_op("+-"):
+        rhs = parse_term()
+        out = out - rhs if op == "-" else out + rhs
+    tokens.take(("end",), "end of input")
+    return out

@@ -8,20 +8,22 @@ produce byte-identical output, and nothing is randomized.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import re
 import sys
 from functools import cache
 
 from . import __version__
-from .elements import EISENSTEIN, MixedSpaceError, MixedWeightError, parse_genid
+from .elements import EISENSTEIN, FormalElement, MixedSpaceError, MixedWeightError, parse_genid
 from .eisenstein import UnderdeterminedTruncationError, recognize_quasimodular
 from .expressions import ExpressionSyntaxError, parse_expression
 from .identities import (
+    RAMANUJAN_ELEMENTS,
     identity_report,
     mfprod_i,
     mfprod_ii,
     parity_expression,
-    ramanujan,
     relprodandg,
     sum_formula,
 )
@@ -53,16 +55,19 @@ class UsageError(ValueError):
     pass
 
 
+_WEIGHTS = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
+
+
 def _parse_weights(text: str) -> list[int]:
-    """Accept '12', '1..12', or comma-separated combinations of both."""
+    """Accept '12', '1..12', or comma-separated combinations of both, in ASCII digits."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+        if part:
+            m = _WEIGHTS.fullmatch(part)
+            if m is None:
+                raise UsageError(f"bad weight range {text!r}")
+            out.extend(range(int(m[1]), int(m[2] or m[1]) + 1))
     if not out or any(w < 1 for w in out):
         raise UsageError(f"bad weight range {text!r}")
     return out
@@ -162,11 +167,15 @@ def _emit(args, rows: list[dict], text_lines: list[str]):
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     elif args.format == "csv":
+        # a nested field is written as JSON, so every row reads back as a table
         if rows:
             keys = list(rows[0])
-            print(",".join(keys))
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(keys)
             for r in rows:
-                print(",".join(str(r[k]) for k in keys))
+                values = (r[k] for k in keys)
+                writer.writerow(json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v)
+                                for v in values)
     else:
         for line in text_lines:
             print(line)
@@ -299,7 +308,6 @@ def _no_instances(args) -> UsageError:
 
 def _verify_instances(args):
     name = args.identity
-    q = args.q_order
     if name == "sum-formula":
         top = _max_weight(args, 10)
         for k in range(2, top + 1):
@@ -326,7 +334,7 @@ def _verify_instances(args):
     elif name == "ramanujan":
         top = _max_weight(args, 8)
         for which in ("G2", "G4", "G6"):
-            element, _ = ramanujan(which, q)
+            element = FormalElement(RAMANUJAN_ELEMENTS[which])
             if element.weight <= top:
                 yield f"ramanujan {which}", {"which": which}, element
     else:

@@ -10,10 +10,16 @@ Two families of symbols are supported, never mixed inside one element:
 Generators are interned: each is one object, validated once when it is
 first named, that carries its space, weight and hash, so equal generators
 are identical and hashing one costs an attribute read.
+
+The text syntax of a generator is decided here, once: ``_FORMS`` gives each
+kind's text form, ``str(g)`` writes it, and ``GENERATOR_PATTERN`` reads it,
+for :func:`parse_genid` and for the expression parser alike.  Digits are
+ASCII; whitespace may stand inside the parentheses.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping
@@ -21,8 +27,11 @@ from typing import Iterable, Mapping
 EISENSTEIN = "E"
 ZETA = "Z"
 
+#: kind -> the text form of its generators: the k-indices, then after ';'
+#: the d-indices, if the kind has any
+_FORMS = {"G1": "G(%d;%d)", "G2": "G(%d,%d;%d,%d)", "GP": "P(%d,%d;%d,%d)",
+          "Z1": "Z(%d)", "Z2": "Z(%d,%d)", "ZP": "ZP(%d,%d)"}
 _KIND_ORDER = {"G1": 0, "G2": 1, "GP": 2, "Z1": 0, "Z2": 1, "ZP": 2}
-_ARITY = {"G1": 2, "G2": 4, "GP": 4, "Z1": 1, "Z2": 2, "ZP": 2}
 _KIND_SPACE = {"G1": EISENSTEIN, "G2": EISENSTEIN, "GP": EISENSTEIN, "Z1": ZETA, "Z2": ZETA, "ZP": ZETA}
 
 
@@ -98,29 +107,20 @@ class GenId:
         return (_KIND_ORDER[self.kind], self.args)
 
     def __str__(self) -> str:
-        if self.kind == "G1":
-            return "G(%d;%d)" % self.args
-        if self.kind == "G2":
-            return "G(%d,%d;%d,%d)" % self.args
-        if self.kind == "GP":
-            return "P(%d,%d;%d,%d)" % self.args
-        if self.kind == "Z1":
-            return "Z(%d)" % self.args
-        if self.kind == "Z2":
-            return "Z(%d,%d)" % self.args
-        return "ZP(%d,%d)" % self.args
+        return _FORMS[self.kind] % self.args
 
 
 #: kind -> args -> the generator
-_GENERATORS: dict[str, dict[tuple[int, ...], GenId]] = {kind: {} for kind in _ARITY}
+_GENERATORS: dict[str, dict[tuple[int, ...], GenId]] = {kind: {} for kind in _FORMS}
 _EMPTY: dict = {}
 
 
 def _intern(kind: str, args: tuple) -> GenId:
     """Validate a new generator and enter it in the table; raise ValueError if invalid."""
-    expected = _ARITY.get(kind)
-    if expected is None:
+    form = _FORMS.get(kind)
+    if form is None:
         raise ValueError(f"unknown generator kind {kind!r}")
+    expected = form.count("%d")
     if len(args) != expected:
         raise ValueError(f"{kind} takes {expected} indices, got {args}")
     if not all(type(a) is int for a in args):
@@ -167,36 +167,31 @@ def ZP(k1: int, k2: int) -> GenId:
     return GenId("ZP", (k1, k2))
 
 
+_INDEX = re.compile(r"[0-9]+")
+_INDICES = r"[0-9]+(?:\s*,\s*[0-9]+)*"
+
+#: one generator in the syntax of ``_FORMS``, as read by :func:`parse_genid`
+#: and by the expression parser
+GENERATOR_PATTERN = re.compile(rf"(?:ZP|G|P|Z)\(\s*{_INDICES}\s*(?:;\s*{_INDICES}\s*)?\)")
+
+
+def generator_from_match(m: re.Match) -> GenId:
+    """The generator that a match of ``GENERATOR_PATTERN`` names; raise ValueError
+    if its form is no kind's, or an index is out of range."""
+    form = _INDEX.sub("%d", "".join(m.group().split()))
+    for kind, kind_form in _FORMS.items():
+        if kind_form == form:
+            return GenId(kind, [int(i) for i in _INDEX.findall(m.group())])
+    raise ValueError(f"wrong index count in generator {m.group()!r}")
+
+
 def parse_genid(text: str) -> GenId:
-    """Parse the text syntax G(k;d), G(k1,k2;d1,d2), P(...), Z(k), Z(k1,k2), ZP(k1,k2)."""
-    s = text.strip()
-    for head, kinds in (("ZP", {1: None, 2: "ZP"}), ("G", {1: "G1", 2: "G2"}), ("P", {1: None, 2: "GP"}), ("Z", {1: "Z1", 2: "Z2"})):
-        if s.startswith(head + "("):
-            if not s.endswith(")"):
-                raise ValueError(f"unbalanced parentheses in generator {text!r}")
-            body = s[len(head) + 1 : -1]
-            groups = body.split(";")
-            try:
-                nums = [[int(x) for x in g.split(",")] for g in groups]
-            except ValueError:
-                raise ValueError(f"non-integer index in generator {text!r}") from None
-            if head in ("Z", "ZP"):
-                if len(nums) != 1:
-                    raise ValueError(f"{head}-generators take no derivative indices: {text!r}")
-                ks = nums[0]
-                kind = kinds.get(len(ks))
-                if kind is None:
-                    raise ValueError(f"wrong index count in generator {text!r}")
-                return GenId(kind, tuple(ks))
-            if len(nums) != 2 or len(nums[0]) != len(nums[1]):
-                raise ValueError(f"expected matching k- and d-groups in generator {text!r}")
-            kind = kinds.get(len(nums[0]))
-            if kind is None:
-                raise ValueError(f"wrong index count in generator {text!r}")
-            if kind == "G1":
-                return GenId(kind, (nums[0][0], nums[1][0]))
-            return GenId(kind, (nums[0][0], nums[0][1], nums[1][0], nums[1][1]))
-    raise ValueError(f"unrecognized generator {text!r}")
+    """Parse one generator, G(k;d), G(k1,k2;d1,d2), P(...), Z(k), Z(k1,k2) or ZP(k1,k2),
+    with surrounding whitespace allowed; raise ValueError on anything else."""
+    m = GENERATOR_PATTERN.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"unrecognized generator {text!r}")
+    return generator_from_match(m)
 
 
 class FormalElement:

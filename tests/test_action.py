@@ -198,6 +198,12 @@ def test_group_ring_parser_errors():
         parse_group_ring("T^x")
     with pytest.raises(GroupRingSyntaxError):
         parse_group_ring("2 3")
+    # input that ends early, or a non-ASCII digit, is a syntax error at its position
+    for text, position in (("", 0), ("-", 1), ("+", 1), ("T^", 2), ("T^-", 3), ("2*", 2),
+                           ("T^\u0663", 2)):
+        with pytest.raises(GroupRingSyntaxError) as info:
+            parse_group_ring(text)
+        assert info.value.position == position
 
 
 def test_wplus_polar_product(kron50):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from doubleeis import identities
 from doubleeis.cli import build_parser, run
 from doubleeis.elements import G1, GP, FormalElement, MixedSpaceError
 from doubleeis.expressions import ExpressionSyntaxError, parse_expression
+from doubleeis.spaces import enumerate_generators
 
 
 def invoke(capsys, *argv):
@@ -64,6 +70,25 @@ def test_parse_syntax_error_position():
 
 def test_roundtrip_through_text():
     e = FormalElement([(G1(4, 0), Fraction(5, 2)), (GP(2, 2, 0, 0), -1)])
+    assert parse_expression(e.to_text()) == e
+
+
+@st.composite
+def _elements(draw):
+    """A nonzero element of E or Z of weight at most 8, with coefficients
+    +1, -1 and p/q of either sign, the first term's included."""
+    gens = enumerate_generators(draw(st.sampled_from(["E", "Z"])), draw(st.integers(1, 8)))
+    chosen = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=6, unique=True))
+    coefficient = st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1)]),
+        st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 12)),
+    )
+    return FormalElement([(g, draw(coefficient)) for g in chosen])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elements())
+def test_expression_text_roundtrip(e):
     assert parse_expression(e.to_text()) == e
 
 
@@ -212,6 +237,72 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, err = invoke(capsys, "realize", "--gen", "G(2;0)", "--kind", "bernoulli", "--check-closed-form")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["G(1_2;0)", "G(+3;0)", "G(\u0663;0)", "P(1;0)", "G(3;0)x"])
+def test_gen_rejects_what_expr_rejects(capsys, text):
+    for argv in (("realize", "--gen", text), ("recognize", "--gen", text), ("reduce", "--expr", text)):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("weights", ["1_0", "\u0663", "a..b", "1..x", "+3"])
+def test_weights_take_ascii_digits_only(capsys, weights):
+    code, out, err = invoke(capsys, "dimension", "--weights", weights)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad weight range {weights!r}\n"
+    # the control
+    code, out, _ = invoke(capsys, "dimension", "--weights", "1..3,5")
+    assert code == 0
+    assert out == "dim E_1 = 1\ndim E_2 = 2\ndim E_3 = 5\ndim E_5 = 15\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("dimension", "--weights", "1..4"),
+    ("reduce", "--expr", "G(1,2;0,0) + G(2,1;0,0)"),
+    ("map", "--which", "pi", "--expr", "G(1,2;0,0)", "--reduce"),
+    ("realize", "--gen", "G(2,2;0,0)", "--q-order", "3"),
+    ("realize", "--kind", "bernoulli", "--gen", "G(1,3;0,0)"),
+    ("recognize", "--gen", "G(2,2;0,0)", "--q-order", "10"),
+    ("fay-check", "--degree", "2", "--q-order", "3"),
+    ("wplus-check", "--degree", "2", "--q-order", "2"),
+    ("verify", "--identity", "ramanujan", "--q-order", "10"),
+    ("verify", "--identity", "parity", "--max-weight", "3", "--q-order", "5"),
+    ("verify", "--identity", "diagram", "--max-weight", "2", "--q-order", "5"),
+])
+def test_csv_output_reads_back_as_the_json_table(capsys, argv):
+    _, out, _ = invoke(capsys, *argv, "--format", "csv")
+    _, js, _ = invoke(capsys, *argv, "--format", "json")
+    header, *rows = csv.reader(io.StringIO(out))
+    records = json.loads(js)
+    assert sorted(header) == sorted(records[0]) and len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert len(row) == len(header)
+        for key, field in zip(header, row):
+            value = record[key]
+            if isinstance(value, (dict, list)):
+                assert json.loads(field) == value
+            else:
+                assert field == str(value)
+
+
+def test_relations_csv_reads_back_as_the_json_rows(capsys):
+    _, out, _ = invoke(capsys, "relations", "--weight", "3", "--format", "csv")
+    _, js, _ = invoke(capsys, "relations", "--weight", "3", "--format", "json")
+    header, *rows = csv.reader(io.StringIO(out))
+    data = json.loads(js)
+    assert header == data["basis"] and rows == data["rows"]
+
+
+def test_verify_ramanujan_realizes_each_element_once(capsys, monkeypatch):
+    realized = []
+    realize = identities.realize_element
+    monkeypatch.setattr(identities, "realize_element",
+                        lambda element, q_order: realized.append(element) or realize(element, q_order))
+    code, out, _ = invoke(capsys, "verify", "--identity", "ramanujan", "--q-order", "10")
+    assert code == 0 and out.endswith("3 instances, all verified\n")
+    assert len(realized) == 3
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleeis.elements import G1, G2, GP, GenId, Z1, Z2, ZP, parse_genid
+from doubleeis.elements import G1, G2, GP, FormalElement, GenId, Z1, Z2, ZP, parse_genid
+from doubleeis.expressions import parse_expression
 
 _FACTORIES = {"G1": G1, "G2": G2, "GP": GP, "Z1": Z1, "Z2": Z2, "ZP": ZP}
 
@@ -141,3 +142,26 @@ def test_threads_naming_new_generators_get_one_object():
         assert len(out) == len(fresh)
         assert all(a is b for a, b in zip(out, results[0]))
     assert all(GP(*args) is g for args, g in zip(fresh, results[0]))
+
+
+@pytest.mark.parametrize("text, gen", [
+    ("G( 3 ; 0 )", G1(3, 0)),
+    ("P(2,2;0,0)", GP(2, 2, 0, 0)),
+    ("ZP(1,2)", ZP(1, 2)),
+    ("G(1_2;0)", None),
+    ("G(+3;0)", None),
+    ("G(\u0663;0)", None),  # an Arabic-Indic digit three: digits are ASCII
+    ("P(1;0)", None),
+    ("Z(2;)", None),
+    ("G(3;0)x", None),
+    ("ZP(1)", None),
+])
+def test_parse_genid_reads_a_generator_as_parse_expression_does(text, gen):
+    if gen is None:
+        with pytest.raises(ValueError):
+            parse_genid(text)
+        with pytest.raises(ValueError):
+            parse_expression(text)
+    else:
+        assert parse_genid(text) is gen
+        assert parse_expression(text) == FormalElement.single(gen)

@@ -441,7 +441,9 @@ def test_maps_reject_wrong_space():
 # -- element plumbing ---------------------------------------------------------
 
 def test_genid_text_roundtrip():
-    for g in enumerate_generators("E", 4) + enumerate_generators("Z", 4):
+    gens = [g for w in range(1, 11) for g in enumerate_generators("E", w)]
+    gens += [g for w in range(1, 13) for g in enumerate_generators("Z", w)]
+    for g in gens:
         assert parse_genid(str(g)) == g
 
 
