@@ -55,6 +55,7 @@ class UsageError(ValueError):
     pass
 
 
+_DIGITS = re.compile(r"[0-9]+")
 _WEIGHTS = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
 
@@ -74,16 +75,20 @@ def _parse_weights(text: str) -> list[int]:
 
 
 def _check_bounds(args):
-    """Reject a negative truncation bound, or a q-order that no series uses,
-    before any command runs; then fill in the default q-order."""
+    """Read the integer flags in ASCII digits, as ``--weights`` reads its numbers, and
+    reject a q-order that no series uses, before any command runs; then fill in the default."""
     if getattr(args, "kind", None) == "bernoulli" and args.q_order is not None:
         raise UsageError("--q-order applies to the q-series realization only")
+    for flag in ("q_order", "degree", "max_weight", "weight"):
+        text = getattr(args, flag, None)
+        if text is None:
+            continue
+        if not _DIGITS.fullmatch(text.strip()):
+            raise UsageError(f"--{flag.replace('_', '-')} must be an integer >= 0 "
+                             f"in ASCII digits, got {text!r}")
+        setattr(args, flag, int(text))
     if getattr(args, "q_order", 0) is None:
         args.q_order = 30
-    for flag in ("q_order", "degree"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
 
 
 def _common_flags(parser: argparse.ArgumentParser, q_order=False, degree: str | None = None,
@@ -92,9 +97,9 @@ def _common_flags(parser: argparse.ArgumentParser, q_order=False, degree: str | 
     (``degree`` is the help of ``--degree``, which states its bound)."""
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     if q_order:
-        parser.add_argument("--q-order", type=int, default=None, help="q-series truncation order (default 30)")
+        parser.add_argument("--q-order", default=None, help="q-series truncation order (default 30)")
     if degree:
-        parser.add_argument("--degree", type=int, default=8, help=degree)
+        parser.add_argument("--degree", default="8", help=degree)
     if cache_dir:
         parser.add_argument("--cache-dir", default=None, help="relation-system cache directory")
 
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations", help="relation rows of one weight")
     p.add_argument("--space", choices=("E", "Z"), default="E")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", required=True)
     p.add_argument("--reduced", action="store_true", help="emit the row-reduced system")
     _common_flags(p, cache_dir=True)
 
@@ -154,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("sum-formula", "parity", "relprodandg", "mfprod", "ramanujan", "diagram"),
         required=True,
     )
-    p.add_argument("--max-weight", type=int, default=None)
+    p.add_argument("--max-weight", default=None)
     _common_flags(p, q_order=True, cache_dir=True)
 
     p = sub.add_parser("cache", help="inspect or clear the relation-system cache")

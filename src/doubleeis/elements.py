@@ -199,7 +199,7 @@ class FormalElement:
 
     __slots__ = ("space", "weight", "_terms")
 
-    def __init__(self, terms: Mapping[GenId, Fraction] | Iterable = (), space: str | None = None):
+    def __init__(self, terms: Mapping[GenId, Fraction] | Iterable = ()):
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[GenId, Fraction] = {}
         for gen, c in items:
@@ -209,7 +209,7 @@ class FormalElement:
                 continue
             acc[gen] = acc[gen] + c if gen in acc else c
         acc = {g: c for g, c in acc.items() if c}
-        weight = None
+        space = weight = None
         for gen in acc:
             if space is None:
                 space = gen.space

@@ -147,13 +147,7 @@ def mfprod_i(k: int) -> FormalElement:
     of :func:`relprodandg` solved for G(k-1;1)."""
     if k < 4 or k % 2:
         raise ValueError("need even k >= 4")
-    terms: list[tuple[GenId, Fraction]] = [
-        (G1(k - 1, 1), Fraction(1)),
-        (G1(k, 0), Fraction(-(k + 1), 2)),
-    ]
-    for j in range(2, k - 1, 2):
-        terms.append((GP(j, k - j, 0, 0), Fraction(1)))
-    return FormalElement(terms)
+    return -relprodandg(1, k - 1)
 
 
 def mfprod_ii(k: int) -> FormalElement:

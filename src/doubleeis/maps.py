@@ -4,9 +4,9 @@
 splits it in the opposite direction, and ``map_partial`` raises the weight
 by two.  All three are linear and kill the defining relation rows of their
 source space; pi and partial are defined on the G-generators, and extend to
-P-generators through the harmonic-product row, which is the unique choice
-compatible with linearity modulo relations.  The image of each generator is
-computed once and cached.
+P-generators through :func:`doubleeis.spaces.stuffle_expansion`, the one
+harmonic product that also gives the relation rows and the unique choice
+compatible with linearity modulo relations.  Each image is cached.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from functools import cache
 from math import factorial, lcm
 
 from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2
+from .spaces import stuffle_expansion
 
 
 def _apply(image, element: FormalElement, space: str) -> FormalElement:
@@ -36,11 +37,6 @@ def _apply(image, element: FormalElement, space: str) -> FormalElement:
     if not terms:
         return FormalElement.zero(space)
     return FormalElement._make(space, next(iter(terms)).weight, terms)
-
-
-def _stuffle_terms(gen: GenId) -> list[tuple[GenId, int]]:
-    k1, k2, d1, d2 = gen.args
-    return [(G2(k1, k2, d1, d2), 1), (G2(k2, k1, d2, d1), 1), (G1(k1 + k2, d1 + d2), 1)]
 
 
 @cache
@@ -65,10 +61,7 @@ def _pi_gen(gen: GenId) -> tuple[tuple[GenId, Fraction], ...]:
                 out.append((Z2(a, b), c))
         return tuple(out)
     # P-generators map through their harmonic-product expansion
-    out = []
-    for g, c in _stuffle_terms(gen):
-        out.extend((h, c * w) for h, w in _pi_gen(g))
-    return tuple(out)
+    return tuple((h, c * w) for g, c in stuffle_expansion(*gen.args) for h, w in _pi_gen(g))
 
 
 def map_pi(element: FormalElement) -> FormalElement:
@@ -126,10 +119,7 @@ def _partial_gen(gen: GenId) -> tuple[tuple[GenId, Fraction], ...]:
             (G2(k1 + 1, k2, d1 + 1, d2), Fraction(k1)),
             (G2(k1, k2 + 1, d1, d2 + 1), Fraction(k2)),
         )
-    out = []
-    for g, c in _stuffle_terms(gen):
-        out.extend((h, c * w) for h, w in _partial_gen(g))
-    return tuple(out)
+    return tuple((h, c * w) for g, c in stuffle_expansion(*gen.args) for h, w in _partial_gen(g))
 
 
 def map_partial(element: FormalElement) -> FormalElement:

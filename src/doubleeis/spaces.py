@@ -2,7 +2,10 @@
 
 A weight is presented by its ordered generator list together with the row
 reduced form of the double-shuffle relation rows; dimensions, membership
-tests and canonical normal forms all read off the reduced system.  Every
+tests and canonical normal forms all read off the reduced system.  Each
+rule is written once: a relation row is P(k1,k2;d1,d2) minus its
+harmonic-product or integral-shuffle expansion, and the zeta rows are the
+d = 0 case of the Eisenstein rows, with the kinds renamed.  Every
 relation row has one P(k1,k2;d1,d2) or ZP(k1,k2) term; the rows are
 reduced per block of equal k1 + k2, and the union of the blocks' reduced
 rows is reduced once more.  Each reduction takes the rows sparsest first
@@ -86,67 +89,72 @@ def _depth2_indices(weight: int):
                 yield (k1, k2, d1, d2)
 
 
-def stuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
-    """P(k1,k2;d1,d2) minus its harmonic-product expansion; zero in the space."""
-    return FormalElement(
-        [
-            (GP(k1, k2, d1, d2), 1),
-            (G2(k1, k2, d1, d2), -1),
-            (G2(k2, k1, d2, d1), -1),
-            (G1(k1 + k2, d1 + d2), -1),
-        ]
-    )
+def stuffle_expansion(k1: int, k2: int, d1: int, d2: int) -> list[tuple[GenId, int]]:
+    """The harmonic-product (stuffle) expansion of P(k1,k2;d1,d2)."""
+    return [(G2(k1, k2, d1, d2), 1), (G2(k2, k1, d2, d1), 1), (G1(k1 + k2, d1 + d2), 1)]
 
 
-def shuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
-    """P(k1,k2;d1,d2) minus its integral-shuffle expansion; zero in the space."""
-    terms: list[tuple[GenId, int | Fraction]] = [(GP(k1, k2, d1, d2), 1)]
+def shuffle_expansion(k1: int, k2: int, d1: int, d2: int) -> list[tuple[GenId, int | Fraction]]:
+    """The integral-shuffle expansion of P(k1,k2;d1,d2)."""
+    terms: list[tuple[GenId, int | Fraction]] = []
     K, D = k1 + k2, d1 + d2
     for l1 in range(1, K):
-        l2 = K - l1
         for e1 in range(D + 1):
-            e2 = D - e1
             c = 0
             if e1 <= d1:
                 c += comb(l1 - 1, k1 - 1) * comb(d1, e1) * (-1) ** (d1 - e1)
             if e1 <= d2:
                 c += comb(l1 - 1, k2 - 1) * comb(d2, e1) * (-1) ** (d2 - e1)
             if c:
-                terms.append((G2(l1, l2, e1, e2), -c))
+                terms.append((G2(l1, K - l1, e1, D - e1), c))
     tail = Fraction(factorial(d1) * factorial(d2), factorial(D + 1)) * comb(K - 2, k1 - 1)
     if tail:
-        terms.append((G1(K - 1, D + 1), -tail))
-    return FormalElement(terms)
+        terms.append((G1(K - 1, D + 1), tail))
+    return terms
+
+
+def stuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
+    """P(k1,k2;d1,d2) minus its harmonic-product expansion; zero in the space."""
+    return _product_minus(GP(k1, k2, d1, d2), stuffle_expansion(k1, k2, d1, d2))
+
+
+def shuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
+    """P(k1,k2;d1,d2) minus its integral-shuffle expansion; zero in the space."""
+    return _product_minus(GP(k1, k2, d1, d2), shuffle_expansion(k1, k2, d1, d2))
+
+
+def _product_minus(product: GenId, expansion: list[tuple[GenId, int | Fraction]]) -> FormalElement:
+    return FormalElement([(product, 1)] + [(g, -c) for g, c in expansion])
 
 
 def eisenstein_relations(weight: int) -> list[FormalElement]:
     """Both defining rows for every depth-two index of one weight."""
-    if weight < 2:
-        return []
-    rows = []
-    for (k1, k2, d1, d2) in _depth2_indices(weight):
-        rows.append(stuffle_row(k1, k2, d1, d2))
-        rows.append(shuffle_row(k1, k2, d1, d2))
-    return rows
+    return [row(*i) for i in _depth2_indices(weight) for row in (stuffle_row, shuffle_row)]
+
+
+_ZETA_KIND = {"G1": Z1, "G2": Z2, "GP": ZP}
 
 
 def zeta_relations(weight: int) -> list[FormalElement]:
-    """Both defining rows for every (k1, k2) with k1 + k2 = weight."""
-    if weight < 2:
-        return []
+    """Both defining rows for every (k1, k2) with k1 + k2 = weight: the rows of
+    P(k1,k2;0,0) on their terms with every d index 0, where G(k), G(k1,k2) and
+    P(k1,k2) become Z(k), Z(k1,k2) and ZP(k1,k2)."""
     rows = []
     for k1 in range(1, weight):
-        k2 = weight - k1
-        rows.append(
-            FormalElement([(ZP(k1, k2), 1), (Z2(k1, k2), -1), (Z2(k2, k1), -1), (Z1(weight), -1)])
-        )
-        terms = [(ZP(k1, k2), Fraction(1))]
-        for j in range(1, weight):
-            c = comb(j - 1, k1 - 1) + comb(j - 1, k2 - 1)
-            if c:
-                terms.append((Z2(j, weight - j), Fraction(-c)))
-        rows.append(FormalElement(terms))
+        for row in (stuffle_row(k1, weight - k1, 0, 0), shuffle_row(k1, weight - k1, 0, 0)):
+            terms = []
+            for g, c in row._terms.items():
+                depth = len(g.args) // 2
+                if not any(g.args[depth:]):
+                    terms.append((_ZETA_KIND[g.kind](*g.args[:depth]), c))
+            rows.append(FormalElement(terms))
     return rows
+
+
+def _relations(space: str, weight: int) -> list[FormalElement]:
+    """The defining rows of one weight of a space.  The two functions are looked
+    up in the module on each call, so a wrapper set on the module sees every row."""
+    return eisenstein_relations(weight) if space == EISENSTEIN else zeta_relations(weight)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -244,10 +252,9 @@ class RelationSystem:
         space = _space(space)
         basis = enumerate_generators(space, weight)
         index = {g: i for i, g in enumerate(basis)}
-        relations = eisenstein_relations(weight) if space == EISENSTEIN else zeta_relations(weight)
         # each row has one P(k1,k2;d1,d2) or ZP(k1,k2) term; its k1 + k2 names the block
         blocks: dict[int, list[dict[int, Fraction]]] = {}
-        for rel in relations:
+        for rel in _relations(space, weight):
             k1, k2, *_ = next(g.args for g in rel._terms if g.kind in ("GP", "ZP"))
             blocks.setdefault(k1 + k2, []).append({index[g]: c for g, c in rel._terms.items()})
         return cls(space, weight, basis, _rref_blocks(blocks.values()))
@@ -413,11 +420,12 @@ def relation_system(space: str, weight: int, cache_dir: str | Path | None = None
             _atomic_write_json(path, sys_.to_json_dict())
         return sys_
     if os.path.exists(path):
-        # a stale, foreign or inconsistent file is rebuilt and rewritten
+        # a stale, foreign, inconsistent or too deeply nested file is rebuilt
+        # and rewritten; JSONDecodeError is a ValueError
         try:
             with open(path) as fh:
                 sys_ = RelationSystem.from_json_dict(json.loads(fh.read()))
-        except (ValueError, KeyError, TypeError, AttributeError):  # JSONDecodeError is a ValueError
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
             sys_ = None
         if sys_ is not None and (sys_.space, sys_.weight) != key:
             sys_ = None
@@ -480,9 +488,8 @@ def relation_rows(space: str, weight: int, reduced: bool = False,
             dense.append(vec)
         return basis, dense
     index = {g: i for i, g in enumerate(basis)}
-    relations = eisenstein_relations(weight) if space == EISENSTEIN else zeta_relations(weight)
     dense = []
-    for rel in relations:
+    for rel in _relations(space, weight):
         vec = [Fraction(0)] * len(basis)
         for g, c in rel._terms.items():
             vec[index[g]] = c

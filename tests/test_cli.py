@@ -376,6 +376,22 @@ def test_determinism(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("value", ["10", "1_0", "\u0663", "+10", "1e1"])
+@pytest.mark.parametrize("argv", [
+    ("realize", "--gen", "G(2;0)", "--q-order"),
+    ("fay-check", "--q-order", "2", "--degree"),
+    ("verify", "--identity", "sum-formula", "--q-order", "4", "--max-weight"),
+    ("relations", "--space", "Z", "--weight"),
+])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, value):
+    code, out, err = invoke(capsys, *argv, value)
+    if value == "10":  # the control
+        assert code == 0 and out and not err
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[-1]} must be an integer >= 0 in ASCII digits, got {value!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("realize", "--gen", "G(2,2;0,0)", "--q-order", "-1"),
     ("recognize", "--gen", "G(4;0)", "--q-order", "-3"),

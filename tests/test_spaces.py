@@ -227,6 +227,15 @@ def test_reduced_rows_digest_to_weight_16():
     assert digest == "3c092b0372fe2dc42e8697afb4a58121b66f135332e743972126ed9fe8ad2a0c"
 
 
+def test_raw_relation_rows_digest():
+    # recorded with the Eisenstein and zeta rows each written out on their own
+    h = hashlib.sha256()
+    for space, weights in (("E", range(1, 14)), ("Z", range(1, 21))):
+        for weight in weights:
+            h.update(relations_to_csv(space, weight).encode())
+    assert h.hexdigest() == "75b37e75e54dfb18920ec6835be344463902d5c39a78b33eb33a2358300caf56"
+
+
 def test_normal_form_examples():
     e = FormalElement([(G1(2, 0), 1), (G1(1, 1), -1)])
     assert is_zero_in_space(e)
@@ -646,6 +655,16 @@ def test_disk_cache_rejects_files_that_do_not_match(tmp_path, monkeypatch, weigh
     assert json.loads(bad.read_text()) == fresh.to_json_dict()
     for g in enumerate_generators("E", weight):
         assert loaded.normal_form(FormalElement.single(g)) == fresh.normal_form(FormalElement.single(g))
+
+
+def test_disk_cache_rebuilds_a_file_nested_too_deeply_to_decode(tmp_path, monkeypatch):
+    from doubleeis import spaces
+
+    bad = tmp_path / "relations_E_4.json"
+    bad.write_text("[" * 100000 + "]" * 100000)  # json.loads raises RecursionError
+    monkeypatch.setattr(spaces, "_MEMO", {})
+    assert relation_system("E", 4, cache_dir=tmp_path).dimension == 8
+    assert json.loads(bad.read_text()) == RelationSystem.build("E", 4).to_json_dict()
 
 
 def test_loaded_systems_keep_the_built_integer_rows():
