@@ -13,9 +13,9 @@ from doubleeis import (
     G1,
     G2,
     GP,
+    KroneckerRealization,
     closed_form_depth2,
     eisenstein_relations,
-    realization,
     realize_bernoulli,
     realize_kronecker,
     recognize_quasimodular,
@@ -39,7 +39,7 @@ for k1, k2 in [(2, 2), (1, 3), (4, 4)]:
     print(f"    closed form agrees: {extracted == closed}")
 print()
 
-ctx = realization(8, 20)
+ctx = KroneckerRealization(20)
 rows = eisenstein_relations(6)
 print(f"All {len(rows)} weight-6 relation rows realize to the zero series:",
       all(not ctx.element_value(r) for r in rows))

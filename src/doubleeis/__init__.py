@@ -66,7 +66,6 @@ from .kronecker import (
     closed_form_depth2,
     fay_check,
     kronecker_b1,
-    realization,
     realize_bernoulli,
     realize_element,
     realize_kronecker,
@@ -134,7 +133,6 @@ __all__ = [
     "parse_genid",
     "parse_group_ring",
     "ramanujan",
-    "realization",
     "realize_bernoulli",
     "realize_element",
     "realize_kronecker",

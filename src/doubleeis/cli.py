@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success or a verified identity, 1 when a verification
-fails, 2 on usage errors.  All output is deterministic: identical inputs
-produce byte-identical output, and nothing is randomized.
+fails, 2 on usage errors and on an unusable cache location.  All output is
+deterministic: identical inputs produce byte-identical output, and nothing
+is randomized.
 """
 
 from __future__ import annotations
@@ -412,6 +413,9 @@ def run(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (UsageError, ExpressionSyntaxError, MixedSpaceError, MixedWeightError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the relation cache is the only file location a command uses
+        print(f"error: relation cache {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,9 @@ are identical and hashing one costs an attribute read.
 The text syntax of a generator is decided here, once: ``_FORMS`` gives each
 kind's text form, ``str(g)`` writes it, and ``GENERATOR_PATTERN`` reads it,
 for :func:`parse_genid` and for the expression parser alike.  Digits are
-ASCII; whitespace may stand inside the parentheses.
+ASCII; whitespace may stand inside the parentheses.  So are the monomial
+that carries a generator in the generating series and the linear extension
+of per-generator images that every linear map on generators uses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Mapping
+from math import factorial, lcm
+from typing import Callable, Iterable, Mapping
 
 EISENSTEIN = "E"
 ZETA = "Z"
@@ -165,6 +168,30 @@ def Z2(k1: int, k2: int) -> GenId:
 
 def ZP(k1: int, k2: int) -> GenId:
     return GenId("ZP", (k1, k2))
+
+
+def generating_monomial(gen: GenId) -> tuple[tuple[int, int, int, int], int]:
+    """The exponents of X1, X2, Y1, Y2 whose generating-series coefficient is ``gen``
+    over a factorial, and that factorial: ((k-1, 0, d, 0), d!) for G(k;d), and
+    ((k1-1, k2-1, d1, d2), d1! d2!) for G or P(k1,k2;d1,d2)."""
+    if gen.kind == "G1":
+        k, d = gen.args
+        return (k - 1, 0, d, 0), factorial(d)
+    k1, k2, d1, d2 = gen.args
+    return (k1 - 1, k2 - 1, d1, d2), factorial(d1) * factorial(d2)
+
+
+def linear_extension(image: Callable, terms: Iterable[tuple[GenId, Fraction]]) -> dict:
+    """The sum of c * image(gen) over the (gen, c) of ``terms``, for images of
+    (key, rational) pairs, as a map from key to nonzero total: the products are
+    summed as integers over one common denominator, each total a Fraction once."""
+    parts = [(h, c.numerator * w.numerator, c.denominator * w.denominator)
+             for gen, c in terms for h, w in image(gen)]
+    den = lcm(*(d for _, _, d in parts))
+    acc: dict = {}
+    for h, n, d in parts:
+        acc[h] = acc.get(h, 0) + n * (den // d)
+    return {h: Fraction(n, den) for h, n in acc.items() if n}
 
 
 _INDEX = re.compile(r"[0-9]+")

@@ -5,21 +5,23 @@ two available oracles are reduction to the normal form zero and realization
 to the zero q-series.  The parity family is extracted from a group-ring
 identity between the depth-two generating series and the depth-one /
 product series, evaluated here on series whose coefficients are themselves
-formal elements.
+formal elements (:func:`generating_series`); its right side is the
+group-ring form :func:`.kronecker.double_shuffle_form` that also gives b2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import cache
+from math import comb
+from typing import Iterable
 
-from .action import GroupRingElem, MATRICES, act_group_ring
-from .elements import FormalElement, G1, G2, GP, GenId
-from .kronecker import realize_element
-from .multipoly import MultiPoly, divided_difference
+from .action import GroupRingElem, MATRICES
+from .elements import EISENSTEIN, FormalElement, G1, G2, GP, GenId, generating_monomial
+from .kronecker import double_shuffle_form, realize_element
+from .multipoly import MultiPoly
 from .series import QSeries
-from .spaces import is_zero_in_space
+from .spaces import enumerate_generators, is_zero_in_space
 
 
 def sum_formula(k: int, d: int) -> FormalElement:
@@ -44,28 +46,17 @@ def sum_formula(k: int, d: int) -> FormalElement:
 
 # -- parity -------------------------------------------------------------------
 
-def _symbolic_depth_one(weight: int) -> MultiPoly:
-    """The weight-graded generating series of G(k;d) with element coefficients."""
+def generating_series(gens: Iterable[GenId]) -> MultiPoly:
+    """The generating series of the given generators with element coefficients: each
+    generator over its factorial at its monomial (:func:`.elements.generating_monomial`)."""
     terms = {}
-    for k in range(1, weight + 1):
-        d = weight - k
-        terms[(k - 1, 0, d, 0)] = FormalElement.single(G1(k, d), Fraction(1, factorial(d)))
+    for gen in gens:
+        exps, scale = generating_monomial(gen)
+        terms[exps] = FormalElement.single(gen, Fraction(1, scale))
     return MultiPoly(terms, None)
 
 
-def _symbolic_products(weight: int) -> MultiPoly:
-    """The weight-graded generating series of P(k1,k2;d1,d2)."""
-    terms = {}
-    for k1 in range(1, weight):
-        for k2 in range(1, weight - k1 + 1):
-            for d1 in range(weight - k1 - k2 + 1):
-                d2 = weight - k1 - k2 - d1
-                c = Fraction(1, factorial(d1) * factorial(d2))
-                terms[(k1 - 1, k2 - 1, d1, d2)] = FormalElement.single(GP(k1, k2, d1, d2), c)
-    return MultiPoly(terms, None)
-
-
-@lru_cache(maxsize=32)
+@cache
 def _parity_rhs(weight: int) -> MultiPoly:
     """The depth-one / product side of the parity identity for one odd weight.
 
@@ -78,19 +69,13 @@ def _parity_rhs(weight: int) -> MultiPoly:
 
     and (1 - sigma) doubles every coefficient in odd weight.
     """
-    m = MATRICES
-    one = GroupRingElem.scalar(1)
-    a = GroupRingElem.matrix(m["A"])
-    cyclic = one + a + a * a
-    tinv_eps = GroupRingElem.matrix(m["T"].inverse() * m["epsilon"])
-    g1 = _symbolic_depth_one(weight)
-    rstar = divided_difference(g1, "star")
-    rshuffle = divided_difference(g1, "shuffle")
-    return (
-        act_group_ring((one - tinv_eps) * cyclic, _symbolic_products(weight))
-        - act_group_ring(cyclic, rstar)
-        + act_group_ring(tinv_eps * cyclic, rshuffle)
-    )
+    a = GroupRingElem.matrix(MATRICES["A"])
+    cyclic = 1 + a + a * a
+    tinv_eps = GroupRingElem.matrix(MATRICES["T"].inverse() * MATRICES["epsilon"])
+    gens = enumerate_generators(EISENSTEIN, weight)
+    return double_shuffle_form((1 - tinv_eps) * cyclic, -cyclic, tinv_eps * cyclic,
+                               generating_series(g for g in gens if g.kind == "GP"),
+                               generating_series(g for g in gens if g.kind == "G1"))
 
 
 def parity_expression(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
@@ -105,14 +90,12 @@ def parity_expression(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
         raise ValueError("parity expressions exist in odd weight only")
     if weight < 3 or min(k1, k2) < 1 or min(d1, d2) < 0:
         raise ValueError("need k1, k2 >= 1, d1, d2 >= 0 and weight >= 3")
-    rhs = _parity_rhs(weight).coefficient((k1 - 1, k2 - 1, d1, d2))
-    gen = FormalElement.single(G2(k1, k2, d1, d2))
-    if rhs is None:
-        return gen
-    combo = rhs * Fraction(factorial(d1) * factorial(d2), 2)
+    gen = G2(k1, k2, d1, d2)
+    exps, scale = generating_monomial(gen)
+    combo = (_parity_rhs(weight).coefficient(exps) or FormalElement.zero()) * Fraction(scale, 2)
     if any(g.kind == "G2" for g in combo.generators()):
         raise AssertionError("parity extraction produced a depth-two term")
-    return gen - combo
+    return FormalElement.single(gen) - combo
 
 
 # -- products against depth one ----------------------------------------------

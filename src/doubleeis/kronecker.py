@@ -3,34 +3,36 @@
 The two-variable series with polar part -(1/X + 1/Y)/2 whose regular
 coefficients are derivatives of Eisenstein series satisfies the three-term
 Fay identity.  From its regular part ``b1`` a four-variable series ``b2``
-is assembled through a fixed group-ring combination; the pair (b1, b2)
-solves the generating-series form of the double-shuffle relations, so
-coefficient extraction defines a linear map from the formal double
-Eisenstein space into q-series, landing in the quasimodular ring.  Taking
-constant terms gives the rational (Bernoulli-number) realization.
+is assembled in the group-ring form P|a + R*|b + Rsh|c of
+:func:`double_shuffle_form`; the pair (b1, b2) solves the generating-series
+form of the double-shuffle relations, so coefficient extraction defines a
+linear map from the formal double Eisenstein space into q-series, landing
+in the quasimodular ring.  Taking constant terms gives the rational
+(Bernoulli-number) realization.
 
 ``b2`` is bilinear in ``b1``, so each of its coefficients is one rational
 combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
-Both are built once with :class:`AtomCombination` coefficients, and a value
-is evaluated at the q-order asked for as the sum of product series times
-rationals, read from the one product cache of :mod:`.eisenstein`; the
-series hold integer numerators over one denominator, so their products and
-sums run on integers (see :mod:`.series`).  The Fay check and the value
-of an element are formed the same way: the cleared Fay sum over the atoms,
-an element as one combination of its generators' atoms; each resulting
-coefficient is evaluated once, at the q-order asked for, which still bounds
-the comparison.
+Both are built once with :class:`AtomCombination` coefficients.  Like the
+maps of :mod:`.maps`, the realization caches one image per generator, its
+atom combination, and extends linearly by :func:`.elements.linear_extension`.
+A combination is evaluated at the q-order asked for as the sum of product
+series times rationals, read from the one product cache of
+:mod:`.eisenstein`; the series hold integer numerators over one
+denominator, so their products and sums run on integers (see
+:mod:`.series`).  The cleared Fay sum is formed over the atoms in the same
+way; each coefficient is evaluated once, at the q-order asked for, which
+still bounds the comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial
 
 from .action import GroupRingElem, MATRICES, act_group_ring
 from .eisenstein import derived_eisenstein, eisenstein_qexp, product_series
-from .elements import EISENSTEIN, FormalElement, G1, GenId
+from .elements import EISENSTEIN, FormalElement, G1, GenId, generating_monomial, linear_extension
 from .maps import map_partial
 from .multipoly import (
     LinForm,
@@ -76,32 +78,28 @@ def pair_product(b1, degree: int | None = None) -> MultiPoly:
     return b1 * _at(b1, X2, Y2)
 
 
+def double_shuffle_form(a, b, c, p: MultiPoly, t: MultiPoly, degree: int | None = None) -> MultiPoly:
+    """P|a + R*|b + Rsh|c for group-ring elements a, b, c, a product series P
+    and a depth-one series t, whose divided differences R* and Rsh are kept
+    through ``degree`` (entirely for None): the form of :func:`build_b2` and
+    of the parity identity of :mod:`.identities`."""
+    rstar = divided_difference(t, "star").truncate(degree)
+    rshuffle = divided_difference(t, "shuffle").truncate(degree)
+    return act_group_ring(a, p) + act_group_ring(b, rstar) + act_group_ring(c, rshuffle)
+
+
 _GR = GroupRingElem.matrix
-_STAR_COMBO = 5 - 3 * _GR(MATRICES["U"]) + _GR(MATRICES["U"] * MATRICES["epsilon"])
-_SHUFFLE_COMBO = _GR(MATRICES["T"].inverse()) * (5 - 3 * _GR(MATRICES["epsilon"]) + _GR(MATRICES["U"]))
-_ONE_PLUS_TINV = 1 + _GR(MATRICES["T"].inverse())
-
-
-def beta_combination(b1, degree: int) -> MultiPoly:
-    """The correction series built from both divided differences of b1:
-
-        (1/4) R*  | (5 - 3U + U epsilon)
-      + (1/4) Rsh | (T^-1 (5 - 3 epsilon + U)).
-    """
-    quarter = Fraction(1, 4)
-    rstar = divided_difference(b1, "star").truncate(degree)
-    rshuffle = divided_difference(b1, "shuffle").truncate(degree)
-    return (
-        act_group_ring(_STAR_COMBO, rstar) * quarter
-        + act_group_ring(_SHUFFLE_COMBO, rshuffle) * quarter
-    )
+_TINV, _U, _EPS = _GR(MATRICES["T"].inverse()), _GR(MATRICES["U"]), _GR(MATRICES["epsilon"])
+#: b2 is 1/12 of the double-shuffle form with these (a, b, c)
+_B2_FORM = (4 + 4 * _TINV, -(5 - 3 * _U + _U * _EPS), -_TINV * (5 - 3 * _EPS + _U))
 
 
 def build_b2(b1, degree: int) -> MultiPoly:
     """Solve the double-shuffle system in depth two from an odd depth-one table.
 
-    Returns (1/3) P | (1 + T^-1) - (1/3) beta with P = b1(X1;Y1) b1(X2;Y2);
-    the result satisfies  P = b2|(1+epsilon) + R*  =  b2|T(1+epsilon) + Rsh
+    Returns (1/12) (P|(4 + 4T^-1) - R*|(5 - 3U + U epsilon)
+    - Rsh|T^-1 (5 - 3 epsilon + U)) with P = b1(X1;Y1) b1(X2;Y2); the
+    result satisfies  P = b2|(1+epsilon) + R*  =  b2|T(1+epsilon) + Rsh
     coefficientwise below the truncation.  The input table must carry
     entries one degree beyond the requested output degree, because divided
     differences lower the exact degree by one.  The coefficients may be
@@ -110,9 +108,7 @@ def build_b2(b1, degree: int) -> MultiPoly:
     _require_odd(b1)
     if b1.cap is not None and b1.cap < degree + 1:
         raise ValueError(f"need depth-one entries to degree {degree + 1}, have {b1.cap}")
-    third = Fraction(1, 3)
-    p = pair_product(b1, degree)
-    return act_group_ring(_ONE_PLUS_TINV, p) * third - beta_combination(b1, degree) * third
+    return double_shuffle_form(*_B2_FORM, pair_product(b1, degree), b1, degree) * Fraction(1, 12)
 
 
 # -- the symbolic b1 and b2 ----------------------------------------------------
@@ -173,7 +169,7 @@ class AtomCombination(dict):
         return total
 
 
-@lru_cache(maxsize=None)
+@cache
 def symbolic_b1(degree: int) -> MultiPoly:
     """The series of :func:`kronecker_b1` with one atom (k, m) per coefficient."""
     terms = {}
@@ -274,8 +270,7 @@ def kronecker_wplus_candidate(regular, degree: int) -> RationalFunction4:
     return RationalFunction4(c * _at(c, X2, Y2), {0: 1, 1: 1, 2: 1, 3: 1})
 
 
-_U = _GR(MATRICES["U"])
-WPLUS_CONDITIONS = (1 + _U + _U * _U, 1 + _GR(MATRICES["S"]), 1 - _GR(MATRICES["epsilon"]))
+WPLUS_CONDITIONS = (1 + _U + _U * _U, 1 + _GR(MATRICES["S"]), 1 - _EPS)
 
 
 def wplus_check(candidate: RationalFunction4, degree: int, q_order: int) -> bool:
@@ -302,69 +297,49 @@ def wplus_check(candidate: RationalFunction4, degree: int, q_order: int) -> bool
 
 # -- coefficient extraction ---------------------------------------------------
 
-class KroneckerRealization:
-    """Extraction context: a view of the shared symbolic b1 and b2.
+@cache
+def _image(gen: GenId) -> tuple[tuple[tuple, Fraction], ...]:
+    """The atom combination of one generator, as (monomial, rational) pairs.
 
-    Serves every weight up to ``max_weight`` at one q-order.  Values follow
-    the generating-series conventions: depth-one values are d! times the
-    stored coefficient, depth-two values are d1! d2! times the coefficient
-    of X1^(k1-1) X2^(k2-1) Y1^d1 Y2^d2, and product generators map to
-    products of depth-one values.  Creating a view builds nothing; the
-    first value it needs builds the symbolic series up to ``max_weight``.
+    G(k;d) is d! times its coefficient in b1 and G(k1,k2;d1,d2) is d1! d2!
+    times its coefficient in b2, each read at the generator's weight;
+    P(k1,k2;d1,d2) is the product of the images of G(k1;d1) and G(k2;d2).
     """
+    if gen.space != EISENSTEIN:
+        raise ValueError("the Kronecker realization is defined on the Eisenstein space")
+    if gen.kind == "GP":
+        k1, k2, d1, d2 = gen.args
+        c = AtomCombination(_image(G1(k1, d1))) * AtomCombination(_image(G1(k2, d2)))
+    else:
+        exps, scale = generating_monomial(gen)
+        series = symbolic_b1(gen.weight - 1) if gen.kind == "G1" else symbolic_b2(gen.weight - 2)
+        c = (series.coefficient(exps) or AtomCombination()) * scale
+    return tuple(c.items())
 
-    def __init__(self, max_weight: int, q_order: int):
-        self.max_weight = max(max_weight, 2)
+
+class KroneckerRealization:
+    """The Kronecker realization at one q-order: a generator's cached atom
+    combination, or the linear extension of those of an element's generators,
+    evaluated once at the q-order."""
+
+    def __init__(self, q_order: int):
         self.q_order = q_order
 
-    def _combination(self, gen: GenId) -> AtomCombination:
-        if gen.kind == "G1":
-            k, d = gen.args
-            c = symbolic_b1(self.max_weight - 1).coefficient((k - 1, 0, d, 0))
-            scale = factorial(d)
-        else:
-            k1, k2, d1, d2 = gen.args
-            if gen.kind == "GP":
-                return self._combination(G1(k1, d1)) * self._combination(G1(k2, d2))
-            c = symbolic_b2(self.max_weight - 2).coefficient((k1 - 1, k2 - 1, d1, d2))
-            scale = factorial(d1) * factorial(d2)
-        return AtomCombination() if c is None else c * scale
-
-    def _check(self, gen: GenId):
-        if gen.space != EISENSTEIN:
-            raise ValueError("the Kronecker realization is defined on the Eisenstein space")
-        if gen.weight > self.max_weight:
-            raise ValueError(f"weight {gen.weight} exceeds this context's maximum {self.max_weight}")
-
     def value(self, gen: GenId) -> QSeries:
-        self._check(gen)
-        return self._combination(gen).evaluate(self.q_order)
+        return AtomCombination(_image(gen)).evaluate(self.q_order)
 
     def element_value(self, element: FormalElement) -> QSeries:
-        """The value of an element, from the sum of its terms' atom combinations
-        evaluated once."""
-        total = AtomCombination()
-        for gen, c in element._terms.items():
-            self._check(gen)
-            total = total + self._combination(gen) * c
-        return total.evaluate(self.q_order)
-
-
-def realization(max_weight: int, q_order: int) -> KroneckerRealization:
-    """The view serving every weight up to ``max_weight`` at one q-order."""
-    return KroneckerRealization(max_weight, q_order)
+        return AtomCombination(linear_extension(_image, element._terms.items())).evaluate(self.q_order)
 
 
 def realize_kronecker(gen: GenId, q_order: int) -> QSeries:
     """The q-series value of one generator under the Kronecker realization."""
-    return realization(gen.weight, q_order).value(gen)
+    return KroneckerRealization(q_order).value(gen)
 
 
 def realize_element(element: FormalElement, q_order: int) -> QSeries:
     """Linear extension of the Kronecker realization to an element."""
-    if not element:
-        return QSeries.zero(q_order)
-    return realization(element.weight, q_order).element_value(element)
+    return KroneckerRealization(q_order).element_value(element)
 
 
 def realize_bernoulli(gen: GenId) -> Fraction:
@@ -416,7 +391,7 @@ def check_derivation_diagram(weight: int, q_order: int) -> bool:
     of the weight-raising map, compared to order q_order - 1."""
     if q_order < 1:
         raise ValueError("the diagram check needs q-order >= 1")
-    ctx = realization(weight + 2, q_order)
+    ctx = KroneckerRealization(q_order)
     n = q_order - 1
     for gen in enumerate_generators(EISENSTEIN, weight):
         lhs = ctx.value(gen).qderive()

@@ -6,34 +6,28 @@ by two.  All three are linear and kill the defining relation rows of their
 source space; pi and partial are defined on the G-generators, and extend to
 P-generators through :func:`doubleeis.spaces.stuffle_expansion`, the one
 harmonic product that also gives the relation rows and the unique choice
-compatible with linearity modulo relations.  Each image is cached.
+compatible with linearity modulo relations.  Each image is cached as a
+tuple, and an element's image is their linear extension by
+:func:`.elements.linear_extension`, which the Kronecker realization shares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 
-from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2
+from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2, linear_extension
 from .spaces import stuffle_expansion
 
 
 def _apply(image, element: FormalElement, space: str) -> FormalElement:
     """The linear extension of a per-generator image, in the target space.
 
-    The products of the element's coefficients with the image coefficients
-    are summed as integers over one common denominator, and each result
-    coefficient becomes a Fraction once.  Images of generators of one weight
-    share one weight, so the result needs no further check.
+    Images of generators of one weight share one weight, so the result
+    needs no further check.
     """
-    parts = [(h, c.numerator * w.numerator, c.denominator * w.denominator)
-             for gen, c in element._terms.items() for h, w in image(gen)]
-    den = lcm(*(d for _, _, d in parts))
-    acc: dict[GenId, int] = {}
-    for h, n, d in parts:
-        acc[h] = acc.get(h, 0) + n * (den // d)
-    terms = {h: Fraction(n, den) for h, n in acc.items() if n}
+    terms = linear_extension(image, element._terms.items())
     if not terms:
         return FormalElement.zero(space)
     return FormalElement._make(space, next(iter(terms)).weight, terms)

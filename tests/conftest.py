@@ -1,6 +1,6 @@
 import pytest
 
-from doubleeis.kronecker import realization
+from doubleeis.kronecker import KroneckerRealization
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -14,5 +14,5 @@ def _isolated_cache(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def kron50():
-    """The shared full-scale extraction context: weights to 12, q-order 50."""
-    return realization(12, 50)
+    """The shared realization at q-order 50."""
+    return KroneckerRealization(50)

@@ -22,10 +22,10 @@ from doubleeis.identities import (
     sum_formula,
 )
 from doubleeis.kronecker import (
+    KroneckerRealization,
     check_derivation_diagram,
     closed_form_depth2,
     fay_check,
-    realization,
     realize_bernoulli,
     symbolic_b1,
 )
@@ -173,7 +173,7 @@ def test_criterion_11_bernoulli_realization():
         ok &= realize_bernoulli(G1(k, 0)) == -bernoulli(k) / (2 * factorial(k))
 
     # pull back along sigma and check both defining rows of the zeta space in Q
-    bern = realization(12, 0)
+    bern = KroneckerRealization(0)
 
     def value(gen):
         image = map_sigma(FormalElement.single(gen))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleeis import identities
+from doubleeis import identities, spaces
 from doubleeis.cli import build_parser, run
 from doubleeis.elements import G1, GP, FormalElement, MixedSpaceError
 from doubleeis.expressions import ExpressionSyntaxError, parse_expression
@@ -328,6 +328,28 @@ def test_cache_dir_reaches_the_relation_systems(tmp_path, capsys, argv):
     code, _, _ = invoke(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "relations_E_3.json").exists()
+
+
+@pytest.mark.parametrize("argv, env, path", [
+    (("dimension", "--weights", "3", "--cache-dir", "{file}"), None, "{file}"),
+    (("dimension", "--weights", "3", "--cache-dir", "{file}/sub"), None, "{file}/sub"),
+    (("reduce", "--expr", "G(2;0)"), "{file}", "{file}"),
+    (("dimension", "--weights", "3", "--cache-dir", "{dir}"), None, "{dir}/relations_E_3.json"),
+    (("cache", "clear", "--cache-dir", "{dir}"), None, "{dir}/relations_E_3.json"),
+], ids=["file-as-dir", "below-a-file", "env-file-as-dir", "dir-as-file", "clear-dir-as-file"])
+def test_unusable_cache_location_is_one_error_line(tmp_path, capsys, monkeypatch, argv, env, path):
+    # a regular file where the cache directory should be, a path below it, and
+    # a directory where a cache file should be
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "relations_E_3.json").mkdir(parents=True)
+    places = {"file": tmp_path / "file", "dir": tmp_path / "dir"}
+    monkeypatch.setattr(spaces, "_MEMO", {})  # a fresh process holds no system yet
+    if env is not None:
+        monkeypatch.setenv("DOUBLEEIS_CACHE_DIR", env.format(**places))
+    code, out, err = invoke(capsys, *(a.format(**places) for a in argv))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.format(**places) in err
 
 
 @pytest.mark.parametrize("argv", [

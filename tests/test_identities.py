@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,23 @@ def test_parity_realizes_to_zero():
     for gen in enumerate_generators(EISENSTEIN, 5):
         if gen.kind == "G2":
             assert not realize_element(parity_expression(*gen.args), 20)
+
+
+#: sha256 over "<gen> -> <parity expression>" lines for every G2 generator of
+#: odd weights 3..11, in enumeration order (420 lines)
+PARITY_EXPRESSIONS_SHA256 = "7752a54740a73a100cdd9ec184e202a6f1e7d08e85d6c343acdeeff2d9d8e062"
+
+
+def test_parity_expressions_match_their_digest():
+    h = hashlib.sha256()
+    lines = 0
+    for weight in range(3, 12, 2):
+        for gen in enumerate_generators(EISENSTEIN, weight):
+            if gen.kind == "G2":
+                h.update(f"{gen} -> {parity_expression(*gen.args).to_text()}\n".encode())
+                lines += 1
+    assert lines == 420
+    assert h.hexdigest() == PARITY_EXPRESSIONS_SHA256
 
 
 def test_parity_rejects_even_weight():

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleeis import eisenstein
+from doubleeis import eisenstein, kronecker
 from doubleeis.action import GroupRingElem, MATRICES, act_group_ring
 from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp, recognize_quasimodular
 from doubleeis.elements import EISENSTEIN, FormalElement, G1, G2, GP, Z1
 from doubleeis.kronecker import (
     AtomCombination,
     KroneckerRealization,
-    beta_combination,
     build_b2,
     check_derivation_diagram,
     closed_form_depth2,
@@ -34,7 +33,7 @@ from doubleeis.kronecker import (
 )
 from doubleeis.multipoly import MultiPoly, RationalFunction4, divided_difference
 from doubleeis.series import QSeries
-from doubleeis.spaces import eisenstein_relations, enumerate_generators
+from doubleeis.spaces import eisenstein_relations, enumerate_generators, normal_form, stuffle_row
 
 M = MATRICES
 
@@ -142,14 +141,20 @@ def _beta_correction_identities(beta, b1=_BETA_B1, degree=_BETA_DEGREE) -> tuple
     return first, second
 
 
+def _beta(b1=_BETA_B1, degree=_BETA_DEGREE) -> MultiPoly:
+    # the correction series of b2 = (1/3) P|(1 + T^-1) - (1/3) beta
+    tinv = GroupRingElem.matrix(M["T"].inverse())
+    return act_group_ring(1 + tinv, pair_product(b1, degree)) - build_b2(b1, degree) * 3
+
+
 def test_beta_correction_identities():
-    assert _beta_correction_identities(beta_combination(_BETA_B1, _BETA_DEGREE)) == (True, True)
+    assert _beta_correction_identities(_beta()) == (True, True)
 
 
 @pytest.mark.parametrize("key", [(1, 0, 0, 0), (2, 0, 1, 0), (2, 1, 1, 1)])
 def test_beta_correction_identities_fail_with_a_perturbed_term(key):
     # degrees 1, 3 and 5: each identity is compared through degree 5
-    beta = beta_combination(_BETA_B1, _BETA_DEGREE)
+    beta = _beta()
     bad = beta + MultiPoly({key: QSeries.constant(1, 8)}, beta.cap)
     assert _beta_correction_identities(bad) == (False, False)
 
@@ -191,7 +196,7 @@ def test_realization_depth_one():
 
 
 def test_realization_odd_weight_vanishes():
-    ctx = KroneckerRealization(9, 5)
+    ctx = KroneckerRealization(5)
     for weight in (1, 3, 5, 7, 9):
         for gen in enumerate_generators(EISENSTEIN, weight):
             assert not ctx.value(gen)
@@ -206,7 +211,7 @@ def test_realization_products():
 
 
 def test_closed_form_matches_extraction_to_weight_eight():
-    ctx = KroneckerRealization(8, 20)
+    ctx = KroneckerRealization(20)
     for k in range(2, 9, 2):
         for k1 in range(1, k):
             assert ctx.value(G2(k1, k - k1, 0, 0)) == closed_form_depth2(k1, k - k1, 20)
@@ -222,14 +227,14 @@ def test_closed_form_rejects_odd_weight():
 
 
 def test_realization_kills_relations_sample():
-    ctx = KroneckerRealization(8, 15)
+    ctx = KroneckerRealization(15)
     for weight in (2, 4, 6, 8):
         for row in eisenstein_relations(weight):
             assert not ctx.element_value(row)
 
 
 def test_realization_kills_odd_weight_relations_trivially():
-    ctx = KroneckerRealization(7, 8)
+    ctx = KroneckerRealization(8)
     for row in eisenstein_relations(5):
         assert not ctx.element_value(row)
 
@@ -273,14 +278,6 @@ def test_realize_element_handles_zero():
     assert not realize_element(FormalElement.zero(), 5)
 
 
-def test_context_weight_guard():
-    ctx = KroneckerRealization(6, 5)
-    with pytest.raises(ValueError):
-        ctx.value(G1(8, 0))
-    with pytest.raises(ValueError):
-        ctx.value(G2(4, 4, 0, 0))
-
-
 # -- the symbolic b2 and its evaluation -----------------------------------------
 
 #: sha256 over "<gen> -> <value>" lines for every E generator of weights
@@ -320,6 +317,20 @@ def test_b2_of_a_low_degree_is_the_truncation_of_a_larger_one(degree):
     low = build_b2(symbolic_b1(degree + 1), degree)
     assert low.cap == degree
     assert low._t == symbolic_b2(6).truncate(degree)._t
+
+
+#: sha256 over "<exponents>: <sorted atom terms>" lines for the coefficients of
+#: the symbolic b2 through total degree 10, in exponent order (579 lines)
+SYMBOLIC_B2_SHA256 = "7d672a89cd0829d5575252d7272f9c9ca65b6dd5eea5b1ba21da741980900a25"
+
+
+def test_symbolic_b2_matches_its_digest():
+    b2 = symbolic_b2(10).truncate(10)
+    assert b2.cap == 10 and len(b2._t) == 579
+    h = hashlib.sha256()
+    for exps, c in sorted(b2._t.items()):
+        h.update(f"{exps}: {sorted(c.items())}\n".encode())
+    assert h.hexdigest() == SYMBOLIC_B2_SHA256
 
 
 def test_symbolic_b2_has_bilinear_coefficients():
@@ -451,7 +462,7 @@ def test_rationals_are_multiples_of_the_empty_monomial():
     st.integers(0, 30),
 )
 def test_element_value_is_the_sum_of_generator_values(terms, q_order):
-    ctx = KroneckerRealization(8, q_order)
+    ctx = KroneckerRealization(q_order)
     element = FormalElement(terms)
     expected = QSeries.zero(q_order)
     for gen, c in element.terms():
@@ -459,6 +470,60 @@ def test_element_value_is_the_sum_of_generator_values(terms, q_order):
     value = ctx.element_value(element)
     assert value.order == q_order
     assert value == expected
+
+
+_ELEMENTS_TO_WEIGHT_8 = st.integers(1, 8).flatmap(lambda w: st.lists(
+    st.tuples(
+        st.sampled_from(enumerate_generators(EISENSTEIN, w)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    ),
+    max_size=12,
+)).map(FormalElement)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ELEMENTS_TO_WEIGHT_8, st.integers(0, 20))
+def test_an_element_and_its_normal_form_realize_alike(element, q_order):
+    # the realization kills every relation, so it factors through the
+    # normal form, exactly at every q-order
+    assert realize_element(element, q_order) == realize_element(normal_form(element), q_order)
+
+
+def test_a_map_that_drops_the_products_does_not_factor_through_normal_forms():
+    # negative control: P(2,2;0,0) - 2 G(2,2;0,0) - G(4;0) has normal form 0,
+    # but without its P term it realizes to -G2^2
+    def without_products(element, q_order):
+        return realize_element(
+            FormalElement({g: c for g, c in element._terms.items() if g.kind != "GP"}), q_order)
+
+    row = stuffle_row(2, 2, 0, 0)
+    assert not normal_form(row)
+    assert without_products(row, 10) == -eisenstein_qexp(2, 10) ** 2
+    assert without_products(row, 10) != without_products(normal_form(row), 10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda w: st.tuples(
+        st.sampled_from(enumerate_generators(EISENSTEIN, w)),
+        st.lists(st.tuples(st.sampled_from(enumerate_generators(EISENSTEIN, w)),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+                 min_size=2, max_size=5),
+    )),
+    st.integers(0, 20),
+)
+def test_realizing_elements_leaves_the_cached_image_unchanged(gen_and_terms, q_order):
+    # every element names gen, each with another coefficient; the image is
+    # shared by every element and q-order, so none of them may change it
+    gen, terms = gen_and_terms
+    image = dict(kronecker._image(gen))
+    value = realize_kronecker(gen, q_order)
+    for other, c in terms:
+        element = FormalElement([(gen, c + 1), (other, c)])
+        expected = value * (c + 1) + realize_kronecker(other, q_order) * c
+        assert realize_element(element, q_order) == expected
+    assert dict(kronecker._image(gen)) == image
+    assert realize_kronecker(gen, q_order) == value
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,8 +555,6 @@ def test_atom_combination_results_hold_no_zero_terms():
 
 
 def test_element_value_rejects_what_value_rejects():
-    ctx = KroneckerRealization(6, 5)
+    ctx = KroneckerRealization(5)
     with pytest.raises(ValueError):
         ctx.element_value(FormalElement.single(Z1(3)))
-    with pytest.raises(ValueError):
-        ctx.element_value(FormalElement.single(G1(8, 0)))

@@ -83,19 +83,13 @@ def test_relation_rows_against_symbolic_series():
     """Oracle: rebuild both defining rows from the generating-series identity,
     evaluating the matrix action on series with element-valued coefficients."""
     from doubleeis.action import MATRICES, act, act_group_ring, GroupRingElem
-    from doubleeis.identities import _symbolic_depth_one, _symbolic_products
-    from doubleeis.multipoly import MultiPoly, divided_difference
+    from doubleeis.identities import generating_series
+    from doubleeis.multipoly import divided_difference
 
     for weight in (2, 3, 4, 5):
-        terms = {}
-        for g in enumerate_generators("E", weight):
-            if g.kind == "G2":
-                k1, k2, d1, d2 = g.args
-                c = Fraction(1, factorial(d1) * factorial(d2))
-                terms[(k1 - 1, k2 - 1, d1, d2)] = FormalElement.single(g, c)
-        sg2 = MultiPoly(terms, None)
-        sp = _symbolic_products(weight)
-        sg1 = _symbolic_depth_one(weight)
+        gens = enumerate_generators("E", weight)
+        sg2 = generating_series(g for g in gens if g.kind == "G2")
+        sg1 = generating_series(g for g in gens if g.kind == "G1")
         eps = GroupRingElem.matrix(MATRICES["epsilon"])
         t = GroupRingElem.matrix(MATRICES["T"])
         stuffle_series = act_group_ring(1 + eps, sg2) + divided_difference(sg1, "star")
