@@ -213,17 +213,21 @@ def _coerce_group_ring(x) -> GroupRingElem | None:
 
 
 def act_group_ring(elem, obj):
-    """Apply an integer combination of matrices, term by term."""
+    """Apply an integer combination of matrices.
+
+    On a MultiPoly this is one pass over the series
+    (:meth:`~doubleeis.multipoly.MultiPoly.substitute_sum`).  A fraction's
+    image is summed matrix by matrix, since each matrix moves its
+    denominator differently.
+    """
     elem = _coerce_group_ring(elem)
+    if isinstance(obj, MultiPoly):
+        return obj.substitute_sum((coeff, matrix.images()) for coeff, matrix in elem.terms)
     result = None
     for coeff, matrix in elem.terms:
         piece = act(matrix, obj) * coeff
         result = piece if result is None else result + piece
-    if result is None:
-        if isinstance(obj, RationalFunction4):
-            return RationalFunction4(MultiPoly.zero(obj.num.cap), {})
-        return MultiPoly.zero(obj.cap)
-    return result
+    return RationalFunction4(MultiPoly.zero(obj.num.cap), {}) if result is None else result
 
 
 # -- the text grammar of group-ring elements ---------------------------------

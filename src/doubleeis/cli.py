@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success or a verified identity, 1 when a verification
-fails, 2 on usage errors and on an unusable cache location.  All output is
+fails, 2 on usage errors and on an unusable cache location, and 141 (128 +
+SIGPIPE, as a shell reports a process that signal ends) with nothing on
+stderr when the reader of standard output closes it early.  All output is
 deterministic: identical inputs produce byte-identical output, and nothing
 is randomized.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -414,13 +417,22 @@ def run(argv: list[str] | None = None) -> int:
     except (UsageError, ExpressionSyntaxError, MixedSpaceError, MixedWeightError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout, not the cache: main() ends the process quietly
+        raise
     except OSError as exc:  # the relation cache is the only file location a command uses
         print(f"error: relation cache {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 
-def main():  # pragma: no cover - thin wrapper
-    sys.exit(run())
+def main():
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; the exit flush would fail again, so point stdout at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -181,12 +181,13 @@ def generating_monomial(gen: GenId) -> tuple[tuple[int, int, int, int], int]:
     return (k1 - 1, k2 - 1, d1, d2), factorial(d1) * factorial(d2)
 
 
-def linear_extension(image: Callable, terms: Iterable[tuple[GenId, Fraction]]) -> dict:
-    """The sum of c * image(gen) over the (gen, c) of ``terms``, for images of
-    (key, rational) pairs, as a map from key to nonzero total: the products are
-    summed as integers over one common denominator, each total a Fraction once."""
+def linear_extension(image: Callable, terms: Iterable[tuple[object, Fraction | int]]) -> dict:
+    """The sum of c * image(x) over the (x, c) of ``terms``, for images of
+    (key, rational) pairs and rational or integer c, as a map from key to
+    nonzero total: the products are summed as integers over one common
+    denominator, each total a Fraction once."""
     parts = [(h, c.numerator * w.numerator, c.denominator * w.denominator)
-             for gen, c in terms for h, w in image(gen)]
+             for x, c in terms for h, w in image(x)]
     den = lcm(*(d for _, _, d in parts))
     acc: dict = {}
     for h, n, d in parts:
@@ -219,6 +220,15 @@ def parse_genid(text: str) -> GenId:
     if m is None:
         raise ValueError(f"unrecognized generator {text!r}")
     return generator_from_match(m)
+
+
+def _joined(space: str | None, weight: int | None, other: "FormalElement") -> tuple:
+    """The space and weight of a sum with ``other``; raise if the two differ."""
+    if space is not None and other.space is not None and space != other.space:
+        raise MixedSpaceError("cannot combine elements of different spaces")
+    if weight is not None and other.weight is not None and weight != other.weight:
+        raise MixedWeightError(f"cannot combine weight {weight} with weight {other.weight}")
+    return space or other.space, weight if weight is not None else other.weight
 
 
 class FormalElement:
@@ -284,18 +294,20 @@ class FormalElement:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _check_compatible(self, other: "FormalElement"):
-        if self.space is not None and other.space is not None and self.space != other.space:
-            raise MixedSpaceError("cannot combine elements of different spaces")
-        if self.weight is not None and other.weight is not None and self.weight != other.weight:
-            raise MixedWeightError(
-                f"cannot combine weight {self.weight} with weight {other.weight}"
-            )
+    @classmethod
+    def linear_combination(cls, pairs: list[tuple["FormalElement", int]]) -> "FormalElement":
+        """The sum of n * e over the (element, integer) pairs, with the space and
+        weight checks of ``+``, summed on integers by :func:`linear_extension`."""
+        space = weight = None
+        for e, _ in pairs:
+            space, weight = _joined(space, weight, e)
+        terms = linear_extension(lambda e: e._terms.items(), pairs)
+        return cls._make(space, weight if terms else None, terms)
 
     def __add__(self, other) -> "FormalElement":
         if not isinstance(other, FormalElement):
             return NotImplemented
-        self._check_compatible(other)
+        space, weight = _joined(self.space, self.weight, other)
         t = dict(self._terms)
         for g, c in other._terms.items():
             s = t.get(g)
@@ -307,8 +319,7 @@ class FormalElement:
                     t[g] = s
                 else:
                     del t[g]
-        weight = (self.weight if self.weight is not None else other.weight) if t else None
-        return FormalElement._make(self.space or other.space, weight, t)
+        return FormalElement._make(space, weight if t else None, t)
 
     def __sub__(self, other) -> "FormalElement":
         return self.__add__(-other)

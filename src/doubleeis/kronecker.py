@@ -12,16 +12,23 @@ in the quasimodular ring.  Taking constant terms gives the rational
 
 ``b2`` is bilinear in ``b1``, so each of its coefficients is one rational
 combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
-Both are built once with :class:`AtomCombination` coefficients.  Like the
-maps of :mod:`.maps`, the realization caches one image per generator, its
-atom combination, and extends linearly by :func:`.elements.linear_extension`.
-A combination is evaluated at the q-order asked for as the sum of product
-series times rationals, read from the one product cache of
-:mod:`.eisenstein`; the series hold integer numerators over one
-denominator, so their products and sums run on integers (see
-:mod:`.series`).  The cleared Fay sum is formed over the atoms in the same
-way; each coefficient is evaluated once, at the q-order asked for, which
-still bounds the comparison.
+Both are built once with :class:`AtomCombination` coefficients.  ``b2`` is
+built from P = b1(X1;Y1) b1(X2;Y2) and the divided differences R* and Rsh
+of b1, each acted on by its group-ring element in one pass
+(:meth:`.multipoly.MultiPoly.substitute_sum`): each monomial is expanded
+once for the whole element, and each coefficient of the image is summed
+once, on integers over one denominator
+(:meth:`AtomCombination.linear_combination`).
+
+Like the maps of :mod:`.maps`, the realization caches one image per
+generator, its atom combination, and extends linearly by
+:func:`.elements.linear_extension`.  A combination is evaluated at the
+q-order asked for as the sum of product series times rationals, read from
+the one product cache of :mod:`.eisenstein`; the series hold integer
+numerators over one denominator, so their products and sums run on
+integers (see :mod:`.series`).  The cleared Fay sum is formed over the
+atoms in the same way; each coefficient is evaluated once, at the q-order
+asked for, which still bounds the comparison.
 """
 
 from __future__ import annotations
@@ -125,6 +132,12 @@ class AtomCombination(dict):
     """
 
     __slots__ = ()
+
+    @classmethod
+    def linear_combination(cls, pairs: list[tuple["AtomCombination", int]]) -> "AtomCombination":
+        """The sum of n * c over the (combination, integer) pairs, summed on
+        integers by :func:`.elements.linear_extension`."""
+        return cls(linear_extension(dict.items, pairs))
 
     def __add__(self, other) -> "AtomCombination":
         if not isinstance(other, AtomCombination):

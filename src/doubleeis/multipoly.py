@@ -18,6 +18,17 @@ smaller cap; a product is exact through min(cap(A) + val(B), cap(B) + val(A)),
 val the lowest stored degree (cap + 1 for a truncated zero, unbounded for an
 exact zero), so stored coefficients are always exact and no caller decides
 how far a product holds.
+
+A substitution is the one-term case of :meth:`MultiPoly.substitute_sum`, a
+sum of n times substitutions and so the group-ring action.  It expands each
+monomial once for the whole sum, into integers, and forms each output
+coefficient once from the (coefficient, integer n) pairs that land on its
+monomial.  A coefficient type whose values are maps from keys to rationals
+(:class:`.kronecker.AtomCombination`, :class:`.elements.FormalElement`)
+provides a classmethod ``linear_combination(pairs)`` that sums them as
+integer numerators over one common denominator, with one Fraction per key
+(:func:`.elements.linear_extension`); other coefficients are summed with
+their own ``*`` and ``+``.
 """
 
 from __future__ import annotations
@@ -98,26 +109,41 @@ def _form_power(f: LinForm, e: int) -> tuple[tuple[tuple[int, int, int, int], in
 
 
 @lru_cache(maxsize=None)
-def _monomial_expansion(
-    images: tuple[LinForm, LinForm, LinForm, LinForm],
+def _expansion(
+    combo: tuple[tuple[int, tuple[LinForm, LinForm, LinForm, LinForm]], ...],
     exps: tuple[int, int, int, int],
-    cap: int | None,
 ) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
-    """Expansion of the monomial with the given exponents under a substitution."""
-    acc: dict[tuple[int, int, int, int], int] = {(0, 0, 0, 0): 1}
-    for img, e in zip(images, exps):
-        if e == 0:
-            continue
-        factor = _form_power(img, e)
-        nxt: dict[tuple[int, int, int, int], int] = {}
-        for k1, c1 in acc.items():
-            for k2, c2 in factor:
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                if cap is not None and sum(key) > cap:
-                    continue
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        acc = nxt
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+    """Sum of n times the monomial with the given exponents under ``images``,
+    over the (n, images) of ``combo``, as ((exponent-vector, integer), ...).
+
+    Every image is a linear form, so each term keeps the monomial's degree
+    and no cap enters the key.  Only the combined expansion is cached.
+    """
+    acc: dict[tuple[int, int, int, int], int] = {}
+    for n, images in combo:
+        part: dict[tuple[int, int, int, int], int] = {(0, 0, 0, 0): n}
+        for img, e in zip(images, exps):
+            if e == 0:
+                continue
+            factor = _form_power(img, e)
+            nxt: dict[tuple[int, int, int, int], int] = {}
+            for k1, c1 in part.items():
+                for k2, c2 in factor:
+                    key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
+                    nxt[key] = nxt.get(key, 0) + c1 * c2
+            part = nxt
+        for key, c in part.items():
+            acc[key] = acc.get(key, 0) + c
+    return tuple((k, v) for k, v in acc.items() if v)
+
+
+def _combiner(coefficients) -> Callable:
+    """How to sum (coefficient, integer) pairs of these coefficients: by the
+    ``linear_combination`` of their one type if it has one, else by * and +."""
+    kinds = {type(c) for c in coefficients}
+    if len(kinds) == 1 and hasattr(kind := kinds.pop(), "linear_combination"):
+        return kind.linear_combination
+    return lambda pairs: sum((c * n for c, n in pairs[1:]), pairs[0][0] * pairs[0][1])
 
 
 def _min_cap(a: int | None, b: int | None) -> int | None:
@@ -245,14 +271,28 @@ class MultiPoly:
 
     def substitute(self, images: tuple[LinForm, LinForm, LinForm, LinForm]) -> "MultiPoly":
         """Replace each variable by a linear form, exactly below the cap."""
-        images = tuple(tuple(f) for f in images)
-        if images == IDENTITY_IMAGES:
+        return self.substitute_sum(((1, images),))
+
+    def substitute_sum(self, combo) -> "MultiPoly":
+        """Sum of n times the substitution of ``images`` over the (n, images) of
+        ``combo``, in one pass: each monomial is expanded once for the whole
+        sum, and each output coefficient is formed once from the
+        (coefficient, integer) pairs that land on its monomial."""
+        combo = tuple((n, tuple(tuple(f) for f in images)) for n, images in combo)
+        if combo == ((1, IDENTITY_IMAGES),):
             return self
-        t: dict = {}
+        pairs: dict = {}
         for exps, c in self._t.items():
-            for key, ic in _monomial_expansion(images, exps, self.cap):
-                scaled = c * ic
-                t[key] = t[key] + scaled if key in t else scaled
+            for key, n in _expansion(combo, exps):
+                pairs.setdefault(key, []).append((c, n))
+        combine = _combiner(self._t.values())
+        t = {}
+        for key, ps in pairs.items():
+            if len(ps) > 1:
+                t[key] = combine(ps)
+            else:  # a lone coefficient is only scaled, and kept as it is for n = 1
+                c, n = ps[0]
+                t[key] = c if n == 1 else c * n
         return MultiPoly(t, self.cap)
 
     def partial(self, var: int) -> "MultiPoly":

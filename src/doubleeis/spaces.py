@@ -26,13 +26,16 @@ checked on reading.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
+import stat
 import tempfile
 from collections.abc import Iterable
 from fractions import Fraction
+from fnmatch import fnmatchcase
 from functools import cache
 from math import comb, factorial, gcd, lcm
 from pathlib import Path
@@ -416,8 +419,14 @@ def relation_system(space: str, weight: int, cache_dir: str | Path | None = None
     path = os.path.join(_cache_dir(cache_dir), f"relations_{space}_{weight}.json")
     sys_ = _MEMO.get(key)
     if sys_ is not None:
-        if not os.path.exists(path):
+        # one stat a hit: this runs once per normal form
+        try:
+            mode = os.stat(path).st_mode
+        except OSError:
             _atomic_write_json(path, sys_.to_json_dict())
+        else:
+            if stat.S_ISDIR(mode):  # as opening it would in a fresh process
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         return sys_
     if os.path.exists(path):
         # a stale, foreign, inconsistent or too deeply nested file is rebuilt
@@ -451,9 +460,19 @@ def is_zero_in_space(element: FormalElement, **kwargs) -> bool:
     return not normal_form(element, **kwargs)
 
 
-def cache_status(cache_dir: str | Path | None = None) -> dict:
+def _cache_files(cache_dir: str | Path | None) -> tuple[Path, list[Path]]:
+    """The cache directory and its cache files, sorted: none when the directory
+    does not exist, NotADirectoryError when something else stands there."""
     d = Path(_cache_dir(cache_dir))
-    files = sorted(d.glob("relations_*.json")) if d.is_dir() else []
+    try:
+        names = os.listdir(d)
+    except FileNotFoundError:
+        return d, []
+    return d, sorted(d / n for n in names if fnmatchcase(n, "relations_*.json"))
+
+
+def cache_status(cache_dir: str | Path | None = None) -> dict:
+    d, files = _cache_files(cache_dir)
     return {
         "cache_dir": str(d),
         "files": [f.name for f in files],
@@ -462,13 +481,10 @@ def cache_status(cache_dir: str | Path | None = None) -> dict:
 
 
 def cache_clear(cache_dir: str | Path | None = None) -> int:
-    d = Path(_cache_dir(cache_dir))
-    n = 0
-    if d.is_dir():
-        for f in d.glob("relations_*.json"):
-            f.unlink()
-            n += 1
-    return n
+    _, files = _cache_files(cache_dir)
+    for f in files:
+        f.unlink()
+    return len(files)
 
 
 # -- tabular exports -------------------------------------------------------

@@ -15,7 +15,8 @@ from doubleeis.action import (
     act_group_ring,
     parse_group_ring,
 )
-from doubleeis.kronecker import kronecker_wplus_candidate, wplus_check
+from doubleeis.elements import G1, G2, GP, FormalElement, MixedSpaceError, MixedWeightError, Z1
+from doubleeis.kronecker import AtomCombination, kronecker_wplus_candidate, wplus_check
 from doubleeis.multipoly import (
     FORMS,
     X2,
@@ -154,6 +155,98 @@ def test_symmetrization():
     sym = act_group_ring(1 + GroupRingElem.matrix(M["epsilon"]), p)
     assert sym == p + act(M["epsilon"], p)
     assert act(M["epsilon"], sym) == sym
+
+
+# -- the one-pass action: one expansion per monomial, integer coefficient sums --
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_atoms = st.sampled_from(((), ((2, 0),), ((4, 0),), ((2, 0), (4, 0)), ((3, 1), (5, 0))))
+_atom_combinations = st.dictionaries(_atoms, _fractions.filter(bool), max_size=3).map(AtomCombination)
+_weight4 = st.sampled_from((G1(4, 0), G1(3, 1), G2(2, 2, 0, 0), G2(1, 3, 0, 0), GP(2, 2, 0, 0)))
+_formal_elements = st.dictionaries(_weight4, _fractions, max_size=3).map(FormalElement)
+# repeated names and a term followed by its negative, so terms merge and cancel
+_named_terms = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from(sorted(M))).flatmap(
+        lambda t: st.sampled_from(([t], [t, (-t[0], t[1])]))),
+    max_size=5).map(lambda chunks: [t for chunk in chunks for t in chunk])
+
+
+def _polys_over(coefficients):
+    return st.builds(MultiPoly, st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4),
+                                                coefficients, max_size=5),
+                     st.sampled_from((None, 4, 6)))
+
+
+def _term_by_term(named_terms, p):
+    """The sum of n * act(M[name], p) over the terms, one at a time."""
+    total = MultiPoly.zero(p.cap)
+    for n, name in named_terms:
+        total = total + act(M[name], p) * n
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(_named_terms,
+       st.sampled_from((_fractions, _atom_combinations, _formal_elements)).flatmap(_polys_over))
+def test_one_pass_action_equals_the_term_by_term_sum(named_terms, p):
+    # one coefficient type per series: rationals, atom combinations or formal elements
+    elem = GroupRingElem([(n, M[name]) for n, name in named_terms])
+    fused = act_group_ring(elem, p)
+    reference = _term_by_term(named_terms, p)
+    assert fused == reference and fused.cap == reference.cap
+    assert all(c for _, c in fused.terms())  # a sum that cancels drops its monomial
+    # negative control: the reference without one nonzero term differs
+    kept = [i for i, (n, _) in enumerate(named_terms) if n]
+    if p and kept:
+        i = kept[0]
+        assert fused != _term_by_term(named_terms[:i] + named_terms[i + 1:], p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(st.tuples(_atom_combinations, st.integers(-4, 4)), min_size=1, max_size=4),
+                 st.lists(st.tuples(_formal_elements, st.integers(-4, 4)), min_size=1, max_size=4)))
+def test_integer_coefficient_sum_equals_the_chained_sum(pairs):
+    kind = type(pairs[0][0])
+    chained = pairs[0][0] * pairs[0][1]
+    for c, n in pairs[1:]:
+        chained = chained + c * n
+    assert kind.linear_combination(pairs) == chained
+    # negative control: leaving out a pair that contributes changes the sum
+    contributing = [i for i, (c, n) in enumerate(pairs) if c and n]
+    if contributing:
+        i = contributing[0]
+        assert kind.linear_combination(pairs[:i] + pairs[i + 1:]) != chained
+
+
+def test_integer_coefficient_sums_that_cancel():
+    atoms = AtomCombination({((2, 0),): Fraction(1, 3), ((4, 0),): Fraction(-2, 5)})
+    assert AtomCombination.linear_combination([(atoms, 3), (atoms, -3)]) == {}
+    element = FormalElement([(G1(4, 0), Fraction(1, 2)), (GP(2, 2, 0, 0), 3)])
+    zero = FormalElement.linear_combination([(element, 2), (element, -2)])
+    assert not zero and zero.weight is None and zero.space == "E"
+    # on a series: 1 - epsilon kills an epsilon-symmetric one, and the monomials go
+    for c in (atoms, element):
+        p = MultiPoly({(1, 0, 0, 1): c, (0, 1, 1, 0): c}, 5)  # X1 Y2 + X2 Y1
+        assert not act_group_ring(1 - GroupRingElem.matrix(M["epsilon"]), p)._t
+        # control: 1 + epsilon doubles it
+        assert act_group_ring(1 + GroupRingElem.matrix(M["epsilon"]), p) == p * 2
+
+
+def test_combined_formal_elements_keep_the_checks_of_addition():
+    four, five = FormalElement.single(G1(4, 0)), FormalElement.single(G1(5, 0))
+    with pytest.raises(MixedWeightError):
+        FormalElement.linear_combination([(four, 1), (five, 2)])
+    with pytest.raises(MixedSpaceError):
+        FormalElement.linear_combination([(four, 1), (FormalElement.single(Z1(4)), 1)])
+    # on a series: epsilon moves X1 to X2, where the weight-5 coefficient stands
+    p = MultiPoly({(1, 0, 0, 0): four, (0, 1, 0, 0): five}, None)
+    with pytest.raises(MixedWeightError):
+        act_group_ring(1 + GroupRingElem.matrix(M["epsilon"]), p)
+    # controls: one matrix moves no coefficient onto another, and equal weights add
+    assert act_group_ring(GroupRingElem.matrix(M["epsilon"]), p).coefficient((0, 1, 0, 0)) == four
+    same = MultiPoly({(1, 0, 0, 0): four, (0, 1, 0, 0): four * 3}, None)
+    summed = act_group_ring(1 + GroupRingElem.matrix(M["epsilon"]), same)
+    assert summed == MultiPoly({(1, 0, 0, 0): four * 4, (0, 1, 0, 0): four * 4}, None)
 
 
 def test_divided_differences_are_epsilon_invariant():

@@ -336,7 +336,10 @@ def test_cache_dir_reaches_the_relation_systems(tmp_path, capsys, argv):
     (("reduce", "--expr", "G(2;0)"), "{file}", "{file}"),
     (("dimension", "--weights", "3", "--cache-dir", "{dir}"), None, "{dir}/relations_E_3.json"),
     (("cache", "clear", "--cache-dir", "{dir}"), None, "{dir}/relations_E_3.json"),
-], ids=["file-as-dir", "below-a-file", "env-file-as-dir", "dir-as-file", "clear-dir-as-file"])
+    (("cache", "status", "--cache-dir", "{file}"), None, "{file}"),
+    (("cache", "clear", "--cache-dir", "{file}"), None, "{file}"),
+], ids=["file-as-dir", "below-a-file", "env-file-as-dir", "dir-as-file", "clear-dir-as-file",
+        "status-file-as-dir", "clear-file-as-dir"])
 def test_unusable_cache_location_is_one_error_line(tmp_path, capsys, monkeypatch, argv, env, path):
     # a regular file where the cache directory should be, a path below it, and
     # a directory where a cache file should be
@@ -350,6 +353,47 @@ def test_unusable_cache_location_is_one_error_line(tmp_path, capsys, monkeypatch
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path.format(**places) in err
+
+
+def test_directory_at_a_cache_file_path_is_an_error_on_a_memo_hit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spaces, "_MEMO", {})
+    code, out, _ = invoke(capsys, "dimension", "--weights", "3", "--cache-dir", str(tmp_path))
+    assert code == 0 and out == "dim E_3 = 5\n"
+    # a memo hit makes one stat call, on the cache file
+    stats = []
+    real_stat = os.stat
+    monkeypatch.setattr(os, "stat", lambda *a, **k: stats.append(a[0]) or real_stat(*a, **k))
+    spaces.relation_system("E", 3, cache_dir=tmp_path)
+    monkeypatch.setattr(os, "stat", real_stat)
+    assert stats == [os.path.join(tmp_path, "relations_E_3.json")]
+    # the system stays in memory while a directory takes its file's place
+    path = tmp_path / "relations_E_3.json"
+    path.unlink()
+    path.mkdir()
+    code, out, err = invoke(capsys, "dimension", "--weights", "3", "--cache-dir", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    # control: a deleted file is written through again
+    path.rmdir()
+    code, _, _ = invoke(capsys, "dimension", "--weights", "3", "--cache-dir", str(tmp_path))
+    assert code == 0 and path.is_file()
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    # as in `doubleeis relations --weight 10 --format json | head -c 10`: the
+    # output (over 1 MB) outgrows the pipe, so the reader closes it mid-write
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), DOUBLEEIS_CACHE_DIR=str(tmp_path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "doubleeis.cli", "relations", "--weight", "10", "--format", "json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head == b'{\n  "space'
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [
