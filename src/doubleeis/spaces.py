@@ -5,22 +5,27 @@ reduced form of the double-shuffle relation rows; dimensions, membership
 tests and canonical normal forms all read off the reduced system.  Each
 rule is written once: a relation row is P(k1,k2;d1,d2) minus its
 harmonic-product or integral-shuffle expansion, and the zeta rows are the
-d = 0 case of the Eisenstein rows, with the kinds renamed.  Every
-relation row has one P(k1,k2;d1,d2) or ZP(k1,k2) term; the rows are
-reduced per block of equal k1 + k2, and the union of the blocks' reduced
-rows is reduced once more.  Each reduction takes the rows sparsest first
-and eliminates on sparse integer rows kept primitive (divided by the gcd
-of their entries).  The reduced form is unique once the basis order is
-fixed, so it does not depend on these choices: the blocks give the same
-rows as one reduction of all of them.  A system keeps each reduced row
-as integers over one denominator.  A normal form touches only the pivots
-present in the element, since the rows are fully reduced, sums over one
-common denominator and forms each coefficient once.  Built systems are immutable
-and memoized in-process; they can additionally be cached on disk as JSON
-keyed by (space, weight).  A cache file holds each row as the integers the
-system keeps, ``[pivot, den, [[j, num], ...]]``, with a digest of the basis
-and rows; both the digest and the reduced, primitive form of the rows are
-checked on reading.
+d = 0 case of the Eisenstein rows, with the kinds renamed.  One generator
+gives every row as integers over one denominator, straight from the two
+expansions: a build reduces those integers as they are, and the public
+rows (``eisenstein_relations``, ``zeta_relations``) divide them out, so
+their P coefficient is 1.  Every relation row has one P(k1,k2;d1,d2) or
+ZP(k1,k2) term; the rows are reduced per block of equal k1 + k2, and the
+union of the blocks' reduced rows is reduced once more.  Each reduction
+takes the rows sparsest first and eliminates on sparse integer rows,
+updated in place where the multiplier is 1 and made primitive (divided by
+the gcd of their entries) only when stored as a pivot row and after each
+back-substitution step.  The reduced form is unique once the basis order
+is fixed, so it does not depend on these choices: the blocks give the
+same rows as one reduction of all of them.  A system keeps each reduced
+row as integers over one denominator.  A normal form touches only the
+pivots present in the element, since the rows are fully reduced, sums
+over one common denominator and forms each coefficient once.  Built
+systems are immutable and memoized in-process; they can additionally be
+cached on disk as JSON keyed by (space, weight).  A cache file holds each
+row as the integers the system keeps, ``[pivot, den, [[j, num], ...]]``,
+with a digest of the basis and rows; both the digest and the reduced,
+primitive form of the rows are checked on reading.
 """
 
 from __future__ import annotations
@@ -116,48 +121,68 @@ def shuffle_expansion(k1: int, k2: int, d1: int, d2: int) -> list[tuple[GenId, i
     return terms
 
 
+def _integer_row(expansion, k1: int, k2: int, d1: int, d2: int) -> tuple[int, dict[GenId, int]]:
+    """P(k1,k2;d1,d2) minus an expansion of it, times the lcm ``den`` of the
+    expansion's denominators: ``(den, {generator: integer})``, the P entry den.
+    A generator named twice, as G(k,k;d,d) in a stuffle, gets one entry."""
+    terms = expansion(k1, k2, d1, d2)
+    den = lcm(*(c.denominator for _, c in terms))
+    row = {GP(k1, k2, d1, d2): den}
+    for g, c in terms:
+        row[g] = row.get(g, 0) - c.numerator * (den // c.denominator)
+    return den, row
+
+
+_ZETA_KIND = {"G1": Z1, "G2": Z2, "GP": ZP}
+
+
+def _relation_rows(space: str, weight: int):
+    """Every defining row of one weight of a space as ``(block, den, {g: n})``,
+    the row sum (n/den) g; block is the k1 + k2 of its one P(k1,k2;d1,d2) or
+    ZP(k1,k2) term.  Eisenstein: the stuffle and the shuffle row of every
+    depth-two index.  Zeta: the rows of P(k1,k2;0,0), k1 + k2 = weight, on
+    their terms with every d index 0, where G(k), G(k1,k2) and P(k1,k2)
+    become Z(k), Z(k1,k2) and ZP(k1,k2)."""
+    indices = (_depth2_indices(weight) if space == EISENSTEIN
+               else [(k1, weight - k1, 0, 0) for k1 in range(1, weight)])
+    for i in indices:
+        for expansion in (stuffle_expansion, shuffle_expansion):
+            den, row = _integer_row(expansion, *i)
+            if space == ZETA:
+                row = {_ZETA_KIND[g.kind](*g.args[:g.depth]): n
+                       for g, n in row.items() if not any(g.args[g.depth:])}
+            yield i[0] + i[1], den, row
+
+
+def _element(space: str, weight: int, den: int, row: dict[GenId, int]) -> FormalElement:
+    """The row ``{g: n}`` over ``den`` as an element of the space."""
+    return FormalElement._make(space, weight, {g: Fraction(n, den) for g, n in row.items()})
+
+
 def stuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
     """P(k1,k2;d1,d2) minus its harmonic-product expansion; zero in the space."""
-    return _product_minus(GP(k1, k2, d1, d2), stuffle_expansion(k1, k2, d1, d2))
+    return _element(EISENSTEIN, k1 + k2 + d1 + d2, *_integer_row(stuffle_expansion, k1, k2, d1, d2))
 
 
 def shuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
     """P(k1,k2;d1,d2) minus its integral-shuffle expansion; zero in the space."""
-    return _product_minus(GP(k1, k2, d1, d2), shuffle_expansion(k1, k2, d1, d2))
+    return _element(EISENSTEIN, k1 + k2 + d1 + d2, *_integer_row(shuffle_expansion, k1, k2, d1, d2))
 
 
-def _product_minus(product: GenId, expansion: list[tuple[GenId, int | Fraction]]) -> FormalElement:
-    return FormalElement([(product, 1)] + [(g, -c) for g, c in expansion])
+def _relations(space: str, weight: int) -> list[FormalElement]:
+    return [_element(space, weight, den, row) for _, den, row in _relation_rows(space, weight)]
 
 
 def eisenstein_relations(weight: int) -> list[FormalElement]:
     """Both defining rows for every depth-two index of one weight."""
-    return [row(*i) for i in _depth2_indices(weight) for row in (stuffle_row, shuffle_row)]
-
-
-_ZETA_KIND = {"G1": Z1, "G2": Z2, "GP": ZP}
+    return _relations(EISENSTEIN, weight)
 
 
 def zeta_relations(weight: int) -> list[FormalElement]:
     """Both defining rows for every (k1, k2) with k1 + k2 = weight: the rows of
     P(k1,k2;0,0) on their terms with every d index 0, where G(k), G(k1,k2) and
     P(k1,k2) become Z(k), Z(k1,k2) and ZP(k1,k2)."""
-    rows = []
-    for k1 in range(1, weight):
-        for row in (stuffle_row(k1, weight - k1, 0, 0), shuffle_row(k1, weight - k1, 0, 0)):
-            terms = []
-            for g, c in row._terms.items():
-                depth = len(g.args) // 2
-                if not any(g.args[depth:]):
-                    terms.append((_ZETA_KIND[g.kind](*g.args[:depth]), c))
-            rows.append(FormalElement(terms))
-    return rows
-
-
-def _relations(space: str, weight: int) -> list[FormalElement]:
-    """The defining rows of one weight of a space.  The two functions are looked
-    up in the module on each call, so a wrapper set on the module sees every row."""
-    return eisenstein_relations(weight) if space == EISENSTEIN else zeta_relations(weight)
+    return _relations(ZETA, weight)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -167,47 +192,57 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
-    """The primitive multiple of ``a*row - b*piv`` with column c cleared."""
+    """``a*row - b*piv`` with column c cleared, for the least a > 0 that keeps
+    it integral.  When a is 1 the row is updated in place and returned, so
+    ``row`` must be a dict the caller owns; else the result is a new dict.
+    The result is not made primitive."""
     g = gcd(piv[c], row[c])
     a, b = piv[c] // g, row[c] // g
-    out = {j: a * v for j, v in row.items() if j != c}
-    for j, v in piv.items():
-        if j != c:
-            w = out.get(j, 0) - b * v
-            if w:
-                out[j] = w
-            else:
-                del out[j]
-    return _primitive(out)
+    if a < 0:
+        a, b = -a, -b
+    out = row if a == 1 else {j: a * v for j, v in row.items()}
+    for j, v in piv.items():  # column c comes to 0 and is deleted too
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return out
 
 
 def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[int, int]]]:
     """Reduced row echelon form of sparse rows, pivoting on the first column.
 
-    The entries are Fractions or ints.  The rows are taken sparsest first
-    and eliminated as primitive integer rows.  The result maps each pivot,
-    in increasing order, to its row as ``(den, {j: num})``: the row is
-    e_pivot + sum_j (num/den) e_j, with den > 0.  The reduced form is unique
-    for the column order, so neither the row order nor the integer scaling
-    changes the result.
+    The entries are Fractions or ints; the input rows are left unchanged.
+    Each row is copied as an integer row over the lcm of its denominators,
+    the rows are taken sparsest first, and the copy is eliminated on
+    integers, in place where :func:`_eliminate` allows; it is made primitive
+    (divided by the gcd of its entries) only when it is stored as a pivot
+    row and after each back-substitution step.  The
+    result maps each pivot, in increasing order, to its row as
+    ``(den, {j: num})``: the row is e_pivot + sum_j (num/den) e_j, with
+    den > 0 and gcd(den, *num) = 1.  The reduced form is unique for the
+    column order, so neither the row order nor the integer scaling changes
+    the result.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=lambda r: (len(r), max(r, default=0))):
         den = lcm(*(v.denominator for v in row.values()))
-        row = _primitive({j: v.numerator * (den // v.denominator) for j, v in row.items()})
+        row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
         while row:
             c = min(row)
             piv = pivot_rows.get(c)
             if piv is None:
-                pivot_rows[c] = row
+                pivot_rows[c] = _primitive(row)
                 break
             row = _eliminate(row, piv, c)
-    # back-substitution: clear pivot columns from the other rows
-    for c in sorted(pivot_rows, reverse=True):
-        src = pivot_rows[c]
-        for p, row in pivot_rows.items():
-            if p < c and c in row:
-                pivot_rows[p] = _eliminate(row, src, c)
+    # back-substitution, last pivot first: the rows of the later pivots are
+    # reduced, so clearing the pivot columns a row has brings in no others
+    for p in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[p]
+        for c in [j for j in row if j != p and j in pivot_rows]:
+            row = _primitive(_eliminate(row, pivot_rows[c], c))
+        pivot_rows[p] = row
     out = {}
     for c, row in sorted(pivot_rows.items()):
         den = row.pop(c)
@@ -215,7 +250,7 @@ def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[in
     return out
 
 
-def _rref_blocks(blocks: Iterable[list[dict[int, Fraction]]]) -> dict[int, tuple[int, dict[int, int]]]:
+def _rref_blocks(blocks: Iterable[list[dict[int, Fraction | int]]]) -> dict[int, tuple[int, dict[int, int]]]:
     """:func:`_rref` of all the rows of some blocks, a partition of them.
 
     Each block is reduced apart; the union of the reduced rows, as integer
@@ -255,11 +290,9 @@ class RelationSystem:
         space = _space(space)
         basis = enumerate_generators(space, weight)
         index = {g: i for i, g in enumerate(basis)}
-        # each row has one P(k1,k2;d1,d2) or ZP(k1,k2) term; its k1 + k2 names the block
-        blocks: dict[int, list[dict[int, Fraction]]] = {}
-        for rel in _relations(space, weight):
-            k1, k2, *_ = next(g.args for g in rel._terms if g.kind in ("GP", "ZP"))
-            blocks.setdefault(k1 + k2, []).append({index[g]: c for g, c in rel._terms.items()})
+        blocks: dict[int, list[dict[int, int]]] = {}
+        for block, _, row in _relation_rows(space, weight):
+            blocks.setdefault(block, []).append({index[g]: n for g, n in row.items()})
         return cls(space, weight, basis, _rref_blocks(blocks.values()))
 
     @property
@@ -505,10 +538,10 @@ def relation_rows(space: str, weight: int, reduced: bool = False,
         return basis, dense
     index = {g: i for i, g in enumerate(basis)}
     dense = []
-    for rel in _relations(space, weight):
+    for _, den, row in _relation_rows(space, weight):
         vec = [Fraction(0)] * len(basis)
-        for g, c in rel._terms.items():
-            vec[index[g]] = c
+        for g, n in row.items():
+            vec[index[g]] = Fraction(n, den)
         dense.append(vec)
     return basis, dense
 

@@ -1,12 +1,14 @@
+import copy
 import hashlib
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from doubleeis import spaces
 from doubleeis.elements import (
     EISENSTEIN,
     ZETA,
@@ -172,8 +174,17 @@ _ROWS = st.lists(_ROW, max_size=8).flatmap(lambda rows: st.permutations(rows + r
 @example([{}, {0: _F(1)}, {}, {0: _F(1)}, {0: _F(1)}])  # zero and repeated rows
 @example([{0: _F(-3, 2), 2: _F(1, 3)}, {0: _F(-2, 5), 1: _F(7)}, {1: _F(-1, 6), 2: _F(-4)}])  # pivots < 0
 @example([{0: _F(2), 1: _F(-1)}, {1: _F(1, 2), 3: _F(3)}, {0: _F(2), 1: _F(-1, 2), 3: _F(3)}])  # rank 2
+@example([{0: 1, 1: 2}, {0: 1, 2: 3}, {1: -1, 2: 5}])  # int rows, eliminated with multiplier 1
+@example([{0: 2, 1: 4}, {0: 3, 2: -6}, {1: 2, 2: 2}, {0: -4, 3: 6}])  # int rows with content > 1
+@example([{0: 2, 1: _F(1, 2)}, {0: -1, 3: 3}, {1: _F(-2, 3), 3: 1}])  # ints and Fractions mixed
 def test_rref_equals_the_fraction_reference(rows):
     assert _fraction_rows(_rref(rows)) == _reference_rref(rows)
+
+
+_MIXED_ROW = st.dictionaries(st.integers(0, 7), st.one_of(
+    st.integers(-4, 4).filter(bool), st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+), max_size=4)
+_MIXED_ROWS = st.lists(_MIXED_ROW, max_size=8).flatmap(lambda rows: st.permutations(rows + rows[: len(rows) // 2]))
 
 
 def _grouped(rows):
@@ -193,6 +204,66 @@ def test_reducing_blocks_then_their_union_gives_the_reduced_form(case):
         rest = groups[:g] + groups[g + 1:]
         if len(_reference_rref([r for other in rest for r in other])) < len(_reference_rref(rows)):
             assert _rref_blocks(rest) != _rref(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MIXED_ROWS.flatmap(lambda rows: st.tuples(st.just(rows), _grouped(rows))))
+@example(([{0: 1, 1: 2}, {0: 1, 2: 3}, {1: 1}], [[{0: 1, 1: 2}, {0: 1, 2: 3}], [{1: 1}], []]))  # in-place steps
+def test_rref_leaves_its_input_rows_unchanged(case):
+    rows, groups = case
+    before = copy.deepcopy(case)
+    _rref(rows)
+    _rref_blocks(groups)
+    assert (rows, groups) == before
+
+
+@pytest.mark.parametrize("space, weights", [("E", range(1, 11)), ("Z", range(1, 17))])
+def test_build_rows_are_the_relation_rows_times_their_denominator(monkeypatch, space, weights):
+    built = []
+    monkeypatch.setattr(spaces, "_rref_blocks", lambda blocks: built.append([list(b) for b in blocks]) or {})
+    relations = eisenstein_relations if space == EISENSTEIN else zeta_relations
+    for weight in weights:
+        built.clear()
+        RelationSystem.build(space, weight)
+        index = {g: i for i, g in enumerate(enumerate_generators(space, weight))}
+        blocks = {}  # the public rows by the k1 + k2 of their P term, in order
+        for rel in relations(weight):
+            p = next(g for g in rel._terms if g.kind in ("GP", "ZP"))
+            assert rel.coefficient(p) == 1
+            blocks.setdefault(p.args[0] + p.args[1], []).append((index[p], rel))
+        assert [len(b) for b in built[0]] == [len(b) for b in blocks.values()]
+        for rows, pairs in zip(built[0], blocks.values()):
+            for row, (p, rel) in zip(rows, pairs):
+                den = row[p]
+                assert den == lcm(*(c.denominator for _, c in rel.terms()))
+                assert all(type(n) is int for n in row.values())
+                assert row == {index[g]: c * den for g, c in rel.terms()}
+
+
+@pytest.mark.parametrize("space, weight, index", [("E", 6, (2, 2, 1, 1)), ("Z", 7, (3, 4, 0, 0))])
+def test_a_perturbed_shuffle_coefficient_changes_the_reduced_rows(monkeypatch, space, weight, index):
+    # negative control for the build's rows: they come from shuffle_expansion
+    rows = RelationSystem.build(space, weight)._rows
+    shuffle_expansion = spaces.shuffle_expansion
+
+    def perturbed(*i):
+        terms = shuffle_expansion(*i)
+        if i == index:
+            (g, c), *rest = terms
+            terms = [(g, c + 1), *rest]
+        return terms
+
+    monkeypatch.setattr(spaces, "shuffle_expansion", perturbed)
+    assert RelationSystem.build(space, weight)._rows != rows
+
+
+def test_eisenstein_dimension_law():
+    # dim E_k = (k^3 + 8k)/12 for even k and (k^3 + 11k)/12 for odd k
+    dims = {k: relation_system("E", k).dimension for k in range(1, 17)}
+    for k, dim in dims.items():
+        assert 12 * dim == k**3 + (8 if k % 2 == 0 else 11) * k
+    # negative control: the odd-k law fails at every even k
+    assert all(12 * dims[k] != k**3 + 11 * k for k in range(2, 17, 2))
 
 
 def test_dimensions_to_weight_16():
