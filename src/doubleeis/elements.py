@@ -15,8 +15,10 @@ The text syntax of a generator is decided here, once: ``_FORMS`` gives each
 kind's text form, ``str(g)`` writes it, and ``GENERATOR_PATTERN`` reads it,
 for :func:`parse_genid` and for the expression parser alike.  Digits are
 ASCII; whitespace may stand inside the parentheses.  So are the monomial
-that carries a generator in the generating series and the linear extension
-of per-generator images that every linear map on generators uses.
+that carries a generator in the generating series, the linear extension
+of per-generator images that every linear map on generators uses, and the
+integer form of a map from keys to rationals (integer numerators over one
+denominator) in which the series code sums its map-valued coefficients.
 """
 
 from __future__ import annotations
@@ -192,7 +194,33 @@ def linear_extension(image: Callable, terms: Iterable[tuple[object, Fraction | i
     acc: dict = {}
     for h, n, d in parts:
         acc[h] = acc.get(h, 0) + n * (den // d)
-    return {h: Fraction(n, den) for h, n in acc.items() if n}
+    return fractions_over(acc, den)
+
+
+def integer_form(items: Iterable[tuple[object, Fraction | int]]) -> tuple[int, tuple[tuple[object, int], ...]]:
+    """(den, ((key, num), ...)): the (key, rational) pairs as integer numerators
+    over the lcm of their denominators, the form :func:`integer_combination` sums."""
+    items = tuple(items)
+    den = lcm(*(c.denominator for _, c in items))
+    return den, tuple((h, c.numerator * (den // c.denominator)) for h, c in items)
+
+
+def integer_combination(pairs: list[tuple[tuple, int]]) -> dict:
+    """The sum of n times each map over the (form, integer n) pairs, for forms
+    (den, ((key, num), ...), ...) of :func:`integer_form`, as a map from key to
+    nonzero total: summed as integers over one common denominator."""
+    den = lcm(*(f[0] for f, _ in pairs))
+    acc: dict = {}
+    for f, n in pairs:
+        n *= den // f[0]
+        for h, v in f[1]:
+            acc[h] = acc.get(h, 0) + n * v
+    return fractions_over(acc, den)
+
+
+def fractions_over(numerators: dict, den: int) -> dict:
+    """{key: num / den} for the nonzero integer numerators."""
+    return {h: Fraction(v, den) for h, v in numerators.items() if v}
 
 
 _INDEX = re.compile(r"[0-9]+")
@@ -295,14 +323,25 @@ class FormalElement:
         return len(self._terms)
 
     @classmethod
-    def linear_combination(cls, pairs: list[tuple["FormalElement", int]]) -> "FormalElement":
-        """The sum of n * e over the (element, integer) pairs, with the space and
-        weight checks of ``+``, summed on integers by :func:`linear_extension`."""
+    def integer_form(cls, e: "FormalElement") -> tuple:
+        """The terms of ``e`` in the :func:`integer_form` of its generators, then ``e``."""
+        return (*integer_form(e._terms.items()), e)
+
+    @classmethod
+    def form_sum(cls, pairs: list[tuple[tuple, int]]) -> "FormalElement":
+        """The sum of n * e over the (:meth:`integer_form` of e, integer n) pairs,
+        with the space and weight checks of ``+``, summed on integers by
+        :func:`integer_combination`."""
         space = weight = None
-        for e, _ in pairs:
-            space, weight = _joined(space, weight, e)
-        terms = linear_extension(lambda e: e._terms.items(), pairs)
+        for f, _ in pairs:
+            space, weight = _joined(space, weight, f[2])
+        terms = integer_combination(pairs)
         return cls._make(space, weight if terms else None, terms)
+
+    @classmethod
+    def linear_combination(cls, pairs: list[tuple["FormalElement", int]]) -> "FormalElement":
+        """The sum of n * e over the (element, integer) pairs, by :meth:`form_sum`."""
+        return cls.form_sum([(cls.integer_form(e), n) for e, n in pairs])
 
     def __add__(self, other) -> "FormalElement":
         if not isinstance(other, FormalElement):

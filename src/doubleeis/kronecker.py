@@ -16,30 +16,43 @@ Both are built once with :class:`AtomCombination` coefficients.  ``b2`` is
 built from P = b1(X1;Y1) b1(X2;Y2) and the divided differences R* and Rsh
 of b1, each acted on by its group-ring element in one pass
 (:meth:`.multipoly.MultiPoly.substitute_sum`): each monomial is expanded
-once for the whole element, and each coefficient of the image is summed
-once, on integers over one denominator
-(:meth:`AtomCombination.linear_combination`).
+once for the whole element, as an X factor times a Y factor, and each
+coefficient of the image is summed once, on integers over one denominator
+(:meth:`AtomCombination.form_sum`); products of series sum their
+coefficient products the same way (:meth:`AtomCombination.form_product_sum`).
+The action keeps each piece of one total degree apart, and the piece of
+degree n reads b1 only through degree n + 1, so a request for a larger
+degree builds only the pieces above the largest ``b2`` built so far.
 
 Like the maps of :mod:`.maps`, the realization caches one image per
 generator, its atom combination, and extends linearly by
 :func:`.elements.linear_extension`.  A combination is evaluated at the
 q-order asked for as the sum of product series times rationals, read from
-the one product cache of :mod:`.eisenstein`; the series hold integer
-numerators over one denominator, so their products and sums run on
-integers (see :mod:`.series`).  The cleared Fay sum is formed over the
-atoms in the same way; each coefficient is evaluated once, at the q-order
-asked for, which still bounds the comparison.
+the one product cache of :mod:`.eisenstein`, in one integer pass over one
+common denominator (:func:`.series.weighted_sum`).  The cleared Fay sum is
+formed over the atoms in the same way; each coefficient is evaluated once,
+at the q-order asked for, which still bounds the comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .action import GroupRingElem, MATRICES, act_group_ring
-from .eisenstein import derived_eisenstein, eisenstein_qexp, product_series
-from .elements import EISENSTEIN, FormalElement, G1, GenId, generating_monomial, linear_extension
+from .eisenstein import product_series
+from .elements import (
+    EISENSTEIN,
+    FormalElement,
+    G1,
+    GenId,
+    generating_monomial,
+    integer_combination,
+    integer_form,
+    linear_extension,
+    fractions_over,
+)
 from .maps import map_partial
 from .multipoly import (
     LinForm,
@@ -51,7 +64,7 @@ from .multipoly import (
     Y2,
     divided_difference,
 )
-from .series import QSeries
+from .series import QSeries, weighted_sum
 from .spaces import enumerate_generators
 
 
@@ -101,7 +114,7 @@ _TINV, _U, _EPS = _GR(MATRICES["T"].inverse()), _GR(MATRICES["U"]), _GR(MATRICES
 _B2_FORM = (4 + 4 * _TINV, -(5 - 3 * _U + _U * _EPS), -_TINV * (5 - 3 * _EPS + _U))
 
 
-def build_b2(b1, degree: int) -> MultiPoly:
+def build_b2(b1, degree: int, lowest: int = 0) -> MultiPoly:
     """Solve the double-shuffle system in depth two from an odd depth-one table.
 
     Returns (1/12) (P|(4 + 4T^-1) - R*|(5 - 3U + U epsilon)
@@ -111,11 +124,20 @@ def build_b2(b1, degree: int) -> MultiPoly:
     entries one degree beyond the requested output degree, because divided
     differences lower the exact degree by one.  The coefficients may be
     q-series or :class:`AtomCombination` values.
+
+    Only the pieces of total degree ``lowest`` through ``degree`` are built
+    and returned: the action keeps each piece's degree, so a piece needs
+    only the pieces of P, R* and Rsh of its own degree.
     """
     _require_odd(b1)
     if b1.cap is not None and b1.cap < degree + 1:
         raise ValueError(f"need depth-one entries to degree {degree + 1}, have {b1.cap}")
-    return double_shuffle_form(*_B2_FORM, pair_product(b1, degree), b1, degree) * Fraction(1, 12)
+    p = pair_product(b1, degree)
+    # the form is linear, so its inputs take the 1/12, and fewer terms are scaled;
+    # a divided difference lowers the degree by one
+    p = MultiPoly({k: c * Fraction(1, 12) for k, c in p._t.items() if sum(k) >= lowest}, p.cap)
+    t = MultiPoly({k: c * Fraction(1, 12) for k, c in b1._t.items() if sum(k) > lowest}, b1.cap)
+    return double_shuffle_form(*_B2_FORM, p, t, degree)
 
 
 # -- the symbolic b1 and b2 ----------------------------------------------------
@@ -134,10 +156,36 @@ class AtomCombination(dict):
     __slots__ = ()
 
     @classmethod
+    def integer_form(cls, c) -> tuple[int, tuple]:
+        """A combination, or a rational as a multiple of ``()``, as integer
+        numerators over one denominator (:func:`.elements.integer_form`)."""
+        return integer_form(c.items() if isinstance(c, AtomCombination) else (((), c),))
+
+    @classmethod
+    def form_sum(cls, pairs: list[tuple[tuple, int]]) -> "AtomCombination":
+        """The sum of n * c over the (:meth:`integer_form` of c, integer n) pairs,
+        summed on integers by :func:`.elements.integer_combination`."""
+        return cls(integer_combination(pairs))
+
+    @classmethod
+    def form_product_sum(cls, pairs: list[tuple[tuple, tuple]]) -> "AtomCombination":
+        """The sum of c1 * c2 over the pairs of their :meth:`integer_form`,
+        summed on integers over one common denominator."""
+        den = lcm(*(f1[0] * f2[0] for f1, f2 in pairs))
+        acc: dict = {}
+        for (d1, t1), (d2, t2) in pairs:
+            scale = den // (d1 * d2)
+            for m1, v1 in t1:
+                v1 *= scale
+                for m2, v2 in t2:
+                    m = tuple(sorted(m1 + m2))
+                    acc[m] = acc.get(m, 0) + v1 * v2
+        return cls(fractions_over(acc, den))
+
+    @classmethod
     def linear_combination(cls, pairs: list[tuple["AtomCombination", int]]) -> "AtomCombination":
-        """The sum of n * c over the (combination, integer) pairs, summed on
-        integers by :func:`.elements.linear_extension`."""
-        return cls(linear_extension(dict.items, pairs))
+        """The sum of n * c over the (combination, integer) pairs, by :meth:`form_sum`."""
+        return cls.form_sum([(cls.integer_form(c), n) for c, n in pairs])
 
     def __add__(self, other) -> "AtomCombination":
         if not isinstance(other, AtomCombination):
@@ -161,25 +209,13 @@ class AtomCombination(dict):
             if not other:
                 return AtomCombination()
             return AtomCombination({m: c * other for m, c in self.items()})
-        t = AtomCombination()
-        for m1, c1 in self.items():
-            for m2, c2 in other.items():
-                m = tuple(sorted(m1 + m2))
-                v = t.get(m, 0) + c1 * c2
-                if v:
-                    t[m] = v
-                else:
-                    t.pop(m, None)
-        return t
+        return AtomCombination.form_product_sum([(AtomCombination.integer_form(self), AtomCombination.integer_form(other))])
 
     __rmul__ = __mul__
 
     def evaluate(self, q_order: int) -> QSeries:
         """The combination as a q-series truncated at ``q_order``."""
-        total = QSeries.zero(q_order)
-        for m, c in self.items():
-            total = total + product_series(m, q_order) * c
-        return total
+        return weighted_sum(((product_series(m, q_order), c) for m, c in self.items()), q_order)
 
 
 @cache
@@ -195,7 +231,7 @@ def symbolic_b1(degree: int) -> MultiPoly:
 
 
 #: The largest symbolic b2 built so far; it serves every smaller degree, so
-#: a request builds only up to the degree it needs.
+#: a request builds only the pieces above it, up to the degree it needs.
 _symbolic_b2: MultiPoly | None = None
 
 
@@ -204,7 +240,8 @@ def symbolic_b2(degree: int) -> MultiPoly:
     global _symbolic_b2
     b2 = _symbolic_b2  # read once: another thread may replace it meanwhile
     if b2 is None or b2.cap < degree:
-        b2 = _symbolic_b2 = build_b2(symbolic_b1(degree + 1), degree)
+        top = build_b2(symbolic_b1(degree + 1), degree, 0 if b2 is None else b2.cap + 1)
+        b2 = _symbolic_b2 = top if b2 is None else MultiPoly({**b2._t, **top._t}, degree)
     return b2
 
 
@@ -367,7 +404,8 @@ def closed_form_depth2(k1: int, k2: int, q_order: int) -> QSeries:
     G_{l1} G_{l2}, the single series G_{k1+k2}, and first derivatives; the
     coefficients of the derivative terms involve 1/(k-2), so the weight-2
     case (k1 = k2 = 1) is taken from the harmonic-product row instead,
-    where it equals -G_2/2.
+    where it equals -G_2/2.  The combination is written over atoms and
+    evaluated as one :class:`AtomCombination`.
     """
     k = k1 + k2
     if k % 2:
@@ -375,28 +413,24 @@ def closed_form_depth2(k1: int, k2: int, q_order: int) -> QSeries:
     if min(k1, k2) < 1:
         raise ValueError("row indices must be >= 1")
     if k == 2:
-        return eisenstein_qexp(2, q_order) * Fraction(-1, 2)
+        return AtomCombination({((2, 0),): Fraction(-1, 2)}).evaluate(q_order)
 
-    def gprime(m: int) -> QSeries:
-        if m == 1:
-            return eisenstein_qexp(2, q_order)
-        return derived_eisenstein(m, 1, q_order)
+    def pair(a: int, b: int) -> tuple:  # G_a G_b
+        return tuple(sorted(((a, 0), (b, 0))))
+
+    def gprime(m: int) -> tuple:  # G_2 for m = 1, else q d/dq G_m
+        return ((2, 0),) if m == 1 else ((m, 1),)
 
     sign1 = (-1) ** k1
-    out = eisenstein_qexp(k1, q_order) * eisenstein_qexp(k2, q_order) * Fraction(1, 3)
-    for l1 in range(2, k - 1, 2):
-        l2 = k - l1
-        c = Fraction(sign1, 3) * comb(l2 - 1, k1 - 1)
-        if c:
-            out = out + eisenstein_qexp(l1, q_order) * eisenstein_qexp(l2, q_order) * c
-    c = Fraction(5 + 3 * sign1 * comb(k - 1, k1 - 1) - sign1 * comb(k - 1, k1), 12)
-    out = out - eisenstein_qexp(k, q_order) * c
+    terms = [(pair(k1, k2), Fraction(1, 3))]
+    terms += [(pair(l1, k - l1), Fraction(sign1, 3) * comb(k - l1 - 1, k1 - 1)) for l1 in range(2, k - 1, 2)]
+    terms.append((((k, 0),), -Fraction(5 + 3 * sign1 * comb(k - 1, k1 - 1) - sign1 * comb(k - 1, k1), 12)))
     if k2 == 1:
-        out = out - gprime(k1 - 1) * Fraction(5, 12 * (k1 - 1))
+        terms.append((gprime(k1 - 1), Fraction(-5, 12 * (k1 - 1))))
     if k1 == 1:
-        out = out + gprime(k2 - 1) * Fraction(1, 4 * (k2 - 1))
-    out = out + gprime(k - 2) * (Fraction((-1) ** k2, 12 * (k - 2)) * comb(k - 2, k1 - 1))
-    return out
+        terms.append((gprime(k2 - 1), Fraction(1, 4 * (k2 - 1))))
+    terms.append((gprime(k - 2), Fraction((-1) ** k2, 12 * (k - 2)) * comb(k - 2, k1 - 1)))
+    return AtomCombination(linear_extension(lambda m: ((m, 1),), terms)).evaluate(q_order)
 
 
 def check_derivation_diagram(weight: int, q_order: int) -> bool:

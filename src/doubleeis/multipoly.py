@@ -20,21 +20,29 @@ exact zero), so stored coefficients are always exact and no caller decides
 how far a product holds.
 
 A substitution is the one-term case of :meth:`MultiPoly.substitute_sum`, a
-sum of n times substitutions and so the group-ring action.  It expands each
-monomial once for the whole sum, into integers, and forms each output
-coefficient once from the (coefficient, integer n) pairs that land on its
-monomial.  A coefficient type whose values are maps from keys to rationals
-(:class:`.kronecker.AtomCombination`, :class:`.elements.FormalElement`)
-provides a classmethod ``linear_combination(pairs)`` that sums them as
-integer numerators over one common denominator, with one Fraction per key
-(:func:`.elements.linear_extension`); other coefficients are summed with
-their own ``*`` and ``+``.
+sum of n times substitutions and so the group-ring action.  Every image
+keeps the X and Y variables apart, as the matrices of the action and every
+t(x; y) do, so a monomial's image under one substitution is its X factor
+times its Y factor, each the image of a two-variable monomial; only those
+factors are cached.  Each monomial is expanded once for the whole sum, into
+integers, and each output coefficient is formed once from the
+(coefficient, integer n) pairs that land on its monomial; a product forms
+each of its coefficients once from the (coefficient, coefficient) pairs of
+the same monomial.  A coefficient type whose values are maps from keys to
+rationals (:class:`.kronecker.AtomCombination`,
+:class:`.elements.FormalElement`) provides a classmethod ``integer_form``,
+which writes one value as integer numerators over one denominator and is
+called once per coefficient of an operand, and ``form_sum`` (and, for
+products, ``form_product_sum``), which sum those forms on integers with one
+Fraction per key of the result; a rational beside such coefficients takes
+that type's ``integer_form`` too.  Other coefficients are summed with their
+own ``*`` and ``+``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Literal
 
 LinForm = tuple[int, int, int, int]
@@ -93,57 +101,75 @@ def match_signed_form(f: LinForm) -> tuple[int, int]:
     raise UnsupportedFormError(f"linear form {f} is outside the fixed denominator set")
 
 
-@lru_cache(maxsize=None)
-def _form_power(f: LinForm, e: int) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
-    """Expansion of f**e as ((exponent-vector, integer coefficient), ...)."""
-    if e == 0:
-        return (((0, 0, 0, 0), 1),)
-    prev = _form_power(f, e - 1)
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for exps, c in prev:
-        for i, fi in enumerate(f):
-            if fi:
-                key = tuple(v + (1 if j == i else 0) for j, v in enumerate(exps))
-                acc[key] = acc.get(key, 0) + c * fi
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+@cache
+def _block_power(f: tuple[int, int], g: tuple[int, int], a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """(f0 u + f1 v)^a (g0 u + g1 v)^b in two variables u, v, as ((i, j, integer), ...)
+    for its u^i v^j terms: the image of one block's monomial under a block substitution."""
+    if a == b == 0:
+        return ((0, 0, 1),)
+    (p, q), prev = (g, _block_power(f, g, a, b - 1)) if b else (f, _block_power(f, g, a - 1, 0))
+    acc: dict[tuple[int, int], int] = {}
+    for i, j, n in prev:
+        if p:
+            acc[i + 1, j] = acc.get((i + 1, j), 0) + n * p
+        if q:
+            acc[i, j + 1] = acc.get((i, j + 1), 0) + n * q
+    return tuple((i, j, n) for (i, j), n in acc.items() if n)
 
 
-@lru_cache(maxsize=None)
-def _expansion(
-    combo: tuple[tuple[int, tuple[LinForm, LinForm, LinForm, LinForm]], ...],
-    exps: tuple[int, int, int, int],
-) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
-    """Sum of n times the monomial with the given exponents under ``images``,
-    over the (n, images) of ``combo``, as ((exponent-vector, integer), ...).
+def _blocks(combo) -> tuple:
+    """Each (n, images) of ``combo`` as (n, X1, X2, Y1, Y2 images in two variables).
 
-    Every image is a linear form, so each term keeps the monomial's degree
-    and no cap enters the key.  Only the combined expansion is cached.
+    Raises ValueError unless the X images lie in X1, X2 and the Y images in
+    Y1, Y2, as for every matrix of the action and every t(x; y).
     """
+    out = []
+    for n, (x1, x2, y1, y2) in combo:
+        if any(x1[2:] + x2[2:] + y1[:2] + y2[:2]):
+            raise ValueError(f"the images {(x1, x2, y1, y2)} mix the X and Y variables")
+        out.append((n, x1[:2], x2[:2], y1[2:], y2[2:]))
+    return tuple(out)
+
+
+def _expansion(blocks: tuple, exps: tuple[int, int, int, int]) -> dict[tuple[int, int, int, int], int]:
+    """Sum of n times the monomial with the given exponents under each block
+    substitution of ``blocks`` (from :func:`_blocks`), as {exponents: integer}:
+    each term is its X factor times its Y factor, both from :func:`_block_power`."""
+    a, b, c, d = exps
     acc: dict[tuple[int, int, int, int], int] = {}
-    for n, images in combo:
-        part: dict[tuple[int, int, int, int], int] = {(0, 0, 0, 0): n}
-        for img, e in zip(images, exps):
-            if e == 0:
-                continue
-            factor = _form_power(img, e)
-            nxt: dict[tuple[int, int, int, int], int] = {}
-            for k1, c1 in part.items():
-                for k2, c2 in factor:
-                    key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                    nxt[key] = nxt.get(key, 0) + c1 * c2
-            part = nxt
-        for key, c in part.items():
-            acc[key] = acc.get(key, 0) + c
-    return tuple((k, v) for k, v in acc.items() if v)
+    for n, x1, x2, y1, y2 in blocks:
+        ys = _block_power(y1, y2, c, d)
+        for i, j, u in _block_power(x1, x2, a, b):
+            u *= n
+            for k, l, v in ys:
+                acc[i, j, k, l] = acc.get((i, j, k, l), 0) + u * v
+    return acc
 
 
-def _combiner(coefficients) -> Callable:
-    """How to sum (coefficient, integer) pairs of these coefficients: by the
-    ``linear_combination`` of their one type if it has one, else by * and +."""
-    kinds = {type(c) for c in coefficients}
-    if len(kinds) == 1 and hasattr(kind := kinds.pop(), "linear_combination"):
-        return kind.linear_combination
-    return lambda pairs: sum((c * n for c, n in pairs[1:]), pairs[0][0] * pairs[0][1])
+def _same(c):
+    return c
+
+
+def _sum_of_products(pairs: list):
+    """The sum of x * y over the pairs, by the coefficients' own * and +."""
+    return sum((x * y for x, y in pairs[1:]), pairs[0][0] * pairs[0][1])
+
+
+def _combiner(coefficients, method: str) -> tuple[Callable, Callable]:
+    """How to sum pairs of these coefficients: (prepare, combine), where each
+    coefficient is prepared once and ``combine`` sums a list of pairs of
+    prepared coefficients and integers (``method`` "form_sum") or of two
+    prepared coefficients (``method`` "form_product_sum").
+
+    When the coefficients other than rationals share one type that has
+    ``method``, it is that type's ``integer_form`` and ``method``, which sum
+    on integers; otherwise each coefficient is itself and pairs are summed
+    with * and +.
+    """
+    kinds = {type(c) for c in coefficients} - {int, Fraction}
+    if len(kinds) == 1 and hasattr(kind := kinds.pop(), method):
+        return kind.integer_form, getattr(kind, method)
+    return _same, _sum_of_products
 
 
 def _min_cap(a: int | None, b: int | None) -> int | None:
@@ -240,16 +266,18 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
             cap = _product_cap(self, other)
-            t: dict = {}
+            prepare, combine = _combiner([*self._t.values(), *other._t.values()], "form_product_sum")
+            right = [(k2, sum(k2), prepare(c2)) for k2, c2 in other._t.items()]
+            pairs: dict = {}
             for k1, c1 in self._t.items():
                 d1 = sum(k1)
-                for k2, c2 in other._t.items():
-                    if cap is not None and d1 + sum(k2) > cap:
+                f1 = prepare(c1)
+                for k2, d2, f2 in right:
+                    if cap is not None and d1 + d2 > cap:
                         continue
                     key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                    prod = c1 * c2
-                    t[key] = t[key] + prod if key in t else prod
-            return MultiPoly(t, cap)
+                    pairs.setdefault(key, []).append((f1, f2))
+            return MultiPoly({key: combine(ps) for key, ps in pairs.items()}, cap)
         # scalar
         if not other:
             return MultiPoly.zero(self.cap)
@@ -277,23 +305,20 @@ class MultiPoly:
         """Sum of n times the substitution of ``images`` over the (n, images) of
         ``combo``, in one pass: each monomial is expanded once for the whole
         sum, and each output coefficient is formed once from the
-        (coefficient, integer) pairs that land on its monomial."""
-        combo = tuple((n, tuple(tuple(f) for f in images)) for n, images in combo)
+        (coefficient, integer) pairs that land on its monomial.  The images
+        must keep the X and Y variables apart (:func:`_blocks`)."""
+        combo = tuple((n, tuple(map(tuple, images))) for n, images in combo)
         if combo == ((1, IDENTITY_IMAGES),):
             return self
+        blocks = _blocks(combo)
+        prepare, combine = _combiner(self._t.values(), "form_sum")
         pairs: dict = {}
         for exps, c in self._t.items():
-            for key, n in _expansion(combo, exps):
-                pairs.setdefault(key, []).append((c, n))
-        combine = _combiner(self._t.values())
-        t = {}
-        for key, ps in pairs.items():
-            if len(ps) > 1:
-                t[key] = combine(ps)
-            else:  # a lone coefficient is only scaled, and kept as it is for n = 1
-                c, n = ps[0]
-                t[key] = c if n == 1 else c * n
-        return MultiPoly(t, self.cap)
+            f = prepare(c)
+            for key, n in _expansion(blocks, exps).items():
+                if n:
+                    pairs.setdefault(key, []).append((f, n))
+        return MultiPoly({key: combine(ps) for key, ps in pairs.items()}, self.cap)
 
     def partial(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to variable index 0..3."""
@@ -329,9 +354,9 @@ def divided_difference(t: MultiPoly, mode: Literal["star", "shuffle"]) -> MultiP
     for (a, _, s, _), c in t._t.items():
         if swap:
             a, s = s, a
-        ypows = _form_power((0, 0, 1, 1), s)  # (Y1+Y2)^s
+        ypows = _block_power((1, 1), (0, 1), s, 0)  # (Y1+Y2)^s
         for i in range(a):
-            for (_, _, y1, y2), yc in ypows:
+            for y1, y2, yc in ypows:
                 terms.append(((y1, y2, i, a - 1 - i) if swap else (i, a - 1 - i, y1, y2), c * yc))
     return MultiPoly(terms, None if t.cap is None else t.cap - 1)
 

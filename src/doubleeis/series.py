@@ -187,6 +187,19 @@ class QSeries:
         return f"QSeries({self.to_text()!r})"
 
 
+def weighted_sum(terms: Iterable[tuple[QSeries, Fraction]], order: int) -> QSeries:
+    """The sum of c * s over the (series, rational c) pairs, each series of
+    order ``order``, in one pass: integer numerators over one common
+    denominator, reduced once."""
+    terms = [(s, c, s._d * c.denominator) for s, c in terms]
+    den = lcm(*(d for _, _, d in terms))
+    total = [0] * (order + 1)
+    for s, c, d in terms:
+        f = c.numerator * (den // d)
+        total = [a + f * b for a, b in zip(total, s._n)]
+    return _reduced(total, den)
+
+
 def cached_at_order(cache: dict, key, order: int, make) -> QSeries:
     """``cache[key]`` truncated at ``order``, from ``make(key, order)`` when missing or too short.
 

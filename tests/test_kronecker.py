@@ -558,3 +558,106 @@ def test_element_value_rejects_what_value_rejects():
     ctx = KroneckerRealization(5)
     with pytest.raises(ValueError):
         ctx.element_value(FormalElement.single(Z1(3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.just({}),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool).map(lambda c: {(): c}),
+        st.dictionaries(
+            st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2)), max_size=3).map(lambda m: tuple(sorted(m))),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+            max_size=6,
+        ),
+    ),
+    st.integers(0, 20),
+)
+def test_evaluate_equals_the_term_by_term_sum(terms, q_order):
+    def term_by_term(terms):
+        total = QSeries.zero(q_order)
+        for m, c in terms.items():
+            total = total + eisenstein.product_series(m, q_order) * c
+        return total
+
+    value = AtomCombination(terms).evaluate(q_order)
+    assert value.order == q_order
+    assert value == term_by_term(terms)
+    # negative control: leaving out a term changes the sum unless its series is zero
+    for m in terms:
+        if eisenstein.product_series(m, q_order):
+            assert value != term_by_term({k: c for k, c in terms.items() if k != m})
+            break
+
+
+_mixed_coefficients = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.dictionaries(st.sampled_from(((), ((2, 0),), ((4, 0),), ((2, 0), (4, 0)))),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+                    min_size=1, max_size=3).map(AtomCombination),
+)
+_mixed_polys = st.builds(
+    MultiPoly,
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _mixed_coefficients, max_size=5),
+    st.sampled_from((None, 3, 6)),
+)
+
+
+def _term_by_term_product(a, b):
+    """a * b one atom product at a time, each coefficient lifted to a combination."""
+    def lifted(c):
+        return c.items() if isinstance(c, AtomCombination) else [((), c)]
+
+    cap = (a * b).cap
+    total: dict = {}
+    for k1, c1 in a.terms():
+        for k2, c2 in b.terms():
+            key = tuple(u + v for u, v in zip(k1, k2))
+            if cap is None or sum(key) <= cap:
+                for m1, v1 in lifted(c1):
+                    for m2, v2 in lifted(c2):
+                        term = AtomCombination({tuple(sorted(m1 + m2)): v1 * v2})
+                        total[key] = total.get(key, AtomCombination()) + term
+    return {k: c for k, c in total.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_polys, _mixed_polys)
+def test_products_with_rational_and_atom_coefficients_equal_the_term_by_term_product(a, b):
+    product = a * b
+    assert all(c for _, c in product.terms())
+    expected = _term_by_term_product(a, b)
+    assert {k: AtomCombination() + c for k, c in product.terms()} == expected
+    # negative control: the product with one coefficient of b doubled differs
+    if a and b:
+        k, c = b.terms()[0]
+        doubled = MultiPoly({**b._t, k: c * 2}, b.cap)
+        if _term_by_term_product(a, doubled) != expected:
+            assert {k: AtomCombination() + c for k, c in (a * doubled).terms()} != expected
+
+
+def test_products_drop_the_terms_that_cancel():
+    g2 = AtomCombination({((2, 0),): Fraction(1)})
+    a = MultiPoly({(1, 0, 0, 0): g2, (0, 1, 0, 0): Fraction(1, 2)}, None)  # g2 X1 + X2/2
+    c = MultiPoly({(1, 0, 0, 0): -g2, (0, 1, 0, 0): Fraction(1, 2)}, None)  # -g2 X1 + X2/2
+    # the X1 X2 contributions g2/2 and -g2/2 cancel, and the monomial goes;
+    # the rational 1/4 is a multiple of the empty monomial
+    product = a * c
+    assert product._t == {(2, 0, 0, 0): AtomCombination({((2, 0), (2, 0)): Fraction(-1)}),
+                          (0, 2, 0, 0): AtomCombination({(): Fraction(1, 4)})}
+    # control: with the sign of g2 X1 in c flipped the X1 X2 terms add up instead
+    flipped = a * MultiPoly({(1, 0, 0, 0): g2, (0, 1, 0, 0): Fraction(1, 2)}, None)
+    assert flipped.coefficient((1, 1, 0, 0)) == g2
+
+
+def test_b2_grown_piece_by_piece_equals_one_build(monkeypatch):
+    monkeypatch.setattr(kronecker, "_symbolic_b2", None)
+    for degree in (2, 3, 6, 9):
+        grown = symbolic_b2(degree)
+    whole = build_b2(symbolic_b1(10), 9)
+    assert grown.cap == whole.cap == 9
+    assert grown._t == whole._t
+    top = build_b2(symbolic_b1(10), 9, 7)
+    assert top._t == {k: c for k, c in whole._t.items() if sum(k) >= 7}
+    # control: the pieces above 6 alone miss the lower ones
+    assert any(sum(k) < 7 for k in whole._t) and top._t != whole._t

@@ -231,3 +231,58 @@ def test_cross_multiplied_fractions_keep_their_exactness():
     )
     assert lhs != rhs
     assert lhs == RationalFunction4(MultiPoly.monomial((2, 1, 0, 0), Fraction(1), 3), {1: 1})
+
+
+# -- the factored expansion: X factor times Y factor per matrix term ------------
+
+_gl2_words = st.lists(st.sampled_from(("S", "T", "U", "epsilon", "delta", "sigma")), max_size=4)
+_gl2_group_ring = st.lists(st.tuples(st.integers(-3, 3), _gl2_words), min_size=1, max_size=3)
+
+
+def _word_images(word):
+    m = MATRICES["1"]
+    for letter in word:
+        m = m * MATRICES[letter]
+    return m.images()
+
+
+def _reference_substitution(combo, p):
+    """The sum of n * c * prod(image_i ** e_i) over the (n, images) of combo and
+    the terms c X^e of p, with each power a product of ``MultiPoly.from_form``."""
+    total = MultiPoly.zero(None)
+    for n, images in combo:
+        for exps, c in p.terms():
+            term = MultiPoly.monomial((0, 0, 0, 0), c * n)
+            for form, e in zip(images, exps):
+                for _ in range(e):
+                    term = term * MultiPoly.from_form(form)
+            total = total + term
+    return total.truncate(p.cap) if p.cap is not None else total
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gl2_group_ring, st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4),
+                                        st.integers(-4, 4).map(Fraction), max_size=5),
+       st.sampled_from((None, 5, 8)))
+def test_factored_expansion_equals_the_power_product_reference(words, terms, cap):
+    combo = [(n, _word_images(word)) for n, word in words]
+    p = MultiPoly(terms, cap)
+    image = p.substitute_sum(combo)
+    reference = _reference_substitution(combo, p)
+    assert image == reference and image.cap == p.cap
+    assert all(c for _, c in image.terms())
+    # negative control: changing the first multiplicity changes a nonzero image
+    if p and combo[0][0]:
+        n, images = combo[0]
+        assert image != _reference_substitution([(n + 1, images)] + combo[1:], p)
+
+
+def test_an_image_that_mixes_the_blocks_is_rejected():
+    p = MultiPoly({(1, 0, 1, 0): Fraction(1)}, 4)
+    with pytest.raises(ValueError, match="mix the X and Y"):
+        p.substitute(((1, 0, 1, 0), X2, Y1, Y2))  # X1 -> X1 + Y1
+    with pytest.raises(ValueError, match="mix the X and Y"):
+        p.substitute_sum([(1, MATRICES["T"].images()), (2, (X1, X2, (0, 1, 1, 0), Y2))])
+    # control: the same images kept in their blocks are accepted
+    assert p.substitute(((1, 1, 0, 0), X2, Y1, Y2)) == MultiPoly(
+        {(1, 0, 1, 0): Fraction(1), (0, 1, 1, 0): Fraction(1)}, 4)
