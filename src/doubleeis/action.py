@@ -30,6 +30,7 @@ from .multipoly import (
     RationalFunction4,
     compose_form,
     match_signed_form,
+    substitute_sums,
 )
 
 
@@ -222,12 +223,25 @@ def act_group_ring(elem, obj):
     """
     elem = _coerce_group_ring(elem)
     if isinstance(obj, MultiPoly):
-        return obj.substitute_sum((coeff, matrix.images()) for coeff, matrix in elem.terms)
+        return obj.substitute_sum(_images(elem))
     result = None
     for coeff, matrix in elem.terms:
         piece = act(matrix, obj) * coeff
         result = piece if result is None else result + piece
     return RationalFunction4(MultiPoly.zero(obj.num.cap), {}) if result is None else result
+
+
+def act_group_ring_sum(pairs) -> MultiPoly:
+    """The sum of ``act_group_ring(elem, p)`` over the (elem, p) pairs of
+    group-ring elements and MultiPolys, exact through the smallest cap, in
+    one pass: each coefficient of the sum is formed once
+    (:func:`~doubleeis.multipoly.substitute_sums`)."""
+    return substitute_sums([(p, _images(_coerce_group_ring(elem))) for elem, p in pairs])
+
+
+def _images(elem: GroupRingElem) -> list:
+    """The (integer, images of X1, X2, Y1, Y2) of each term of ``elem``."""
+    return [(coeff, matrix.images()) for coeff, matrix in elem.terms]
 
 
 # -- the text grammar of group-ring elements ---------------------------------

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .series import QSeries, cached_at_order
+from .series import QSeries, _reduced, cached_at_order
 from .spaces import _rref
 
 
@@ -55,13 +55,13 @@ def eisenstein_qexp(k: int, n_order: int) -> QSeries:
         raise ValueError("weight must be >= 1")
     if k % 2:
         return QSeries.zero(n_order)
-    coeffs = [Fraction(0)] * (n_order + 1)
-    coeffs[0] = -bernoulli(k) / (2 * factorial(k))
-    inv = Fraction(1, factorial(k - 1))
-    sig = divisor_power_sums(k - 1, n_order)
-    for n in range(1, n_order + 1):
-        coeffs[n] = sig[n] * inv
-    return QSeries(coeffs)
+    # integer numerators over the lcm of the two denominators
+    c0 = -bernoulli(k) / (2 * factorial(k))
+    den = lcm(c0.denominator, factorial(k - 1))
+    scale = den // factorial(k - 1)
+    numerators = [sig * scale for sig in divisor_power_sums(k - 1, n_order)]
+    numerators[0] = c0.numerator * (den // c0.denominator)
+    return _reduced(numerators, den)
 
 
 def derived_eisenstein(k: int, m: int, n_order: int) -> QSeries:

@@ -17,8 +17,9 @@ for :func:`parse_genid` and for the expression parser alike.  Digits are
 ASCII; whitespace may stand inside the parentheses.  So are the monomial
 that carries a generator in the generating series, the linear extension
 of per-generator images that every linear map on generators uses, and the
-integer form of a map from keys to rationals (integer numerators over one
-denominator) in which the series code sums its map-valued coefficients.
+sum of products of maps from keys to rationals (:func:`product_sum`) by
+which the series code sums its map-valued coefficients; both sum as
+integer numerators over one common denominator, one Fraction per key.
 """
 
 from __future__ import annotations
@@ -187,40 +188,53 @@ def linear_extension(image: Callable, terms: Iterable[tuple[object, Fraction | i
     """The sum of c * image(x) over the (x, c) of ``terms``, for images of
     (key, rational) pairs and rational or integer c, as a map from key to
     nonzero total: the products are summed as integers over one common
-    denominator, each total a Fraction once."""
+    denominator, each total a Fraction once, as in :func:`product_sum`.
+
+    The images are read as rationals here rather than as integer forms:
+    each image is used once per call, so forming it would cost more than
+    it saves."""
     parts = [(h, c.numerator * w.numerator, c.denominator * w.denominator)
              for x, c in terms for h, w in image(x)]
     den = lcm(*(d for _, _, d in parts))
     acc: dict = {}
     for h, n, d in parts:
         acc[h] = acc.get(h, 0) + n * (den // d)
-    return fractions_over(acc, den)
+    return {h: Fraction(n, den) for h, n in acc.items() if n}
 
 
-def integer_form(items: Iterable[tuple[object, Fraction | int]]) -> tuple[int, tuple[tuple[object, int], ...]]:
-    """(den, ((key, num), ...)): the (key, rational) pairs as integer numerators
-    over the lcm of their denominators, the form :func:`integer_combination` sums."""
+def integer_form(value, items: Iterable[tuple[object, Fraction | int]] | None = None) -> tuple:
+    """(den, ((key, num), ...), value): the (key, rational) pairs of ``items``
+    as integer numerators over the lcm of their denominators, the form that
+    :func:`product_sum` multiplies.  ``items`` are the terms of the map
+    ``value``; without them ``value`` is a rational, the one-key map
+    {(): value} of the unit key ()."""
+    if items is None:
+        return value.denominator, (((), value.numerator),), value
     items = tuple(items)
     den = lcm(*(c.denominator for _, c in items))
-    return den, tuple((h, c.numerator * (den // c.denominator)) for h, c in items)
+    return den, tuple((h, c.numerator * (den // c.denominator)) for h, c in items), value
 
 
-def integer_combination(pairs: list[tuple[tuple, int]]) -> dict:
-    """The sum of n times each map over the (form, integer n) pairs, for forms
-    (den, ((key, num), ...), ...) of :func:`integer_form`, as a map from key to
-    nonzero total: summed as integers over one common denominator."""
-    den = lcm(*(f[0] for f, _ in pairs))
+def product_sum(pairs: list[tuple[tuple, tuple]]) -> dict:
+    """The sum of a * b over the pairs of forms of :func:`integer_form`, as a
+    map from key to nonzero total: the products are summed as integers over
+    one common denominator, each total a Fraction once.  A product of two
+    terms has the sorted join of their keys; the unit key () leaves the other
+    key as it is, so a sum of n * c is the product sum with n as a form."""
+    den = lcm(*(a[0] * b[0] for a, b in pairs))
     acc: dict = {}
-    for f, n in pairs:
-        n *= den // f[0]
-        for h, v in f[1]:
-            acc[h] = acc.get(h, 0) + n * v
-    return fractions_over(acc, den)
-
-
-def fractions_over(numerators: dict, den: int) -> dict:
-    """{key: num / den} for the nonzero integer numerators."""
-    return {h: Fraction(v, den) for h, v in numerators.items() if v}
+    for (d1, t1, _), (d2, t2, _) in pairs:
+        scale = den // (d1 * d2)
+        for h2, v2 in t2:
+            v2 *= scale
+            if not h2:
+                for h1, v1 in t1:
+                    acc[h1] = acc.get(h1, 0) + v1 * v2
+                continue
+            for h1, v1 in t1:
+                h = tuple(sorted(h1 + h2)) if h1 else h2
+                acc[h] = acc.get(h, 0) + v1 * v2
+    return {h: Fraction(v, den) for h, v in acc.items() if v}
 
 
 _INDEX = re.compile(r"[0-9]+")
@@ -323,25 +337,28 @@ class FormalElement:
         return len(self._terms)
 
     @classmethod
-    def integer_form(cls, e: "FormalElement") -> tuple:
-        """The terms of ``e`` in the :func:`integer_form` of its generators, then ``e``."""
-        return (*integer_form(e._terms.items()), e)
+    def integer_form(cls, e) -> tuple:
+        """An element, or a rational, in the :func:`integer_form` that
+        :meth:`product_sum` sums."""
+        return integer_form(e, e._terms.items()) if isinstance(e, FormalElement) else integer_form(e)
 
     @classmethod
-    def form_sum(cls, pairs: list[tuple[tuple, int]]) -> "FormalElement":
-        """The sum of n * e over the (:meth:`integer_form` of e, integer n) pairs,
-        with the space and weight checks of ``+``, summed on integers by
-        :func:`integer_combination`."""
+    def product_sum(cls, pairs: list[tuple[tuple, tuple]]) -> "FormalElement":
+        """The sum of a * b over the pairs of :meth:`integer_form` of an element
+        and a rational, with the space and weight checks of ``+``, summed on
+        integers by :func:`product_sum`."""
         space = weight = None
-        for f, _ in pairs:
-            space, weight = _joined(space, weight, f[2])
-        terms = integer_combination(pairs)
+        for pair in pairs:
+            for f in pair:
+                if isinstance(f[2], FormalElement):
+                    space, weight = _joined(space, weight, f[2])
+        terms = product_sum(pairs)
         return cls._make(space, weight if terms else None, terms)
 
     @classmethod
     def linear_combination(cls, pairs: list[tuple["FormalElement", int]]) -> "FormalElement":
-        """The sum of n * e over the (element, integer) pairs, by :meth:`form_sum`."""
-        return cls.form_sum([(cls.integer_form(e), n) for e, n in pairs])
+        """The sum of n * e over the (element, integer) pairs, by :meth:`product_sum`."""
+        return cls.product_sum([(cls.integer_form(e), cls.integer_form(n)) for e, n in pairs])
 
     def __add__(self, other) -> "FormalElement":
         if not isinstance(other, FormalElement):

@@ -14,13 +14,13 @@ in the quasimodular ring.  Taking constant terms gives the rational
 combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
 Both are built once with :class:`AtomCombination` coefficients.  ``b2`` is
 built from P = b1(X1;Y1) b1(X2;Y2) and the divided differences R* and Rsh
-of b1, each acted on by its group-ring element in one pass
-(:meth:`.multipoly.MultiPoly.substitute_sum`): each monomial is expanded
-once for the whole element, as an X factor times a Y factor, and each
-coefficient of the image is summed once, on integers over one denominator
-(:meth:`AtomCombination.form_sum`); products of series sum their
-coefficient products the same way (:meth:`AtomCombination.form_product_sum`).
-The action keeps each piece of one total degree apart, and the piece of
+of b1, the three acted on by their group-ring elements in one pass
+(:func:`.action.act_group_ring_sum`): each monomial is expanded once for
+its whole element, as an X factor times a Y factor, and each coefficient
+of the sum is formed once, on integers over one denominator
+(:meth:`AtomCombination.product_sum`, with each integer as a one-term
+combination); products of series sum their coefficient products the same
+way.  The action keeps each piece of one total degree apart, and the piece of
 degree n reads b1 only through degree n + 1, so a request for a larger
 degree builds only the pieces above the largest ``b2`` built so far.
 
@@ -38,20 +38,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
-from .action import GroupRingElem, MATRICES, act_group_ring
-from .eisenstein import product_series
+from .action import GroupRingElem, MATRICES, act_group_ring, act_group_ring_sum
+from .eisenstein import derived_eisenstein, eisenstein_qexp, product_series
 from .elements import (
     EISENSTEIN,
     FormalElement,
     G1,
     GenId,
     generating_monomial,
-    integer_combination,
     integer_form,
     linear_extension,
-    fractions_over,
+    product_sum,
 )
 from .maps import map_partial
 from .multipoly import (
@@ -91,11 +90,12 @@ def _require_odd(b1: MultiPoly):
         raise ValueError(f"depth-one table must be odd; even-degree entries at {sorted(bad)[:3]}")
 
 
-def pair_product(b1, degree: int | None = None) -> MultiPoly:
-    """b1(X1; Y1) * b1(X2; Y2) as a four-variable series, exact through ``degree``."""
+def pair_product(b1, degree: int | None = None, lowest: int = 0) -> MultiPoly:
+    """b1(X1; Y1) * b1(X2; Y2) as a four-variable series, exact through ``degree``,
+    with only its pieces of total degree ``lowest`` and up."""
     if degree is not None:
         b1 = b1.truncate(max(degree - 1, 0))  # each factor of an odd table starts in degree 1
-    return b1 * _at(b1, X2, Y2)
+    return b1.product(_at(b1, X2, Y2), lowest)
 
 
 def double_shuffle_form(a, b, c, p: MultiPoly, t: MultiPoly, degree: int | None = None) -> MultiPoly:
@@ -105,7 +105,7 @@ def double_shuffle_form(a, b, c, p: MultiPoly, t: MultiPoly, degree: int | None 
     of the parity identity of :mod:`.identities`."""
     rstar = divided_difference(t, "star").truncate(degree)
     rshuffle = divided_difference(t, "shuffle").truncate(degree)
-    return act_group_ring(a, p) + act_group_ring(b, rstar) + act_group_ring(c, rshuffle)
+    return act_group_ring_sum(((a, p), (b, rstar), (c, rshuffle)))
 
 
 _GR = GroupRingElem.matrix
@@ -132,10 +132,9 @@ def build_b2(b1, degree: int, lowest: int = 0) -> MultiPoly:
     _require_odd(b1)
     if b1.cap is not None and b1.cap < degree + 1:
         raise ValueError(f"need depth-one entries to degree {degree + 1}, have {b1.cap}")
-    p = pair_product(b1, degree)
     # the form is linear, so its inputs take the 1/12, and fewer terms are scaled;
     # a divided difference lowers the degree by one
-    p = MultiPoly({k: c * Fraction(1, 12) for k, c in p._t.items() if sum(k) >= lowest}, p.cap)
+    p = pair_product(b1, degree, lowest) * Fraction(1, 12)
     t = MultiPoly({k: c * Fraction(1, 12) for k, c in b1._t.items() if sum(k) > lowest}, b1.cap)
     return double_shuffle_form(*_B2_FORM, p, t, degree)
 
@@ -156,36 +155,21 @@ class AtomCombination(dict):
     __slots__ = ()
 
     @classmethod
-    def integer_form(cls, c) -> tuple[int, tuple]:
-        """A combination, or a rational as a multiple of ``()``, as integer
-        numerators over one denominator (:func:`.elements.integer_form`)."""
-        return integer_form(c.items() if isinstance(c, AtomCombination) else (((), c),))
+    def integer_form(cls, c) -> tuple:
+        """A combination, or a rational as a multiple of ``()``, in the
+        :func:`.elements.integer_form` that :meth:`product_sum` sums."""
+        return integer_form(c, c.items()) if isinstance(c, AtomCombination) else integer_form(c)
 
     @classmethod
-    def form_sum(cls, pairs: list[tuple[tuple, int]]) -> "AtomCombination":
-        """The sum of n * c over the (:meth:`integer_form` of c, integer n) pairs,
-        summed on integers by :func:`.elements.integer_combination`."""
-        return cls(integer_combination(pairs))
-
-    @classmethod
-    def form_product_sum(cls, pairs: list[tuple[tuple, tuple]]) -> "AtomCombination":
-        """The sum of c1 * c2 over the pairs of their :meth:`integer_form`,
-        summed on integers over one common denominator."""
-        den = lcm(*(f1[0] * f2[0] for f1, f2 in pairs))
-        acc: dict = {}
-        for (d1, t1), (d2, t2) in pairs:
-            scale = den // (d1 * d2)
-            for m1, v1 in t1:
-                v1 *= scale
-                for m2, v2 in t2:
-                    m = tuple(sorted(m1 + m2))
-                    acc[m] = acc.get(m, 0) + v1 * v2
-        return cls(fractions_over(acc, den))
+    def product_sum(cls, pairs: list[tuple[tuple, tuple]]) -> "AtomCombination":
+        """The sum of a * b over the pairs of :meth:`integer_form`, summed on
+        integers by :func:`.elements.product_sum`."""
+        return cls(product_sum(pairs))
 
     @classmethod
     def linear_combination(cls, pairs: list[tuple["AtomCombination", int]]) -> "AtomCombination":
-        """The sum of n * c over the (combination, integer) pairs, by :meth:`form_sum`."""
-        return cls.form_sum([(cls.integer_form(c), n) for c, n in pairs])
+        """The sum of n * c over the (combination, integer) pairs, by :meth:`product_sum`."""
+        return cls.product_sum([(cls.integer_form(c), cls.integer_form(n)) for c, n in pairs])
 
     def __add__(self, other) -> "AtomCombination":
         if not isinstance(other, AtomCombination):
@@ -209,7 +193,7 @@ class AtomCombination(dict):
             if not other:
                 return AtomCombination()
             return AtomCombination({m: c * other for m, c in self.items()})
-        return AtomCombination.form_product_sum([(AtomCombination.integer_form(self), AtomCombination.integer_form(other))])
+        return AtomCombination(product_sum([(integer_form(self, self.items()), integer_form(other, other.items()))]))
 
     __rmul__ = __mul__
 
@@ -404,8 +388,7 @@ def closed_form_depth2(k1: int, k2: int, q_order: int) -> QSeries:
     G_{l1} G_{l2}, the single series G_{k1+k2}, and first derivatives; the
     coefficients of the derivative terms involve 1/(k-2), so the weight-2
     case (k1 = k2 = 1) is taken from the harmonic-product row instead,
-    where it equals -G_2/2.  The combination is written over atoms and
-    evaluated as one :class:`AtomCombination`.
+    where it equals -G_2/2.
     """
     k = k1 + k2
     if k % 2:
@@ -413,24 +396,28 @@ def closed_form_depth2(k1: int, k2: int, q_order: int) -> QSeries:
     if min(k1, k2) < 1:
         raise ValueError("row indices must be >= 1")
     if k == 2:
-        return AtomCombination({((2, 0),): Fraction(-1, 2)}).evaluate(q_order)
+        return eisenstein_qexp(2, q_order) * Fraction(-1, 2)
 
-    def pair(a: int, b: int) -> tuple:  # G_a G_b
-        return tuple(sorted(((a, 0), (b, 0))))
-
-    def gprime(m: int) -> tuple:  # G_2 for m = 1, else q d/dq G_m
-        return ((2, 0),) if m == 1 else ((m, 1),)
+    def gprime(m: int) -> QSeries:
+        if m == 1:
+            return eisenstein_qexp(2, q_order)
+        return derived_eisenstein(m, 1, q_order)
 
     sign1 = (-1) ** k1
-    terms = [(pair(k1, k2), Fraction(1, 3))]
-    terms += [(pair(l1, k - l1), Fraction(sign1, 3) * comb(k - l1 - 1, k1 - 1)) for l1 in range(2, k - 1, 2)]
-    terms.append((((k, 0),), -Fraction(5 + 3 * sign1 * comb(k - 1, k1 - 1) - sign1 * comb(k - 1, k1), 12)))
+    out = eisenstein_qexp(k1, q_order) * eisenstein_qexp(k2, q_order) * Fraction(1, 3)
+    for l1 in range(2, k - 1, 2):
+        l2 = k - l1
+        c = Fraction(sign1, 3) * comb(l2 - 1, k1 - 1)
+        if c:
+            out = out + eisenstein_qexp(l1, q_order) * eisenstein_qexp(l2, q_order) * c
+    c = Fraction(5 + 3 * sign1 * comb(k - 1, k1 - 1) - sign1 * comb(k - 1, k1), 12)
+    out = out - eisenstein_qexp(k, q_order) * c
     if k2 == 1:
-        terms.append((gprime(k1 - 1), Fraction(-5, 12 * (k1 - 1))))
+        out = out - gprime(k1 - 1) * Fraction(5, 12 * (k1 - 1))
     if k1 == 1:
-        terms.append((gprime(k2 - 1), Fraction(1, 4 * (k2 - 1))))
-    terms.append((gprime(k - 2), Fraction((-1) ** k2, 12 * (k - 2)) * comb(k - 2, k1 - 1)))
-    return AtomCombination(linear_extension(lambda m: ((m, 1),), terms)).evaluate(q_order)
+        out = out + gprime(k2 - 1) * Fraction(1, 4 * (k2 - 1))
+    out = out + gprime(k - 2) * (Fraction((-1) ** k2, 12 * (k - 2)) * comb(k - 2, k1 - 1))
+    return out
 
 
 def check_derivation_diagram(weight: int, q_order: int) -> bool:

@@ -20,7 +20,9 @@ exact zero), so stored coefficients are always exact and no caller decides
 how far a product holds.
 
 A substitution is the one-term case of :meth:`MultiPoly.substitute_sum`, a
-sum of n times substitutions and so the group-ring action.  Every image
+sum of n times substitutions and so the group-ring action, which in turn
+is the one-part case of :func:`substitute_sums`, a sum of such sums over
+several series.  Every image
 keeps the X and Y variables apart, as the matrices of the action and every
 t(x; y) do, so a monomial's image under one substitution is its X factor
 times its Y factor, each the image of a two-variable monomial; only those
@@ -30,12 +32,12 @@ integers, and each output coefficient is formed once from the
 each of its coefficients once from the (coefficient, coefficient) pairs of
 the same monomial.  A coefficient type whose values are maps from keys to
 rationals (:class:`.kronecker.AtomCombination`,
-:class:`.elements.FormalElement`) provides a classmethod ``integer_form``,
-which writes one value as integer numerators over one denominator and is
-called once per coefficient of an operand, and ``form_sum`` (and, for
-products, ``form_product_sum``), which sum those forms on integers with one
-Fraction per key of the result; a rational beside such coefficients takes
-that type's ``integer_form`` too.  Other coefficients are summed with their
+:class:`.elements.FormalElement`) provides two classmethods:
+``integer_form`` writes one value, or a rational beside such values, as
+integer numerators over one denominator, once per coefficient of an
+operand, and ``product_sum`` sums x * y over pairs of such forms on
+integers, with one Fraction per key of the result
+(:func:`.elements.product_sum`).  Other coefficients are summed with their
 own ``*`` and ``+``.
 """
 
@@ -155,20 +157,19 @@ def _sum_of_products(pairs: list):
     return sum((x * y for x, y in pairs[1:]), pairs[0][0] * pairs[0][1])
 
 
-def _combiner(coefficients, method: str) -> tuple[Callable, Callable]:
-    """How to sum pairs of these coefficients: (prepare, combine), where each
-    coefficient is prepared once and ``combine`` sums a list of pairs of
-    prepared coefficients and integers (``method`` "form_sum") or of two
-    prepared coefficients (``method`` "form_product_sum").
+def _combiner(coefficients) -> tuple[Callable, Callable]:
+    """(prepare, combine) for these coefficients: ``combine`` sums x * y over a
+    list of pairs of prepared values, coefficients or integers, each value
+    prepared once.
 
-    When the coefficients other than rationals share one type that has
-    ``method``, it is that type's ``integer_form`` and ``method``, which sum
-    on integers; otherwise each coefficient is itself and pairs are summed
+    When the coefficients other than rationals share one type with
+    ``product_sum``, they are its ``integer_form`` and ``product_sum``, which
+    sum on integers; otherwise each value is itself and the pairs are summed
     with * and +.
     """
     kinds = {type(c) for c in coefficients} - {int, Fraction}
-    if len(kinds) == 1 and hasattr(kind := kinds.pop(), method):
-        return kind.integer_form, getattr(kind, method)
+    if len(kinds) == 1 and hasattr(kind := kinds.pop(), "product_sum"):
+        return kind.integer_form, kind.product_sum
     return _same, _sum_of_products
 
 
@@ -265,25 +266,31 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            cap = _product_cap(self, other)
-            prepare, combine = _combiner([*self._t.values(), *other._t.values()], "form_product_sum")
-            right = [(k2, sum(k2), prepare(c2)) for k2, c2 in other._t.items()]
-            pairs: dict = {}
-            for k1, c1 in self._t.items():
-                d1 = sum(k1)
-                f1 = prepare(c1)
-                for k2, d2, f2 in right:
-                    if cap is not None and d1 + d2 > cap:
-                        continue
-                    key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                    pairs.setdefault(key, []).append((f1, f2))
-            return MultiPoly({key: combine(ps) for key, ps in pairs.items()}, cap)
+            return self.product(other)
         # scalar
         if not other:
             return MultiPoly.zero(self.cap)
         return MultiPoly({k: v * other for k, v in self._t.items()}, self.cap)
 
     __rmul__ = __mul__
+
+    def product(self, other: "MultiPoly", lowest: int = 0) -> "MultiPoly":
+        """``self * other``, only its pieces of total degree ``lowest`` and up:
+        each output coefficient is formed once from the (coefficient,
+        coefficient) pairs that land on its monomial."""
+        cap = _product_cap(self, other)
+        prepare, combine = _combiner([*self._t.values(), *other._t.values()])
+        right = [(k2, sum(k2), prepare(c2)) for k2, c2 in other._t.items()]
+        pairs: dict = {}
+        for k1, c1 in self._t.items():
+            d1 = sum(k1)
+            f1 = prepare(c1)
+            for k2, d2, f2 in right:
+                if d1 + d2 < lowest or cap is not None and d1 + d2 > cap:
+                    continue
+                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
+                pairs.setdefault(key, []).append((f1, f2))
+        return MultiPoly({key: combine(ps) for key, ps in pairs.items()}, cap)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -303,22 +310,11 @@ class MultiPoly:
 
     def substitute_sum(self, combo) -> "MultiPoly":
         """Sum of n times the substitution of ``images`` over the (n, images) of
-        ``combo``, in one pass: each monomial is expanded once for the whole
-        sum, and each output coefficient is formed once from the
-        (coefficient, integer) pairs that land on its monomial.  The images
-        must keep the X and Y variables apart (:func:`_blocks`)."""
+        ``combo``: the one-part case of :func:`substitute_sums`."""
         combo = tuple((n, tuple(map(tuple, images))) for n, images in combo)
         if combo == ((1, IDENTITY_IMAGES),):
             return self
-        blocks = _blocks(combo)
-        prepare, combine = _combiner(self._t.values(), "form_sum")
-        pairs: dict = {}
-        for exps, c in self._t.items():
-            f = prepare(c)
-            for key, n in _expansion(blocks, exps).items():
-                if n:
-                    pairs.setdefault(key, []).append((f, n))
-        return MultiPoly({key: combine(ps) for key, ps in pairs.items()}, self.cap)
+        return substitute_sums([(self, combo)])
 
     def partial(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to variable index 0..3."""
@@ -334,6 +330,31 @@ class MultiPoly:
         inner = ", ".join(f"{k}: {v!r}" for k, v in list(self.terms())[:4])
         more = "" if len(self._t) <= 4 else f", ... ({len(self._t)} terms)"
         return f"MultiPoly({{{inner}{more}}}, cap={self.cap})"
+
+
+def substitute_sums(parts) -> MultiPoly:
+    """The sum of ``p.substitute_sum(combo)`` over the (p, combo) parts, exact
+    through the smallest cap, in one pass: each monomial is expanded once
+    for its whole combination, and each output coefficient is formed once
+    from the (coefficient, integer) pairs that land on its monomial from
+    every part.  The images must keep the X and Y variables apart
+    (:func:`_blocks`)."""
+    parts = [(p, _blocks(tuple((n, tuple(map(tuple, images))) for n, images in combo))) for p, combo in parts]
+    cap = None
+    for p, _ in parts:
+        cap = _min_cap(cap, p.cap)
+    prepare, combine = _combiner([c for p, _ in parts for c in p._t.values()])
+    lift = cache(prepare)  # the integers n are few, so each is prepared once
+    pairs: dict = {}
+    for p, blocks in parts:
+        for exps, c in p._t.items():
+            if cap is not None and sum(exps) > cap:
+                continue  # a substitution keeps the degree
+            f = prepare(c)
+            for key, n in _expansion(blocks, exps).items():
+                if n:
+                    pairs.setdefault(key, []).append((f, lift(n)))
+    return MultiPoly({key: combine(ps) for key, ps in pairs.items()}, cap)
 
 
 def divided_difference(t: MultiPoly, mode: Literal["star", "shuffle"]) -> MultiPoly:
@@ -431,6 +452,24 @@ class RationalFunction4:
         return RationalFunction4(self.num * other, dict(self.den))  # scalar or MultiPoly
 
     __rmul__ = __mul__
+
+    def product(self, other: "MultiPoly", lowest: int = 0) -> "MultiPoly":
+        """``self * other``, only its pieces of total degree ``lowest`` and up:
+        each output coefficient is formed once from the (coefficient,
+        coefficient) pairs that land on its monomial."""
+        cap = _product_cap(self, other)
+        prepare, combine = _combiner([*self._t.values(), *other._t.values()])
+        right = [(k2, sum(k2), prepare(c2)) for k2, c2 in other._t.items()]
+        pairs: dict = {}
+        for k1, c1 in self._t.items():
+            d1 = sum(k1)
+            f1 = prepare(c1)
+            for k2, d2, f2 in right:
+                if d1 + d2 < lowest or cap is not None and d1 + d2 > cap:
+                    continue
+                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
+                pairs.setdefault(key, []).append((f1, f2))
+        return MultiPoly({key: combine(ps) for key, ps in pairs.items()}, cap)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):

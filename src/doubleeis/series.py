@@ -168,8 +168,10 @@ class QSeries:
         fraction (``/1`` omitted), so the format round-trips losslessly.
         """
         parts = []
-        for n, a in enumerate(self.coefficients()):
-            mag = str(abs(a))
+        d = self._d
+        for n, a in enumerate(self._n):
+            g = gcd(a, d)  # a / d in lowest terms, written as str(Fraction) writes it
+            mag = str(abs(a) // g) if g == d else f"{abs(a) // g}/{d // g}"
             if n == 0:
                 term = mag
             elif n == 1:

@@ -13,6 +13,7 @@ from doubleeis.action import (
     MATRICES,
     act,
     act_group_ring,
+    act_group_ring_sum,
     parse_group_ring,
 )
 from doubleeis.elements import G1, G2, GP, FormalElement, MixedSpaceError, MixedWeightError, Z1
@@ -314,3 +315,25 @@ def test_wplus_kronecker_product():
     from doubleeis.kronecker import kronecker_wplus_check
 
     assert kronecker_wplus_check(6, 8)
+
+
+# one coefficient type for all the series of a sum
+_action_sums = st.sampled_from((_fractions, _atom_combinations, _formal_elements)).flatmap(
+    lambda coefficients: st.lists(st.tuples(_named_terms, _polys_over(coefficients)), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_action_sums)
+def test_a_sum_of_actions_in_one_pass_equals_the_sum_of_the_actions(parts):
+    pairs = [(GroupRingElem([(n, M[name]) for n, name in terms]), p) for terms, p in parts]
+    fused = act_group_ring_sum(pairs)
+    reference = act_group_ring(*pairs[0])
+    for elem, p in pairs[1:]:
+        reference = reference + act_group_ring(elem, p)
+    assert fused == reference and fused.cap == reference.cap
+    assert all(c for _, c in fused.terms())
+    # negative control: leaving out a part that is nonzero below the cap changes the sum
+    for i, (elem, p) in enumerate(pairs):
+        if len(pairs) > 1 and act_group_ring(elem, p).truncate(fused.cap)._t:
+            assert fused != act_group_ring_sum(pairs[:i] + pairs[i + 1:])
+            break

@@ -286,3 +286,17 @@ def test_an_image_that_mixes_the_blocks_is_rejected():
     # control: the same images kept in their blocks are accepted
     assert p.substitute(((1, 1, 0, 0), X2, Y1, Y2)) == MultiPoly(
         {(1, 0, 1, 0): Fraction(1), (0, 1, 1, 0): Fraction(1)}, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*[st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), st.integers(-4, 4).map(Fraction), max_size=5)] * 2,
+       st.sampled_from((None, 6, 9)), st.integers(0, 10))
+def test_a_product_from_a_lowest_degree_keeps_only_the_pieces_from_it(left, right, cap, lowest):
+    a, b = MultiPoly(left, cap), MultiPoly(right)
+    full = a * b
+    part = a.product(b, lowest)
+    assert part.cap == full.cap
+    assert part == MultiPoly({k: c for k, c in full.terms() if sum(k) >= lowest}, full.cap)
+    # negative control: a piece below ``lowest`` that the full product has is left out
+    if any(sum(k) < lowest for k, _ in full.terms()):
+        assert part != full
