@@ -217,15 +217,13 @@ def act_group_ring(elem, obj):
     """Apply an integer combination of matrices.
 
     On a MultiPoly this is one pass over the series
-    (:meth:`~doubleeis.multipoly.MultiPoly.substitute_sum`).  A fraction's
-    image is summed matrix by matrix, since each matrix moves its
-    denominator differently.
+    (:func:`act_group_ring_sum`).  A fraction's image is summed matrix by
+    matrix, since each matrix moves its denominator differently.
     """
-    elem = _coerce_group_ring(elem)
     if isinstance(obj, MultiPoly):
-        return obj.substitute_sum(_images(elem))
+        return act_group_ring_sum(((elem, obj),))
     result = None
-    for coeff, matrix in elem.terms:
+    for coeff, matrix in _coerce_group_ring(elem).terms:
         piece = act(matrix, obj) * coeff
         result = piece if result is None else result + piece
     return RationalFunction4(MultiPoly.zero(obj.num.cap), {}) if result is None else result

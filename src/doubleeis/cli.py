@@ -83,6 +83,8 @@ def _check_bounds(args):
     reject a q-order that no series uses, before any command runs; then fill in the default."""
     if getattr(args, "kind", None) == "bernoulli" and args.q_order is not None:
         raise UsageError("--q-order applies to the q-series realization only")
+    if getattr(args, "identity", None) == "diagram" and args.cache_dir is not None:
+        raise UsageError("--cache-dir applies to the reduced identities, not to the diagram check")
     for flag in ("q_order", "degree", "max_weight", "weight"):
         text = getattr(args, flag, None)
         if text is None:

@@ -355,11 +355,6 @@ class FormalElement:
         terms = product_sum(pairs)
         return cls._make(space, weight if terms else None, terms)
 
-    @classmethod
-    def linear_combination(cls, pairs: list[tuple["FormalElement", int]]) -> "FormalElement":
-        """The sum of n * e over the (element, integer) pairs, by :meth:`product_sum`."""
-        return cls.product_sum([(cls.integer_form(e), cls.integer_form(n)) for e, n in pairs])
-
     def __add__(self, other) -> "FormalElement":
         if not isinstance(other, FormalElement):
             return NotImplemented

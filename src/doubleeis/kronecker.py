@@ -62,6 +62,7 @@ from .multipoly import (
     Y1,
     Y2,
     divided_difference,
+    form_neg,
 )
 from .series import QSeries, weighted_sum
 from .spaces import enumerate_generators
@@ -166,11 +167,6 @@ class AtomCombination(dict):
         integers by :func:`.elements.product_sum`."""
         return cls(product_sum(pairs))
 
-    @classmethod
-    def linear_combination(cls, pairs: list[tuple["AtomCombination", int]]) -> "AtomCombination":
-        """The sum of n * c over the (combination, integer) pairs, by :meth:`product_sum`."""
-        return cls.product_sum([(cls.integer_form(c), cls.integer_form(n)) for c, n in pairs])
-
     def __add__(self, other) -> "AtomCombination":
         if not isinstance(other, AtomCombination):
             other = {(): other}  # a rational is a multiple of the empty monomial
@@ -245,18 +241,12 @@ def _cleared(include_pole: bool, regular, degree: int) -> MultiPoly:
     return c
 
 
-def _at_order(c, q_order: int):
-    """A coefficient as a q-series truncated at ``q_order``; a rational stays as it is."""
-    if isinstance(c, AtomCombination):
-        return c.evaluate(q_order)
-    if isinstance(c, QSeries):
-        return c.truncate(min(c.order, q_order))
-    return c
-
-
 def _vanishes(p: MultiPoly, q_order: int) -> bool:
-    """Whether every stored coefficient of p is zero to q-order ``q_order``."""
-    return not p.map_coefficients(lambda c: _at_order(c, q_order))
+    """Whether every stored coefficient of p is zero: an atom combination is
+    evaluated at q-order ``q_order``, any other coefficient is taken as it is,
+    so a q-series is compared at the order it carries."""
+    return not p.map_coefficients(
+        lambda c: c.evaluate(q_order) if isinstance(c, AtomCombination) else c)
 
 
 def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
@@ -275,19 +265,21 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
     times the quadratic through ``degree`` + 5, which reaches the entries of
     the table through ``degree``.  The sum is formed in the coefficients of
     ``regular`` (rationals, q-series or :class:`AtomCombination` values), and
-    only its coefficients are taken to q-order ``q_order`` at the end.
+    only at the end are its atom combinations evaluated at q-order
+    ``q_order``.  A q-series coefficient is compared at the order it carries,
+    so a q-series table is built at ``q_order``, as ``kronecker_b1(degree,
+    q_order)`` is.
     """
     c = _cleared(include_pole, regular, degree)
     x1mx2 = (1, -1, 0, 0)
     y1py2 = (0, 0, 1, 1)
-    neg = lambda f: tuple(-v for v in f)
 
     def term(a: MultiPoly, b: MultiPoly, f: LinForm, g: LinForm) -> MultiPoly:
         return a * b * (MultiPoly.from_form(f) * MultiPoly.from_form(g))
 
     t1 = term(c, _at(c, X2, Y2), x1mx2, y1py2)
-    t2 = term(_at(c, x1mx2, neg(Y2)), _at(c, X1, y1py2), X2, Y1)
-    t3 = term(_at(c, neg(X2), neg(y1py2)), _at(c, x1mx2, Y1), X1, Y2)
+    t2 = term(_at(c, x1mx2, form_neg(Y2)), _at(c, X1, y1py2), X2, Y1)
+    t3 = term(_at(c, form_neg(X2), form_neg(y1py2)), _at(c, x1mx2, Y1), X1, Y2)
     return _vanishes(t1 - t2 + t3, q_order)
 
 
@@ -314,7 +306,8 @@ def wplus_check(candidate: RationalFunction4, degree: int, q_order: int) -> bool
     1 + S and 1 - epsilon all vanish.  They are compared through total
     degree ``degree`` of the candidate, so through ``degree`` + 4 of a
     numerator over X1 Y1 X2 Y2 (``degree`` plus the denominator degree in
-    general), with coefficients taken to q-order ``q_order``.  Each image
+    general), with atom combinations evaluated at q-order ``q_order`` and
+    q-series coefficients compared at the order they carry.  Each image
     is cross-multiplied to a common denominator, which keeps its numerator
     exact through the same degree.  A numerator exact through less is
     rejected rather than checked short.
@@ -437,6 +430,7 @@ def check_derivation_diagram(weight: int, q_order: int) -> bool:
 
 def kronecker_wplus_check(degree: int, q_order: int) -> bool:
     """Membership of the two-point Kronecker product in the bi-period space,
-    through total degree ``degree`` and q-order ``q_order``."""
-    candidate = kronecker_wplus_candidate(kronecker_b1(degree + 1, q_order), degree)
+    through total degree ``degree`` and q-order ``q_order``, built over the
+    atoms of :func:`symbolic_b1`."""
+    candidate = kronecker_wplus_candidate(symbolic_b1(degree + 1), degree)
     return wplus_check(candidate, degree, q_order)

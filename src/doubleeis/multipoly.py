@@ -19,24 +19,22 @@ val the lowest stored degree (cap + 1 for a truncated zero, unbounded for an
 exact zero), so stored coefficients are always exact and no caller decides
 how far a product holds.
 
-A substitution is the one-term case of :meth:`MultiPoly.substitute_sum`, a
-sum of n times substitutions and so the group-ring action, which in turn
-is the one-part case of :func:`substitute_sums`, a sum of such sums over
-several series.  Every image
-keeps the X and Y variables apart, as the matrices of the action and every
-t(x; y) do, so a monomial's image under one substitution is its X factor
-times its Y factor, each the image of a two-variable monomial; only those
-factors are cached.  Each monomial is expanded once for the whole sum, into
-integers, and each output coefficient is formed once from the
-(coefficient, integer n) pairs that land on its monomial; a product forms
-each of its coefficients once from the (coefficient, coefficient) pairs of
-the same monomial.  A coefficient type whose values are maps from keys to
-rationals (:class:`.kronecker.AtomCombination`,
-:class:`.elements.FormalElement`) provides two classmethods:
-``integer_form`` writes one value, or a rational beside such values, as
-integer numerators over one denominator, once per coefficient of an
-operand, and ``product_sum`` sums x * y over pairs of such forms on
-integers, with one Fraction per key of the result
+A substitution, and the group-ring action of a sum of n times
+substitutions, are cases of :func:`substitute_sums`, a sum of such sums
+over several series.  Every image keeps the X and Y variables apart, as
+the matrices of the action and every t(x; y) do, so a monomial's image
+under one substitution is its X factor times its Y factor, each the image
+of a two-variable monomial; only those factors are cached.  Each monomial
+is expanded once for the whole sum, into integers, and each output
+coefficient is formed once from the (coefficient, integer n) pairs that
+land on its monomial; a product forms each of its coefficients once from
+the (coefficient, coefficient) pairs of the same monomial.  A coefficient
+type whose values are maps from keys to rationals
+(:class:`.kronecker.AtomCombination`, :class:`.elements.FormalElement`)
+provides two classmethods: ``integer_form`` writes one value, or a
+rational beside such values, as integer numerators over one denominator,
+once per coefficient of an operand, and ``product_sum`` sums x * y over
+pairs of such forms on integers, with one Fraction per key of the result
 (:func:`.elements.product_sum`).  Other coefficients are summed with their
 own ``*`` and ``+``.
 """
@@ -53,7 +51,6 @@ X1: LinForm = (1, 0, 0, 0)
 X2: LinForm = (0, 1, 0, 0)
 Y1: LinForm = (0, 0, 1, 0)
 Y2: LinForm = (0, 0, 0, 1)
-IDENTITY_IMAGES: tuple[LinForm, LinForm, LinForm, LinForm] = (X1, X2, Y1, Y2)
 
 #: The fixed linear-form set allowed in denominators, in a stable order.
 FORMS: tuple[LinForm, ...] = (
@@ -305,16 +302,9 @@ class MultiPoly:
     __hash__ = None
 
     def substitute(self, images: tuple[LinForm, LinForm, LinForm, LinForm]) -> "MultiPoly":
-        """Replace each variable by a linear form, exactly below the cap."""
-        return self.substitute_sum(((1, images),))
-
-    def substitute_sum(self, combo) -> "MultiPoly":
-        """Sum of n times the substitution of ``images`` over the (n, images) of
-        ``combo``: the one-part case of :func:`substitute_sums`."""
-        combo = tuple((n, tuple(map(tuple, images))) for n, images in combo)
-        if combo == ((1, IDENTITY_IMAGES),):
-            return self
-        return substitute_sums([(self, combo)])
+        """Replace each variable by a linear form, exactly below the cap: the
+        one-term case of :func:`substitute_sums`."""
+        return substitute_sums([(self, ((1, images),))])
 
     def partial(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to variable index 0..3."""
@@ -333,12 +323,12 @@ class MultiPoly:
 
 
 def substitute_sums(parts) -> MultiPoly:
-    """The sum of ``p.substitute_sum(combo)`` over the (p, combo) parts, exact
-    through the smallest cap, in one pass: each monomial is expanded once
-    for its whole combination, and each output coefficient is formed once
-    from the (coefficient, integer) pairs that land on its monomial from
-    every part.  The images must keep the X and Y variables apart
-    (:func:`_blocks`)."""
+    """The sum of n times p under the substitution ``images``, over the
+    (n, images) of ``combo`` and the (p, combo) parts, exact through the
+    smallest cap, in one pass: each monomial is expanded once for its whole
+    combination, and each output coefficient is formed once from the
+    (coefficient, integer) pairs that land on its monomial from every part.
+    The images must keep the X and Y variables apart (:func:`_blocks`)."""
     parts = [(p, _blocks(tuple((n, tuple(map(tuple, images))) for n, images in combo))) for p, combo in parts]
     cap = None
     for p, _ in parts:
@@ -452,24 +442,6 @@ class RationalFunction4:
         return RationalFunction4(self.num * other, dict(self.den))  # scalar or MultiPoly
 
     __rmul__ = __mul__
-
-    def product(self, other: "MultiPoly", lowest: int = 0) -> "MultiPoly":
-        """``self * other``, only its pieces of total degree ``lowest`` and up:
-        each output coefficient is formed once from the (coefficient,
-        coefficient) pairs that land on its monomial."""
-        cap = _product_cap(self, other)
-        prepare, combine = _combiner([*self._t.values(), *other._t.values()])
-        right = [(k2, sum(k2), prepare(c2)) for k2, c2 in other._t.items()]
-        pairs: dict = {}
-        for k1, c1 in self._t.items():
-            d1 = sum(k1)
-            f1 = prepare(c1)
-            for k2, d2, f2 in right:
-                if d1 + d2 < lowest or cap is not None and d1 + d2 > cap:
-                    continue
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                pairs.setdefault(key, []).append((f1, f2))
-        return MultiPoly({key: combine(ps) for key, ps in pairs.items()}, cap)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):

@@ -420,6 +420,17 @@ def test_bernoulli_realization_takes_no_q_order(capsys):
     assert out == "G(12;0) -> 691/2615348736000\n"
 
 
+def test_the_diagram_check_takes_no_cache_dir(tmp_path, capsys):
+    code, out, err = invoke(capsys, "verify", "--identity", "diagram", "--max-weight", "2",
+                            "--cache-dir", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: --cache-dir") and err.count("\n") == 1
+    # the control: an identity that reduces its instances takes the flag
+    code, out, _ = invoke(capsys, "verify", "--identity", "ramanujan", "--max-weight", "4",
+                          "--cache-dir", str(tmp_path))
+    assert code == 0 and out
+
+
 def test_one_parser_gives_each_command_its_own_defaults(capsys):
     assert build_parser() is build_parser()
     code, out, _ = invoke(capsys, "realize", "--gen", "G(2;0)", "--q-order", "3")

@@ -421,6 +421,24 @@ def test_wplus_check_reaches_every_entry_through_its_degree():
         assert not wplus_check(kronecker_wplus_candidate(bad, 6), 6, 8), key
 
 
+@pytest.mark.parametrize("degree", [4, 6])
+def test_wplus_check_over_atoms_agrees_with_the_series_table(degree):
+    for q_order in (0, 8):
+        symbolic = wplus_check(kronecker_wplus_candidate(symbolic_b1(degree + 1), degree), degree, q_order)
+        series = kronecker_wplus_candidate(kronecker_b1(degree + 1, q_order), degree)
+        assert symbolic == wplus_check(series, degree, q_order)
+        assert symbolic
+
+
+# an entry of the lowest, a middle and the top degree of b1 through degree 7;
+# the series-table test above reaches every entry
+@pytest.mark.parametrize("key", [(1, 0, 0, 0), (3, 0, 2, 0), (0, 0, 7, 0)])
+def test_wplus_check_over_atoms_fails_with_one_atom_coefficient_doubled(key):
+    b1 = symbolic_b1(7)
+    bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
+    assert not wplus_check(kronecker_wplus_candidate(bad, 6), 6, 8)
+
+
 def test_wplus_candidate_must_be_exact_through_the_degree():
     with pytest.raises(ValueError):
         wplus_check(kronecker_wplus_candidate(kronecker_b1(5, 8), 6), 6, 8)

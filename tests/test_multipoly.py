@@ -18,6 +18,7 @@ from doubleeis.multipoly import (
     compose_form,
     divided_difference,
     match_signed_form,
+    substitute_sums,
 )
 
 X1MX2 = (1, -1, 0, 0)
@@ -267,7 +268,7 @@ def _reference_substitution(combo, p):
 def test_factored_expansion_equals_the_power_product_reference(words, terms, cap):
     combo = [(n, _word_images(word)) for n, word in words]
     p = MultiPoly(terms, cap)
-    image = p.substitute_sum(combo)
+    image = substitute_sums([(p, combo)])
     reference = _reference_substitution(combo, p)
     assert image == reference and image.cap == p.cap
     assert all(c for _, c in image.terms())
@@ -282,7 +283,7 @@ def test_an_image_that_mixes_the_blocks_is_rejected():
     with pytest.raises(ValueError, match="mix the X and Y"):
         p.substitute(((1, 0, 1, 0), X2, Y1, Y2))  # X1 -> X1 + Y1
     with pytest.raises(ValueError, match="mix the X and Y"):
-        p.substitute_sum([(1, MATRICES["T"].images()), (2, (X1, X2, (0, 1, 1, 0), Y2))])
+        substitute_sums([(p, [(1, MATRICES["T"].images()), (2, (X1, X2, (0, 1, 1, 0), Y2))])])
     # control: the same images kept in their blocks are accepted
     assert p.substitute(((1, 1, 0, 0), X2, Y1, Y2)) == MultiPoly(
         {(1, 0, 1, 0): Fraction(1), (0, 1, 1, 0): Fraction(1)}, 4)
