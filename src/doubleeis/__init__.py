@@ -10,13 +10,7 @@ to Ramanujan's differential equations.
 __version__ = "0.1.0"
 
 from .series import QSeries
-from .multipoly import (
-    FORMS,
-    MultiPoly,
-    RationalFunction4,
-    UnsupportedFormError,
-    divided_difference,
-)
+from .multipoly import MultiPoly, divided_difference
 from .eisenstein import (
     QuasimodularBasis,
     UnderdeterminedTruncationError,
@@ -84,7 +78,6 @@ from .expressions import ExpressionSyntaxError, parse_expression
 __all__ = [
     "EISENSTEIN",
     "ExpressionSyntaxError",
-    "FORMS",
     "FormalElement",
     "G1",
     "G2",
@@ -99,10 +92,8 @@ __all__ = [
     "MultiPoly",
     "QSeries",
     "QuasimodularBasis",
-    "RationalFunction4",
     "RelationSystem",
     "UnderdeterminedTruncationError",
-    "UnsupportedFormError",
     "Z1",
     "Z2",
     "ZETA",

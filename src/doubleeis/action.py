@@ -6,11 +6,10 @@ A matrix with rows (a, b) and (c, d) acts on the right by
         = R(a X1 + b X2, c X1 + d X2;
             det(M) (d Y1 - c Y2), det(M) (-b Y1 + a Y2)),
 
-extended Z-linearly to the group ring.  On rational functions the
-substitution is applied to the numerator and to each denominator form
-separately; the fixed denominator set is closed under every matrix the
-theory uses, and an exotic matrix that maps a form outside the set raises
-:class:`~doubleeis.multipoly.UnsupportedFormError`.
+extended Z-linearly to the group ring, on :class:`~doubleeis.multipoly.MultiPoly`
+series.  A series with a pole is acted on through its numerator over a
+product of linear forms, which the caller clears (see
+:func:`doubleeis.kronecker.fay_numerator`).
 
 Group-ring words such as ``5-3*U+U*epsilon`` are read by
 :func:`parse_group_ring`, through the tokenizer of
@@ -23,15 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .expressions import ExpressionSyntaxError, Tokens
-from .multipoly import (
-    FORMS,
-    LinForm,
-    MultiPoly,
-    RationalFunction4,
-    compose_form,
-    match_signed_form,
-    substitute_sums,
-)
+from .multipoly import LinForm, MultiPoly, substitute_sums
 
 
 @dataclass(frozen=True)
@@ -110,25 +101,11 @@ MATRICES: dict[str, IntMatrix2] = {
 MATRICES["A"] = MATRICES["epsilon"] * MATRICES["U"] * MATRICES["epsilon"]
 
 
-def act(matrix: IntMatrix2, obj):
-    """Apply one matrix to a MultiPoly or RationalFunction4.
-
-    A fraction's image is not cancelled: every caller compares fractions by
-    cross-multiplying and testing the numerator for zero.
-    """
-    images = matrix.images()
-    if isinstance(obj, MultiPoly):
-        return obj.substitute(images)
-    if isinstance(obj, RationalFunction4):
-        num = obj.num.substitute(images)
-        den: dict[int, int] = {}
-        for i, e in obj.den.items():
-            j, sign = match_signed_form(compose_form(FORMS[i], images))
-            den[j] = den.get(j, 0) + e
-            if sign < 0 and e % 2:
-                num = -num
-        return RationalFunction4(num, den)
-    raise TypeError(f"cannot act on {type(obj).__name__}")
+def act(matrix: IntMatrix2, p: MultiPoly) -> MultiPoly:
+    """Apply one matrix to a MultiPoly."""
+    if not isinstance(p, MultiPoly):
+        raise TypeError(f"cannot act on {type(p).__name__}")
+    return p.substitute(matrix.images())
 
 
 class GroupRingElem:
@@ -213,20 +190,10 @@ def _coerce_group_ring(x) -> GroupRingElem | None:
     return None
 
 
-def act_group_ring(elem, obj):
-    """Apply an integer combination of matrices.
-
-    On a MultiPoly this is one pass over the series
-    (:func:`act_group_ring_sum`).  A fraction's image is summed matrix by
-    matrix, since each matrix moves its denominator differently.
-    """
-    if isinstance(obj, MultiPoly):
-        return act_group_ring_sum(((elem, obj),))
-    result = None
-    for coeff, matrix in _coerce_group_ring(elem).terms:
-        piece = act(matrix, obj) * coeff
-        result = piece if result is None else result + piece
-    return RationalFunction4(MultiPoly.zero(obj.num.cap), {}) if result is None else result
+def act_group_ring(elem, p: MultiPoly) -> MultiPoly:
+    """Apply an integer combination of matrices, in one pass over the series
+    (:func:`act_group_ring_sum`)."""
+    return act_group_ring_sum(((elem, p),))
 
 
 def act_group_ring_sum(pairs) -> MultiPoly:

@@ -83,6 +83,9 @@ def _check_bounds(args):
     reject a q-order that no series uses, before any command runs; then fill in the default."""
     if getattr(args, "kind", None) == "bernoulli" and args.q_order is not None:
         raise UsageError("--q-order applies to the q-series realization only")
+    polar = getattr(args, "polar_only", False) or getattr(args, "candidate", None) == "polar"
+    if polar and args.q_order is not None:
+        raise UsageError("--q-order applies to the Kronecker function; the polar part is rational")
     if getattr(args, "identity", None) == "diagram" and args.cache_dir is not None:
         raise UsageError("--cache-dir applies to the reduced identities, not to the diagram check")
     for flag in ("q_order", "degree", "max_weight", "weight"):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .series import QSeries, _reduced, cached_at_order
+from .series import QSeries, _reduced, cached_at_order, weighted_sum
 from .spaces import _rref
 
 
@@ -129,8 +129,9 @@ def recognize_quasimodular(s: QSeries, weight: int) -> dict[tuple[int, int, int]
     """Express a q-series in the weight-graded basis G2^a G4^b G6^c.
 
     Row-reduces the exact augmented system on the q-coefficients 0..m, m the
-    basis size, with :func:`.spaces._rref` and then verifies every remaining
-    stored coefficient.  Returns a map from exponent triples to rational
+    basis size, with :func:`.spaces._rref` and then checks the solution on
+    every stored coefficient, in one integer pass
+    (:func:`.series.weighted_sum`).  Returns a map from exponent triples to rational
     coefficients (zeros omitted), or None when the series provably lies
     outside the graded piece.  Raises
     :class:`UnderdeterminedTruncationError` when the truncation order is too
@@ -158,10 +159,7 @@ def recognize_quasimodular(s: QSeries, weight: int) -> dict[tuple[int, int, int]
             f"{m + 1} q-coefficients leave the weight-{weight} system underdetermined"
         )
     solution = [Fraction(row.get(m, 0), den) for den, row in reduced.values()]
-
-    # Verify the coefficients the solver did not consume.
-    for n in range(m + 1, s.order + 1):
-        lhs = sum(c * e.coefficient(n) for c, e in zip(solution, basis.expansions))
-        if lhs != s.coefficient(n):
-            return None
+    # check every coefficient, those the solver did not consume among them
+    if weighted_sum(zip(basis.expansions, solution), s.order) != s:
+        return None
     return {mon: c for mon, c in zip(basis.monomials, solution) if c}

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .action import GroupRingElem, MATRICES, act_group_ring, act_group_ring_sum
+from .action import GroupRingElem, MATRICES, act, act_group_ring, act_group_ring_sum
 from .eisenstein import derived_eisenstein, eisenstein_qexp, product_series
 from .elements import (
     EISENSTEIN,
@@ -53,17 +53,7 @@ from .elements import (
     product_sum,
 )
 from .maps import map_partial
-from .multipoly import (
-    LinForm,
-    MultiPoly,
-    RationalFunction4,
-    X1,
-    X2,
-    Y1,
-    Y2,
-    divided_difference,
-    form_neg,
-)
+from .multipoly import LinForm, MultiPoly, X2, Y2, divided_difference
 from .series import QSeries, weighted_sum
 from .spaces import enumerate_generators
 
@@ -249,6 +239,25 @@ def _vanishes(p: MultiPoly, q_order: int) -> bool:
         lambda c: c.evaluate(q_order) if isinstance(c, AtomCombination) else c)
 
 
+def fay_numerator(n: MultiPoly) -> MultiPoly:
+    """The numerator of F + F|U + F|U^2 over X1 X2 (X1-X2) Y1 Y2 (Y1+Y2), for
+    F the four-variable series ``n`` over X1 X2 Y1 Y2.
+
+    U sends (X1, X2, Y1, Y2) to (X1-X2, X1, -Y2, Y1+Y2) and U^2 to
+    (-X2, X1-X2, -(Y1+Y2), Y1), so X1 X2 Y1 Y2 goes to -X1 (X1-X2) Y2 (Y1+Y2)
+    and to X2 (X1-X2) Y1 (Y1+Y2), and the numerator is
+
+        n (X1-X2)(Y1+Y2) - n|U X2 Y1 + n|U^2 X1 Y2,
+
+    exact through the cap of ``n`` plus two.  For n = C(X1;Y1) C(X2;Y2) this
+    is the cleared three-term Fay sum of :func:`fay_check`.
+    """
+    u = MATRICES["U"]
+    quadratic = MultiPoly.from_form((1, -1, 0, 0)) * MultiPoly.from_form((0, 0, 1, 1))
+    x2y1, x1y2 = (MultiPoly.monomial(exps, Fraction(1)) for exps in ((0, 1, 1, 0), (1, 0, 0, 1)))
+    return n * quadratic - act(u, n) * x2y1 + act(u * u, n) * x1y2
+
+
 def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
     """Verify the three-term Fay identity for -(1/X+1/Y)/2 * [pole] + regular.
 
@@ -257,69 +266,59 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
 
         C(X1,Y1) C(X2,Y2) (X1-X2)(Y1+Y2)
       - C(X1-X2,-Y2) C(X1,Y1+Y2) X2 Y1
-      + C(-X2,-(Y1+Y2)) C(X1-X2,Y1) X1 Y2
+      + C(-X2,-(Y1+Y2)) C(X1-X2,Y1) X1 Y2,
 
-    which must vanish identically up to total degree ``degree`` + 5 and
-    q-order ``q_order``: every C is exact through ``degree`` + 2 and starts
-    in degree 1, so a product of two is exact through ``degree`` + 3, and
-    times the quadratic through ``degree`` + 5, which reaches the entries of
-    the table through ``degree``.  The sum is formed in the coefficients of
-    ``regular`` (rationals, q-series or :class:`AtomCombination` values), and
-    only at the end are its atom combinations evaluated at q-order
-    ``q_order``.  A q-series coefficient is compared at the order it carries,
-    so a q-series table is built at ``q_order``, as ``kronecker_b1(degree,
-    q_order)`` is.
+    the 1 + U + U^2 condition of the bi-period space on C(X1;Y1) C(X2;Y2)
+    (:func:`fay_numerator`).  It must vanish identically up to total degree
+    ``degree`` + 5 and q-order ``q_order``: every C is exact through
+    ``degree`` + 2 and starts in degree 1, so a product of two is exact
+    through ``degree`` + 3, and times the quadratic through ``degree`` + 5,
+    which reaches the entries of the table through ``degree``.  The sum is
+    formed in the coefficients of ``regular`` (rationals, q-series or
+    :class:`AtomCombination` values), and only at the end are its atom
+    combinations evaluated at q-order ``q_order``.  A q-series coefficient
+    is compared at the order it carries, so a q-series table is built at
+    ``q_order``, as ``kronecker_b1(degree, q_order)`` is.
     """
-    c = _cleared(include_pole, regular, degree)
-    x1mx2 = (1, -1, 0, 0)
-    y1py2 = (0, 0, 1, 1)
-
-    def term(a: MultiPoly, b: MultiPoly, f: LinForm, g: LinForm) -> MultiPoly:
-        return a * b * (MultiPoly.from_form(f) * MultiPoly.from_form(g))
-
-    t1 = term(c, _at(c, X2, Y2), x1mx2, y1py2)
-    t2 = term(_at(c, x1mx2, form_neg(Y2)), _at(c, X1, y1py2), X2, Y1)
-    t3 = term(_at(c, form_neg(X2), form_neg(y1py2)), _at(c, x1mx2, Y1), X1, Y2)
-    return _vanishes(t1 - t2 + t3, q_order)
+    return _vanishes(fay_numerator(pair_product(_cleared(include_pole, regular, degree))), q_order)
 
 
-def kronecker_wplus_candidate(regular, degree: int) -> RationalFunction4:
+def kronecker_wplus_candidate(regular, degree: int) -> MultiPoly:
     """The two-point product f(X1;Y1) f(X2;Y2) of f = -(1/X+1/Y)/2 + regular,
-    as C(X1;Y1) C(X2;Y2) over X1 Y1 X2 Y2, exact through total degree ``degree``.
+    as the numerator C(X1;Y1) C(X2;Y2) over X1 X2 Y1 Y2, exact through total
+    degree ``degree`` of the product.
 
     ``regular`` is read through ``degree`` + 1, so each C is exact through
     ``degree`` + 3 and starts in degree 1, and the numerator is exact
-    through ``degree`` + 4.  With ``regular`` None it is the product of the
-    two poles, (1/4)(1/X1 + 1/Y1)(1/X2 + 1/Y2).
+    through ``degree`` + 4.  With ``regular`` None it is the numerator of the
+    product of the two poles, (1/4)(1/X1 + 1/Y1)(1/X2 + 1/Y2).
     """
-    c = _cleared(True, regular, degree + 1)
-    return RationalFunction4(c * _at(c, X2, Y2), {0: 1, 1: 1, 2: 1, 3: 1})
+    return pair_product(_cleared(True, regular, degree + 1))
 
 
-WPLUS_CONDITIONS = (1 + _U + _U * _U, 1 + _GR(MATRICES["S"]), 1 - _EPS)
-
-
-def wplus_check(candidate: RationalFunction4, degree: int, q_order: int) -> bool:
+def wplus_check(numerator: MultiPoly, degree: int, q_order: int) -> bool:
     """Test membership in the odd/symmetric bi-period space.
 
-    The candidate belongs to the space when its images under 1 + U + U^2,
-    1 + S and 1 - epsilon all vanish.  They are compared through total
-    degree ``degree`` of the candidate, so through ``degree`` + 4 of a
-    numerator over X1 Y1 X2 Y2 (``degree`` plus the denominator degree in
-    general), with atom combinations evaluated at q-order ``q_order`` and
-    q-series coefficients compared at the order they carry.  Each image
-    is cross-multiplied to a common denominator, which keeps its numerator
-    exact through the same degree.  A numerator exact through less is
-    rejected rather than checked short.
+    The candidate is ``numerator`` over X1 X2 Y1 Y2.  It belongs to the
+    space when its images under 1 + U + U^2, 1 + S and 1 - epsilon all
+    vanish.  S sends (X1, X2, Y1, Y2) to (-X2, X1, -Y2, Y1) and epsilon to
+    (X2, X1, Y2, Y1); both fix X1 X2 Y1 Y2, so the last two conditions are
+    the images of the numerator itself, and the first is
+    :func:`fay_numerator`.  They are compared through total degree
+    ``degree`` of the candidate, so through ``degree`` + 4 of the numerator
+    (and ``degree`` + 6 of the 1 + U + U^2 numerator, whose denominator
+    has degree 6), with atom combinations evaluated at q-order ``q_order``
+    and q-series coefficients compared at the order they carry.  A
+    numerator exact through less is rejected rather than checked short.
     """
-    through = degree + candidate.den_degree()
-    num = candidate.num
-    if num.cap is not None and num.cap < through:
-        raise ValueError(f"the candidate's numerator is exact through degree {num.cap}, "
+    through = degree + 4
+    if numerator.cap is not None and numerator.cap < through:
+        raise ValueError(f"the candidate's numerator is exact through degree {numerator.cap}, "
                          f"not the {through} that degree {degree} needs")
-    candidate = RationalFunction4(num.truncate(through), candidate.den)
-    return all(_vanishes(act_group_ring(condition, candidate).num, q_order)
-               for condition in WPLUS_CONDITIONS)
+    n = numerator.truncate(through)
+    return (_vanishes(fay_numerator(n), q_order)
+            and _vanishes(act_group_ring(1 + _GR(MATRICES["S"]), n), q_order)
+            and _vanishes(act_group_ring(1 - _EPS, n), q_order))
 
 
 # -- coefficient extraction ---------------------------------------------------

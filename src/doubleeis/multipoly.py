@@ -1,14 +1,11 @@
-"""Truncated polynomial series in X1, X2, Y1, Y2 and their polar companions.
+"""Truncated polynomial series in X1, X2, Y1, Y2.
 
-Two carriers live here:
-
-* :class:`MultiPoly` -- four-variable truncated series, the carrier of
-  depth-two generating series and of the matrix action.  A depth-one
-  series t(X; Y) is stored in the X1 and Y1 slots, with exponents
-  (r, 0, s, 0), so t(u; v) is ``substitute((u, X2, v, Y2))``.
-* :class:`RationalFunction4` -- a MultiPoly numerator over a denominator
-  that is a product of forms from the fixed set ``FORMS``; division never
-  happens on series, equalities are checked after cross-multiplication.
+:class:`MultiPoly` is the one four-variable carrier: of depth-two
+generating series, of the matrix action, and of the numerators of the
+polar series the Fay and bi-period checks clear over a fixed product of
+linear forms.  A depth-one series t(X; Y) is stored in the X1 and Y1
+slots, with exponents (r, 0, s, 0), so t(u; v) is
+``substitute((u, X2, v, Y2))``.
 
 Coefficients are generic: exact Fractions, QSeries, or any value supporting
 addition, negation, multiplication by scalars and truthiness (used to drop
@@ -51,53 +48,6 @@ X1: LinForm = (1, 0, 0, 0)
 X2: LinForm = (0, 1, 0, 0)
 Y1: LinForm = (0, 0, 1, 0)
 Y2: LinForm = (0, 0, 0, 1)
-
-#: The fixed linear-form set allowed in denominators, in a stable order.
-FORMS: tuple[LinForm, ...] = (
-    X1,
-    X2,
-    Y1,
-    Y2,
-    (1, -1, 0, 0),  # X1 - X2
-    (1, 1, 0, 0),   # X1 + X2
-    (0, 0, 1, -1),  # Y1 - Y2
-    (0, 0, 1, 1),   # Y1 + Y2
-)
-
-FORM_NAMES = ("X1", "X2", "Y1", "Y2", "X1-X2", "X1+X2", "Y1-Y2", "Y1+Y2")
-
-_FORM_INDEX = {f: i for i, f in enumerate(FORMS)}
-
-
-class UnsupportedFormError(ValueError):
-    """A substituted denominator form left the fixed linear-form set."""
-
-
-def form_neg(f: LinForm) -> LinForm:
-    return (-f[0], -f[1], -f[2], -f[3])
-
-
-def compose_form(f: LinForm, images: tuple[LinForm, LinForm, LinForm, LinForm]) -> LinForm:
-    """The image of a linear form when each variable is replaced by a form."""
-    out = [0, 0, 0, 0]
-    for c, img in zip(f, images):
-        if c:
-            for i in range(4):
-                out[i] += c * img[i]
-    return tuple(out)
-
-
-def match_signed_form(f: LinForm) -> tuple[int, int]:
-    """Return (index into FORMS, sign) with f == sign * FORMS[index].
-
-    Raises :class:`UnsupportedFormError` when f is not a signed fixed form.
-    """
-    if f in _FORM_INDEX:
-        return _FORM_INDEX[f], 1
-    g = form_neg(f)
-    if g in _FORM_INDEX:
-        return _FORM_INDEX[g], -1
-    raise UnsupportedFormError(f"linear form {f} is outside the fixed denominator set")
 
 
 @cache
@@ -370,90 +320,3 @@ def divided_difference(t: MultiPoly, mode: Literal["star", "shuffle"]) -> MultiP
             for y1, y2, yc in ypows:
                 terms.append(((y1, y2, i, a - 1 - i) if swap else (i, a - 1 - i, y1, y2), c * yc))
     return MultiPoly(terms, None if t.cap is None else t.cap - 1)
-
-
-class RationalFunction4:
-    """A MultiPoly numerator over a product of fixed linear forms.
-
-    ``den`` maps an index into :data:`FORMS` to a positive exponent.  Sums
-    cross-multiply to the exponentwise maximum of the denominators, products
-    add exponents, and equality means the difference has zero numerator
-    through its cap, which cross-multiplying raises with the denominator.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: dict[int, int] | None = None):
-        self.num = num
-        self.den = {} if not num else {i: e for i, e in (den or {}).items() if e}
-        if any(e < 0 for e in self.den.values()):
-            raise ValueError("denominator exponents must be non-negative")
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RationalFunction4":
-        return cls(p, {})
-
-    def den_degree(self) -> int:
-        return sum(self.den.values())
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __neg__(self) -> "RationalFunction4":
-        return RationalFunction4(-self.num, dict(self.den))
-
-    def _scaled_to(self, den: dict[int, int]) -> MultiPoly:
-        """Numerator after raising this fraction to the given denominator."""
-        num = self.num
-        for i, e in sorted(den.items()):
-            extra = e - self.den.get(i, 0)
-            if extra < 0:
-                raise ValueError("target denominator does not dominate")
-            if extra:
-                form = MultiPoly.from_form(FORMS[i])
-                for _ in range(extra):
-                    num = num * form
-        return num
-
-    def __add__(self, other) -> "RationalFunction4":
-        if isinstance(other, MultiPoly):
-            other = RationalFunction4.from_poly(other)
-        if not isinstance(other, RationalFunction4):
-            return NotImplemented
-        den = dict(self.den)
-        for i, e in other.den.items():
-            den[i] = max(den.get(i, 0), e)
-        return RationalFunction4(self._scaled_to(den) + other._scaled_to(den), den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction4":
-        return self.__add__(-other if isinstance(other, RationalFunction4) else -RationalFunction4.from_poly(other))
-
-    def __mul__(self, other) -> "RationalFunction4":
-        if isinstance(other, RationalFunction4):
-            den = dict(self.den)
-            for i, e in other.den.items():
-                den[i] = den.get(i, 0) + e
-            return RationalFunction4(self.num * other.num, den)
-        return RationalFunction4(self.num * other, dict(self.den))  # scalar or MultiPoly
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            other = RationalFunction4.from_poly(other)
-        if not isinstance(other, RationalFunction4):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        den = " * ".join(
-            FORM_NAMES[i] + (f"^{e}" if e > 1 else "") for i, e in sorted(self.den.items())
-        )
-        return f"RationalFunction4({self.num!r} / {den or '1'})"

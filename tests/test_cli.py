@@ -192,13 +192,28 @@ def test_fay_check_command(capsys):
     code, out, _ = invoke(capsys, "fay-check", "--degree", "6", "--q-order", "6")
     assert code == 0
     assert "verified" in out
-    code, _, _ = invoke(capsys, "fay-check", "--polar-only", "--degree", "6", "--q-order", "4")
+    code, _, _ = invoke(capsys, "fay-check", "--polar-only", "--degree", "6")
     assert code == 0
 
 
 def test_wplus_check_command(capsys):
-    code, out, _ = invoke(capsys, "wplus-check", "--candidate", "polar", "--degree", "6", "--q-order", "4")
+    code, out, _ = invoke(capsys, "wplus-check", "--candidate", "polar", "--degree", "6")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("fay-check", "--polar-only", "--degree", "6", "--q-order", "4"),
+    ("wplus-check", "--candidate", "polar", "--degree", "6", "--q-order", "4"),
+])
+def test_polar_checks_take_no_q_order(capsys, argv):
+    # the polar part has rational coefficients, so a q-order would bound nothing
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: --q-order") and err.count("\n") == 1
+    # the control: the Kronecker function takes the flag
+    code, out, _ = invoke(capsys, "fay-check", "--degree", "6", "--q-order", "4")
+    assert code == 0
+    assert out == "Fay identity for the Kronecker function at degree 6, q-order 4: verified\n"
 
 
 def test_verify_ramanujan(capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubleeis import eisenstein, kronecker
-from doubleeis.action import GroupRingElem, MATRICES, act_group_ring
+from doubleeis.action import GroupRingElem, MATRICES, act, act_group_ring
 from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp, recognize_quasimodular
 from doubleeis.elements import EISENSTEIN, FormalElement, G1, G2, GP, Z1
 from doubleeis.kronecker import (
@@ -21,6 +21,7 @@ from doubleeis.kronecker import (
     check_derivation_diagram,
     closed_form_depth2,
     fay_check,
+    fay_numerator,
     kronecker_b1,
     kronecker_wplus_candidate,
     pair_product,
@@ -31,11 +32,12 @@ from doubleeis.kronecker import (
     symbolic_b2,
     wplus_check,
 )
-from doubleeis.multipoly import MultiPoly, RationalFunction4, divided_difference
+from doubleeis.multipoly import X1, X2, Y1, Y2, MultiPoly, divided_difference
 from doubleeis.series import QSeries
 from doubleeis.spaces import eisenstein_relations, enumerate_generators, normal_form, stuffle_row
 
 M = MATRICES
+X1MX2, X1PX2, Y1MY2, Y1PY2 = (1, -1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -1), (0, 0, 1, 1)
 
 
 def test_table_entries():
@@ -111,6 +113,33 @@ def test_b2_q_derivative_equals_pairing_operator():
     assert lhs == rhs
 
 
+def _forms_product(forms) -> MultiPoly:
+    p = MultiPoly.monomial((0, 0, 0, 0), Fraction(1))
+    for form in forms:
+        p = p * MultiPoly.from_form(form)
+    return p
+
+
+def _cleared_image(elem, numerator, target) -> MultiPoly:
+    """The numerator of (numerator / (X1 X2 Y1 Y2))|elem over the product of the
+    linear forms ``target``: a matrix sends X1 X2 Y1 Y2 to the product of its
+    four images, each of which must be a form of ``target`` up to sign."""
+    total = MultiPoly.zero(None)
+    for coeff, matrix in elem.terms:
+        rest, sign = list(target), coeff
+        for image in matrix.images():
+            if image not in rest:
+                image, sign = tuple(-c for c in image), -sign
+            rest.remove(image)
+        total = total + act(matrix, numerator) * _forms_product(rest) * sign
+    return total
+
+
+#: the images of X1 X2 Y1 Y2 under 1, epsilon, T^-1 and T^-1 epsilon, or under
+#: 1, epsilon, T and T epsilon, divide the product of these forms up to sign
+_OVER_TINV = (X1, X2, X1MX2, Y1, Y2, Y1PY2)
+_OVER_T = (X1, X2, X1PX2, Y1, Y2, Y1MY2)
+
 _BETA_B1 = kronecker_b1(7, 8)
 _BETA_DEGREE = 5
 
@@ -119,11 +148,13 @@ def _beta_correction_identities(beta, b1=_BETA_B1, degree=_BETA_DEGREE) -> tuple
     # beta|(1+eps) = 3 R* + pol|(1 - T^-1 - T^-1 eps)
     # beta|T(1+eps) = 3 Rsh + pol|(1 - T - T eps)
     # pol = -(1/2)[(1/X2 + 1/Y2) b1(X1;Y1) + (1/X1 + 1/Y1) b1(X2;Y2)] is the
-    # cross term of the two-point product f(X1;Y1) f(X2;Y2), f = pole + b1
+    # cross term of the two-point product f(X1;Y1) f(X2;Y2), f = pole + b1,
+    # here its numerator over X1 X2 Y1 Y2; each identity is compared on
+    # numerators over the product of _OVER_TINV or _OVER_T
     pol = (
         kronecker_wplus_candidate(b1, degree)
         - kronecker_wplus_candidate(None, degree)
-        - RationalFunction4.from_poly(pair_product(b1))
+        - pair_product(b1) * _forms_product((X1, X2, Y1, Y2))
     )
     eps = GroupRingElem.matrix(M["epsilon"])
     t = GroupRingElem.matrix(M["T"])
@@ -132,12 +163,12 @@ def _beta_correction_identities(beta, b1=_BETA_B1, degree=_BETA_DEGREE) -> tuple
     rshuffle = divided_difference(b1, "shuffle").truncate(degree)
 
     lhs = act_group_ring(1 + eps, beta)
-    rhs_pol = act_group_ring(1 - tinv - tinv * eps, pol)
-    first = RationalFunction4.from_poly(lhs - rstar * 3) == rhs_pol
+    rhs_pol = _cleared_image(1 - tinv - tinv * eps, pol, _OVER_TINV)
+    first = (lhs - rstar * 3) * _forms_product(_OVER_TINV) == rhs_pol
 
     lhs = act_group_ring(t * (1 + eps), beta)
-    rhs_pol = act_group_ring(1 - t - t * eps, pol)
-    second = RationalFunction4.from_poly(lhs - rshuffle * 3) == rhs_pol
+    rhs_pol = _cleared_image(1 - t - t * eps, pol, _OVER_T)
+    second = (lhs - rshuffle * 3) * _forms_product(_OVER_T) == rhs_pol
     return first, second
 
 
@@ -161,14 +192,16 @@ def test_beta_correction_identities_fail_with_a_perturbed_term(key):
 
 def test_polar_solution_of_the_system():
     # for a candidate in the bi-period space, a third of its (1 + T^-1) image
-    # reproduces it under both symmetrizations
+    # reproduces it under both symmetrizations; b2 = p~|(1 + T^-1) / 3, so by
+    # the right action law b2|g = p~|(1 + T^-1) g / 3, compared on numerators
     p_tilde = kronecker_wplus_candidate(None, 3)
     third = Fraction(1, 3)
-    b2 = act_group_ring(1 + GroupRingElem.matrix(M["T"].inverse()), p_tilde) * third
+    to_b2 = 1 + GroupRingElem.matrix(M["T"].inverse())
     eps = GroupRingElem.matrix(M["epsilon"])
     t = GroupRingElem.matrix(M["T"])
-    assert act_group_ring(1 + eps, b2) == p_tilde
-    assert act_group_ring(t * (1 + eps), b2) == p_tilde
+    one = GroupRingElem.scalar(1)
+    assert _cleared_image(to_b2 * (1 + eps), p_tilde, _OVER_TINV) * third == _cleared_image(one, p_tilde, _OVER_TINV)
+    assert _cleared_image(to_b2 * t * (1 + eps), p_tilde, _OVER_T) * third == _cleared_image(one, p_tilde, _OVER_T)
 
 
 def test_fay_polar_only():
@@ -186,6 +219,61 @@ def test_fay_perturbed_fails():
 
 def test_fay_regular_part_alone_fails():
     assert not fay_check(False, kronecker_b1(6, 6), 6, 6)
+
+
+# -- the Fay sum as the 1 + U + U^2 condition of the bi-period space ------------
+
+def _fay_sum_reference(c: MultiPoly) -> MultiPoly:
+    """The cleared Fay sum t1 - t2 + t3 of C = ``c``, written out term by term."""
+    def at(x, y):
+        return c.substitute((x, X2, y, Y2))
+
+    def term(a, b, f, g):
+        return a * b * (MultiPoly.from_form(f) * MultiPoly.from_form(g))
+
+    minus_x2, minus_y2, minus_y1py2 = (0, -1, 0, 0), (0, 0, 0, -1), (0, 0, -1, -1)
+    t1 = term(c, at(X2, Y2), X1MX2, Y1PY2)
+    t2 = term(at(X1MX2, minus_y2), at(X1, Y1PY2), X2, Y1)
+    t3 = term(at(minus_x2, minus_y1py2), at(X1MX2, Y1), X1, Y2)
+    return t1 - t2 + t3
+
+
+def _assert_fay_numerator_is_the_fay_sum(c: MultiPoly):
+    n = pair_product(c)
+    numerator, reference = fay_numerator(n), _fay_sum_reference(c)
+    assert numerator == reference and numerator.cap == reference.cap
+    # negative controls: T in place of U, and the middle sign flipped
+    quadratic = MultiPoly.from_form(X1MX2) * MultiPoly.from_form(Y1PY2)
+    x2y1 = MultiPoly.monomial((0, 1, 1, 0), Fraction(1))
+    x1y2 = MultiPoly.monomial((1, 0, 0, 1), Fraction(1))
+    t, u = M["T"], M["U"]
+    assert n * quadratic - act(t, n) * x2y1 + act(t * t, n) * x1y2 != reference
+    assert n * quadratic + act(u, n) * x2y1 + act(u * u, n) * x1y2 != reference
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_fay_numerator_is_the_written_out_fay_sum(degree):
+    c = kronecker._cleared(True, symbolic_b1(degree), degree)
+    _assert_fay_numerator_is_the_fay_sum(c)
+    assert fay_numerator(pair_product(c)).cap == degree + 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.fractions(max_denominator=6).filter(bool), max_size=6),
+       st.integers(2, 6))
+def test_fay_numerator_is_the_fay_sum_for_rational_regular_parts(entries, degree):
+    regular = MultiPoly({(r, 0, s, 0): c for (r, s), c in entries.items()}, degree)
+    _assert_fay_numerator_is_the_fay_sum(kronecker._cleared(True, regular, degree))
+    without_pole = kronecker._cleared(False, regular, degree)
+    assert fay_numerator(pair_product(without_pole)) == _fay_sum_reference(without_pole)
+
+
+def test_s_and_epsilon_fix_the_bi_period_denominator():
+    denominator = MultiPoly.monomial((1, 1, 1, 1), Fraction(1))  # X1 X2 Y1 Y2
+    assert act(M["S"], denominator) == denominator
+    assert act(M["epsilon"], denominator) == denominator
+    assert act(M["U"], denominator) != denominator
 
 
 def test_realization_depth_one():

@@ -7,17 +7,12 @@ from hypothesis import strategies as st
 
 from doubleeis.action import MATRICES, act
 from doubleeis.multipoly import (
-    FORMS,
     MultiPoly,
-    RationalFunction4,
-    UnsupportedFormError,
     X1,
     X2,
     Y1,
     Y2,
-    compose_form,
     divided_difference,
-    match_signed_form,
     substitute_sums,
 )
 
@@ -110,34 +105,28 @@ def test_divided_difference_cap_drops_by_one():
     assert divided_difference(t, "star").cap == 3
 
 
-def test_form_matching():
-    assert match_signed_form((1, -1, 0, 0)) == (4, 1)
-    assert match_signed_form((-1, 1, 0, 0)) == (4, -1)
-    with pytest.raises(UnsupportedFormError):
-        match_signed_form((2, 1, 0, 0))
+def _polar_numerator(u, v):
+    """-(u + v)/2 = u v f(u, v) for the bare pole part f(u, v) = -(1/u + 1/v)/2."""
+    return (MultiPoly.from_form(u) + MultiPoly.from_form(v)) * Fraction(-1, 2)
 
 
-def test_compose_form():
-    images = MATRICES["T"].images()
-    assert compose_form(X1MX2, images) == (1, 0, 0, 0)  # (X1+X2) - X2 = X1
-
-
-def _polar_factor(u, v):
-    """-(1/u + 1/v)/2 as a rational function over fixed forms."""
-    iu, su = match_signed_form(u)
-    iv, sv = match_signed_form(v)
-    num = (MultiPoly.from_form(u) + MultiPoly.from_form(v)) * Fraction(-su * sv, 2)
-    return RationalFunction4(num, {iu: 1, iv: 1})
+def _times_forms(p, *forms):
+    for form in forms:
+        p = p * MultiPoly.from_form(form)
+    return p
 
 
 def test_polar_fay_combination_vanishes():
     # the three-term sum for the bare pole part, over the common denominator
-    # X1 X2 (X1-X2) Y1 Y2 (Y1+Y2)
-    t1 = _polar_factor(X1, Y1) * _polar_factor(X2, Y2)
-    t2 = _polar_factor(X1MX2, (0, 0, 0, -1)) * _polar_factor(X1, Y1PY2)
-    t3 = _polar_factor((0, -1, 0, 0), (0, 0, -1, -1)) * _polar_factor(X1MX2, Y1)
-    total = t1 + t2 + t3
-    assert total.is_zero()
+    # X1 X2 (X1-X2) Y1 Y2 (Y1+Y2): the denominators of the three products are
+    # X1 Y1 X2 Y2, -(X1-X2) Y2 X1 (Y1+Y2) and X2 (Y1+Y2) (X1-X2) Y1
+    minus_y2, minus_x2, minus_y1py2 = (0, 0, 0, -1), (0, -1, 0, 0), (0, 0, -1, -1)
+    t1 = _times_forms(_polar_numerator(X1, Y1) * _polar_numerator(X2, Y2), X1MX2, Y1PY2)
+    t2 = -_times_forms(_polar_numerator(X1MX2, minus_y2) * _polar_numerator(X1, Y1PY2), X2, Y1)
+    t3 = _times_forms(_polar_numerator(minus_x2, minus_y1py2) * _polar_numerator(X1MX2, Y1), X1, Y2)
+    assert not (t1 + t2 + t3)
+    # negative control: the sign that clears -(X1-X2) Y2 X1 (Y1+Y2) matters
+    assert t1 - t2 + t3
 
 
 def test_polar_fay_combination_against_sympy():
@@ -154,26 +143,6 @@ def test_polar_fay_combination_against_sympy():
         + f(-x2, -y1 - y2) * f(x1 - x2, y1)
     )
     assert sympy.simplify(sympy.together(total)) == 0
-
-
-def test_act_on_rational_function_denominators():
-    rf = RationalFunction4(MultiPoly.monomial((0, 0, 0, 0), Fraction(1)), {0: 1})  # 1/X1
-    image = act(MATRICES["T"], rf)  # X1 -> X1 + X2
-    assert image.den == {5: 1}
-    # U sends Y1 -> -Y2: sign lands in the numerator
-    rf = RationalFunction4(MultiPoly.monomial((0, 0, 0, 0), Fraction(1)), {2: 1})  # 1/Y1
-    image = act(MATRICES["U"], rf)
-    assert image.den == {3: 1}
-    assert image.num == MultiPoly.monomial((0, 0, 0, 0), Fraction(-1))
-
-
-def test_act_exotic_matrix_rejected():
-    from doubleeis.action import IntMatrix2
-
-    exotic = IntMatrix2(2, 1, 1, 1)  # det 1, but X1 -> 2 X1 + X2 leaves the set
-    rf = RationalFunction4(MultiPoly.monomial((0, 0, 0, 0), Fraction(1)), {0: 1})
-    with pytest.raises(UnsupportedFormError):
-        act(exotic, rf)
 
 
 def test_partial_derivative():
@@ -221,17 +190,6 @@ def test_truncated_zero_and_exact_zero_in_products():
     assert (MultiPoly.zero(3) * x1).cap == 4  # a truncated zero starts past its cap
     assert (MultiPoly.zero(3) * MultiPoly.zero(2)).cap == 6
     assert (MultiPoly.zero(None) * x1.truncate(3)).cap is None  # an exact zero is exact
-
-
-def test_cross_multiplied_fractions_keep_their_exactness():
-    # X1^3 / X1 = X1^2 and (X1^2 X2 + X2^3) / X2 = X1^2 + X2^2 differ in
-    # degree 2, which the numerators, exact through degree 3, determine
-    lhs = RationalFunction4(MultiPoly.monomial((3, 0, 0, 0), Fraction(1), 3), {0: 1})
-    rhs = RationalFunction4(
-        MultiPoly({(2, 1, 0, 0): Fraction(1), (0, 3, 0, 0): Fraction(1)}, 3), {1: 1}
-    )
-    assert lhs != rhs
-    assert lhs == RationalFunction4(MultiPoly.monomial((2, 1, 0, 0), Fraction(1), 3), {1: 1})
 
 
 # -- the factored expansion: X factor times Y factor per matrix term ------------
