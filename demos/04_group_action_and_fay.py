@@ -33,8 +33,8 @@ print("  A^3 == -identity:", m["A"] ** 3 == m["sigma"])
 print()
 
 print("Fay identity after clearing X1 X2 (X1-X2) Y1 Y2 (Y1+Y2):")
-print("  bare pole part -(1/X + 1/Y)/2:", fay_check(True, None, 8, 6))
-print("  full Kronecker function:      ", fay_check(True, kronecker_b1(8, 10), 8, 10))
+print("  bare pole part -(1/X + 1/Y)/2:", fay_check(None, 8, 6))
+print("  full Kronecker function:      ", fay_check(kronecker_b1(8, 10), 8, 10))
 print()
 
 print("Bi-period membership (killed by 1+U+U^2, 1+S, 1-epsilon):")

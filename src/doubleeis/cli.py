@@ -290,24 +290,26 @@ def _cmd_fay(args) -> int:
     if args.degree < 1:
         raise UsageError(f"fay-check needs --degree >= 1; degree {args.degree} checks nothing")
     if args.polar_only:
-        ok = fay_check(True, None, args.degree, args.q_order)
+        ok = fay_check(None, args.degree, args.q_order)
         label = "polar part"
     else:
-        ok = fay_check(True, symbolic_b1(args.degree), args.degree, args.q_order)
+        ok = fay_check(symbolic_b1(args.degree), args.degree, args.q_order)
         label = "Kronecker function"
-    _emit(args, [{"candidate": label, "degree": args.degree, "q_order": args.q_order, "holds": ok}],
-          [f"Fay identity for the {label} at degree {args.degree}, q-order {args.q_order}: "
-           + ("verified" if ok else "FAILED")])
+    bound = {} if args.polar_only else {"q_order": args.q_order}  # none bounds a rational check
+    _emit(args, [{"candidate": label, "degree": args.degree, **bound, "holds": ok}],
+          [f"Fay identity for the {label} at degree {args.degree}"
+           + (f", q-order {args.q_order}" if bound else "") + ": " + ("verified" if ok else "FAILED")])
     return 0 if ok else 1
 
 
 def _cmd_wplus(args) -> int:
-    if args.candidate == "polar":
+    polar = args.candidate == "polar"
+    if polar:
         ok = wplus_check(kronecker_wplus_candidate(None, args.degree), args.degree, args.q_order)
     else:
         ok = kronecker_wplus_check(args.degree, args.q_order)
     _emit(args, [{"candidate": args.candidate, "degree": args.degree,
-                  "q_order": args.q_order, "member": ok}],
+                  **({} if polar else {"q_order": args.q_order}), "member": ok}],
           [f"{args.candidate} candidate in the bi-period space: " + ("yes" if ok else "NO")])
     return 0 if ok else 1
 

@@ -53,6 +53,8 @@ def eisenstein_qexp(k: int, n_order: int) -> QSeries:
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
+    if n_order < 0:
+        raise ValueError("truncation order must be >= 0")
     if k % 2:
         return QSeries.zero(n_order)
     # integer numerators over the lcm of the two denominators

@@ -16,10 +16,10 @@ kind's text form, ``str(g)`` writes it, and ``GENERATOR_PATTERN`` reads it,
 for :func:`parse_genid` and for the expression parser alike.  Digits are
 ASCII; whitespace may stand inside the parentheses.  So are the monomial
 that carries a generator in the generating series, the linear extension
-of per-generator images that every linear map on generators uses, and the
-sum of products of maps from keys to rationals (:func:`product_sum`) by
-which the series code sums its map-valued coefficients; both sum as
-integer numerators over one common denominator, one Fraction per key.
+of per-generator images that every linear map on generators uses, and
+:class:`Combination`, the one class of map-valued series coefficients,
+whose sums of products the series code forms; both sum as integer
+numerators over one common denominator, one Fraction per key.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def linear_extension(image: Callable, terms: Iterable[tuple[object, Fraction | i
     """The sum of c * image(x) over the (x, c) of ``terms``, for images of
     (key, rational) pairs and rational or integer c, as a map from key to
     nonzero total: the products are summed as integers over one common
-    denominator, each total a Fraction once, as in :func:`product_sum`.
+    denominator, each total a Fraction once, as in :meth:`Combination.product_sum`.
 
     The images are read as rationals here rather than as integer forms:
     each image is used once per call, so forming it would cost more than
@@ -202,39 +202,78 @@ def linear_extension(image: Callable, terms: Iterable[tuple[object, Fraction | i
     return {h: Fraction(n, den) for h, n in acc.items() if n}
 
 
-def integer_form(value, items: Iterable[tuple[object, Fraction | int]] | None = None) -> tuple:
-    """(den, ((key, num), ...), value): the (key, rational) pairs of ``items``
-    as integer numerators over the lcm of their denominators, the form that
-    :func:`product_sum` multiplies.  ``items`` are the terms of the map
-    ``value``; without them ``value`` is a rational, the one-key map
-    {(): value} of the unit key ()."""
-    if items is None:
-        return value.denominator, (((), value.numerator),), value
-    items = tuple(items)
-    den = lcm(*(c.denominator for _, c in items))
-    return den, tuple((h, c.numerator * (den // c.denominator)) for h, c in items), value
+class Combination(dict):
+    """A rational combination of keys: a map from keys to nonzero rationals.
 
+    The coefficients of the symbolic series are combinations: of generators
+    in the generating series of :mod:`.identities`, and of atom monomials in
+    the symbolic b1 and b2 (:class:`.kronecker.AtomCombination`).  The unit
+    key ``()`` stands for 1, so a plain rational added to a combination
+    becomes a multiple of it.  The series and group-ring code needs sums,
+    negation, products and truthiness of a coefficient, so no term is zero:
+    the constructor takes nonzero terms, and each operation drops the terms
+    that cancel.  A result has the class of its combination operand.
+    """
 
-def product_sum(pairs: list[tuple[tuple, tuple]]) -> dict:
-    """The sum of a * b over the pairs of forms of :func:`integer_form`, as a
-    map from key to nonzero total: the products are summed as integers over
-    one common denominator, each total a Fraction once.  A product of two
-    terms has the sorted join of their keys; the unit key () leaves the other
-    key as it is, so a sum of n * c is the product sum with n as a form."""
-    den = lcm(*(a[0] * b[0] for a, b in pairs))
-    acc: dict = {}
-    for (d1, t1, _), (d2, t2, _) in pairs:
-        scale = den // (d1 * d2)
-        for h2, v2 in t2:
-            v2 *= scale
-            if not h2:
+    __slots__ = ()
+
+    @staticmethod
+    def integer_form(value) -> tuple:
+        """(den, ((key, num), ...)): a combination, or a rational as a multiple
+        of the unit key (), as integer numerators over the lcm of its
+        denominators, the form that :meth:`product_sum` multiplies."""
+        if not isinstance(value, Combination):
+            return value.denominator, (((), value.numerator),)
+        den = lcm(*(c.denominator for c in value.values()))
+        return den, tuple((h, c.numerator * (den // c.denominator)) for h, c in value.items())
+
+    @classmethod
+    def product_sum(cls, pairs: list[tuple[tuple, tuple]]) -> "Combination":
+        """The sum of a * b over the pairs of forms of :meth:`integer_form`:
+        the products are summed as integers over one common denominator, each
+        total a Fraction once.  A product of two terms has the sorted join of
+        their keys; the unit key () leaves the other key as it is, so a sum of
+        n * c is the product sum with n as a form."""
+        den = lcm(*(a[0] * b[0] for a, b in pairs))
+        acc: dict = {}
+        for (d1, t1), (d2, t2) in pairs:
+            scale = den // (d1 * d2)
+            for h2, v2 in t2:
+                v2 *= scale
+                if not h2:
+                    for h1, v1 in t1:
+                        acc[h1] = acc.get(h1, 0) + v1 * v2
+                    continue
                 for h1, v1 in t1:
-                    acc[h1] = acc.get(h1, 0) + v1 * v2
-                continue
-            for h1, v1 in t1:
-                h = tuple(sorted(h1 + h2)) if h1 else h2
-                acc[h] = acc.get(h, 0) + v1 * v2
-    return {h: Fraction(v, den) for h, v in acc.items() if v}
+                    h = tuple(sorted(h1 + h2)) if h1 else h2
+                    acc[h] = acc.get(h, 0) + v1 * v2
+        return cls({h: Fraction(v, den) for h, v in acc.items() if v})
+
+    def __add__(self, other) -> "Combination":
+        if not isinstance(other, Combination):
+            other = {(): other}  # a rational is a multiple of the unit key
+        t = type(self)(self)
+        for h, c in other.items():
+            v = t.get(h, 0) + c
+            if v:
+                t[h] = v
+            else:
+                t.pop(h, None)
+        return t
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Combination":
+        return type(self)({h: -c for h, c in self.items()})
+
+    def __mul__(self, other) -> "Combination":
+        if not isinstance(other, Combination):
+            if not other:
+                return type(self)()
+            return type(self)({h: c * other for h, c in self.items()})
+        return self.product_sum([(self.integer_form(self), self.integer_form(other))])
+
+    __rmul__ = __mul__
 
 
 _INDEX = re.compile(r"[0-9]+")
@@ -262,15 +301,6 @@ def parse_genid(text: str) -> GenId:
     if m is None:
         raise ValueError(f"unrecognized generator {text!r}")
     return generator_from_match(m)
-
-
-def _joined(space: str | None, weight: int | None, other: "FormalElement") -> tuple:
-    """The space and weight of a sum with ``other``; raise if the two differ."""
-    if space is not None and other.space is not None and space != other.space:
-        raise MixedSpaceError("cannot combine elements of different spaces")
-    if weight is not None and other.weight is not None and weight != other.weight:
-        raise MixedWeightError(f"cannot combine weight {weight} with weight {other.weight}")
-    return space or other.space, weight if weight is not None else other.weight
 
 
 class FormalElement:
@@ -336,29 +366,15 @@ class FormalElement:
     def __len__(self) -> int:
         return len(self._terms)
 
-    @classmethod
-    def integer_form(cls, e) -> tuple:
-        """An element, or a rational, in the :func:`integer_form` that
-        :meth:`product_sum` sums."""
-        return integer_form(e, e._terms.items()) if isinstance(e, FormalElement) else integer_form(e)
-
-    @classmethod
-    def product_sum(cls, pairs: list[tuple[tuple, tuple]]) -> "FormalElement":
-        """The sum of a * b over the pairs of :meth:`integer_form` of an element
-        and a rational, with the space and weight checks of ``+``, summed on
-        integers by :func:`product_sum`."""
-        space = weight = None
-        for pair in pairs:
-            for f in pair:
-                if isinstance(f[2], FormalElement):
-                    space, weight = _joined(space, weight, f[2])
-        terms = product_sum(pairs)
-        return cls._make(space, weight if terms else None, terms)
-
     def __add__(self, other) -> "FormalElement":
         if not isinstance(other, FormalElement):
             return NotImplemented
-        space, weight = _joined(self.space, self.weight, other)
+        space = self.space or other.space
+        weight = self.weight if self.weight is not None else other.weight
+        if other.space not in (None, space):
+            raise MixedSpaceError("cannot combine elements of different spaces")
+        if other.weight not in (None, weight):
+            raise MixedWeightError(f"cannot combine weight {weight} with weight {other.weight}")
         t = dict(self._terms)
         for g, c in other._terms.items():
             s = t.get(g)

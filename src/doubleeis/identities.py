@@ -4,9 +4,10 @@ Every constructor returns a :class:`FormalElement` asserting ``= 0``; the
 two available oracles are reduction to the normal form zero and realization
 to the zero q-series.  The parity family is extracted from a group-ring
 identity between the depth-two generating series and the depth-one /
-product series, evaluated here on series whose coefficients are themselves
-formal elements (:func:`generating_series`); its right side is the
-group-ring form :func:`.kronecker.double_shuffle_form` that also gives b2.
+product series, evaluated here on series whose coefficients are rational
+combinations of generators (:func:`generating_series`), each read off as a
+checked :class:`FormalElement`; its right side is the group-ring form
+:func:`.kronecker.double_shuffle_form` that also gives b2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 from typing import Iterable
 
 from .action import GroupRingElem, MATRICES
-from .elements import EISENSTEIN, FormalElement, G1, G2, GP, GenId, generating_monomial
+from .elements import EISENSTEIN, Combination, FormalElement, G1, G2, GP, GenId, generating_monomial
 from .kronecker import double_shuffle_form, realize_element
 from .multipoly import MultiPoly
 from .series import QSeries
@@ -47,12 +48,12 @@ def sum_formula(k: int, d: int) -> FormalElement:
 # -- parity -------------------------------------------------------------------
 
 def generating_series(gens: Iterable[GenId]) -> MultiPoly:
-    """The generating series of the given generators with element coefficients: each
-    generator over its factorial at its monomial (:func:`.elements.generating_monomial`)."""
+    """The generating series of ``gens``: each generator over its factorial, a
+    :class:`.elements.Combination`, at its monomial (:func:`.elements.generating_monomial`)."""
     terms = {}
     for gen in gens:
         exps, scale = generating_monomial(gen)
-        terms[exps] = FormalElement.single(gen, Fraction(1, scale))
+        terms[exps] = Combination({gen: Fraction(1, scale)})
     return MultiPoly(terms, None)
 
 
@@ -92,7 +93,7 @@ def parity_expression(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
         raise ValueError("need k1, k2 >= 1, d1, d2 >= 0 and weight >= 3")
     gen = G2(k1, k2, d1, d2)
     exps, scale = generating_monomial(gen)
-    combo = (_parity_rhs(weight).coefficient(exps) or FormalElement.zero()) * Fraction(scale, 2)
+    combo = FormalElement(_parity_rhs(weight).coefficient(exps) or ()) * Fraction(scale, 2)
     if any(g.kind == "G2" for g in combo.generators()):
         raise AssertionError("parity extraction produced a depth-two term")
     return FormalElement.single(gen) - combo

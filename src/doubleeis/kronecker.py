@@ -12,17 +12,19 @@ in the quasimodular ring.  Taking constant terms gives the rational
 
 ``b2`` is bilinear in ``b1``, so each of its coefficients is one rational
 combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
-Both are built once with :class:`AtomCombination` coefficients.  ``b2`` is
-built from P = b1(X1;Y1) b1(X2;Y2) and the divided differences R* and Rsh
-of b1, the three acted on by their group-ring elements in one pass
+Both are built with :class:`AtomCombination` coefficients, the
+:class:`.elements.Combination` of atom monomials.  ``b2`` is built from
+P = b1(X1;Y1) b1(X2;Y2) and the divided differences R* and Rsh of b1, the
+three acted on by their group-ring elements in one pass
 (:func:`.action.act_group_ring_sum`): each monomial is expanded once for
 its whole element, as an X factor times a Y factor, and each coefficient
 of the sum is formed once, on integers over one denominator
-(:meth:`AtomCombination.product_sum`, with each integer as a one-term
-combination); products of series sum their coefficient products the same
-way.  The action keeps each piece of one total degree apart, and the piece of
-degree n reads b1 only through degree n + 1, so a request for a larger
-degree builds only the pieces above the largest ``b2`` built so far.
+(:meth:`.elements.Combination.product_sum`, with each integer as a
+one-term combination); products of series sum their coefficient products
+the same way.  The action keeps each piece of one total degree apart, and
+the piece of degree n reads b1 only through degree n + 1, so ``b2`` is
+built and cached piece by piece, and a generator reads only the piece of
+its own weight.
 
 Like the maps of :mod:`.maps`, the realization caches one image per
 generator, its atom combination, and extends linearly by
@@ -44,13 +46,12 @@ from .action import GroupRingElem, MATRICES, act, act_group_ring, act_group_ring
 from .eisenstein import derived_eisenstein, eisenstein_qexp, product_series
 from .elements import (
     EISENSTEIN,
+    Combination,
     FormalElement,
     G1,
     GenId,
     generating_monomial,
-    integer_form,
     linear_extension,
-    product_sum,
 )
 from .maps import map_partial
 from .multipoly import LinForm, MultiPoly, X2, Y2, divided_difference
@@ -132,56 +133,14 @@ def build_b2(b1, degree: int, lowest: int = 0) -> MultiPoly:
 
 # -- the symbolic b1 and b2 ----------------------------------------------------
 
-class AtomCombination(dict):
-    """A coefficient of the symbolic b1 or b2: a map from monomials to rationals.
-
-    The atom (k, m) stands for (q d/dq)^m G_k and a monomial is a sorted
-    tuple of atoms; the empty monomial ``()`` is the constant 1, so a plain
-    rational added to a combination becomes a multiple of it.  The series
-    and group-ring code needs sums, negation, products and truthiness of a
-    coefficient, so no term is zero: the constructor takes nonzero terms,
-    and each operation drops the terms that cancel as it builds its result.
+class AtomCombination(Combination):
+    """A coefficient of the symbolic b1 or b2: a :class:`.elements.Combination`
+    of monomials.  The atom (k, m) stands for (q d/dq)^m G_k, a monomial is a
+    sorted tuple of atoms, and the unit key ``()`` is the empty monomial, the
+    constant 1.
     """
 
     __slots__ = ()
-
-    @classmethod
-    def integer_form(cls, c) -> tuple:
-        """A combination, or a rational as a multiple of ``()``, in the
-        :func:`.elements.integer_form` that :meth:`product_sum` sums."""
-        return integer_form(c, c.items()) if isinstance(c, AtomCombination) else integer_form(c)
-
-    @classmethod
-    def product_sum(cls, pairs: list[tuple[tuple, tuple]]) -> "AtomCombination":
-        """The sum of a * b over the pairs of :meth:`integer_form`, summed on
-        integers by :func:`.elements.product_sum`."""
-        return cls(product_sum(pairs))
-
-    def __add__(self, other) -> "AtomCombination":
-        if not isinstance(other, AtomCombination):
-            other = {(): other}  # a rational is a multiple of the empty monomial
-        t = AtomCombination(self)
-        for m, c in other.items():
-            v = t.get(m, 0) + c
-            if v:
-                t[m] = v
-            else:
-                t.pop(m, None)
-        return t
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "AtomCombination":
-        return AtomCombination({m: -c for m, c in self.items()})
-
-    def __mul__(self, other) -> "AtomCombination":
-        if not isinstance(other, AtomCombination):
-            if not other:
-                return AtomCombination()
-            return AtomCombination({m: c * other for m, c in self.items()})
-        return AtomCombination(product_sum([(integer_form(self, self.items()), integer_form(other, other.items()))]))
-
-    __rmul__ = __mul__
 
     def evaluate(self, q_order: int) -> QSeries:
         """The combination as a q-series truncated at ``q_order``."""
@@ -200,35 +159,25 @@ def symbolic_b1(degree: int) -> MultiPoly:
     return MultiPoly(terms, degree)
 
 
-#: The largest symbolic b2 built so far; it serves every smaller degree, so
-#: a request builds only the pieces above it, up to the degree it needs.
-_symbolic_b2: MultiPoly | None = None
-
-
-def symbolic_b2(degree: int) -> MultiPoly:
-    """The depth-two series to at least total degree ``degree``, with atom coefficients."""
-    global _symbolic_b2
-    b2 = _symbolic_b2  # read once: another thread may replace it meanwhile
-    if b2 is None or b2.cap < degree:
-        top = build_b2(symbolic_b1(degree + 1), degree, 0 if b2 is None else b2.cap + 1)
-        b2 = _symbolic_b2 = top if b2 is None else MultiPoly({**b2._t, **top._t}, degree)
-    return b2
+@cache
+def _b2_piece(n: int) -> MultiPoly:
+    """The piece of total degree ``n`` of the depth-two series, with atom
+    coefficients; it reads the symbolic b1 through degree n + 1 only."""
+    return build_b2(symbolic_b1(n + 1), n, n)
 
 
 # -- the Fay identity and the bi-period space -----------------------------------
 
-def _cleared(include_pole: bool, regular, degree: int) -> MultiPoly:
-    """C(X;Y) = X Y f(X;Y) for f = -(1/X+1/Y)/2 * [pole] + regular.
+def _cleared(regular, degree: int) -> MultiPoly:
+    """C(X;Y) = X Y f(X;Y) for f = -(1/X+1/Y)/2 + regular.
 
     ``regular`` is kept through total degree ``degree`` (``None`` is zero),
-    so C is exact through ``degree`` + 2; with the pole it starts in degree 1.
+    so C is exact through ``degree`` + 2; it starts in degree 1.
     """
     regular = MultiPoly.zero(degree) if regular is None else regular.truncate(degree)
-    c = MultiPoly.monomial((1, 0, 1, 0), Fraction(1)) * regular
-    if include_pole:  # X Y times the pole, an exact polynomial
-        half = Fraction(-1, 2)
-        c = c + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half})
-    return c
+    half = Fraction(-1, 2)  # X Y times the pole, an exact polynomial
+    return (MultiPoly.monomial((1, 0, 1, 0), Fraction(1)) * regular
+            + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half}))
 
 
 def _vanishes(p: MultiPoly, q_order: int) -> bool:
@@ -258,8 +207,8 @@ def fay_numerator(n: MultiPoly) -> MultiPoly:
     return n * quadratic - act(u, n) * x2y1 + act(u * u, n) * x1y2
 
 
-def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
-    """Verify the three-term Fay identity for -(1/X+1/Y)/2 * [pole] + regular.
+def fay_check(regular, degree: int, q_order: int) -> bool:
+    """Verify the three-term Fay identity for -(1/X+1/Y)/2 + regular.
 
     The three products are summed after clearing the common denominator
     X1 X2 (X1-X2) Y1 Y2 (Y1+Y2); with C(X;Y) := X Y f(X;Y) the cleared sum is
@@ -280,7 +229,7 @@ def fay_check(include_pole: bool, regular, degree: int, q_order: int) -> bool:
     is compared at the order it carries, so a q-series table is built at
     ``q_order``, as ``kronecker_b1(degree, q_order)`` is.
     """
-    return _vanishes(fay_numerator(pair_product(_cleared(include_pole, regular, degree))), q_order)
+    return _vanishes(fay_numerator(pair_product(_cleared(regular, degree))), q_order)
 
 
 def kronecker_wplus_candidate(regular, degree: int) -> MultiPoly:
@@ -293,7 +242,7 @@ def kronecker_wplus_candidate(regular, degree: int) -> MultiPoly:
     through ``degree`` + 4.  With ``regular`` None it is the numerator of the
     product of the two poles, (1/4)(1/X1 + 1/Y1)(1/X2 + 1/Y2).
     """
-    return pair_product(_cleared(True, regular, degree + 1))
+    return pair_product(_cleared(regular, degree + 1))
 
 
 def wplus_check(numerator: MultiPoly, degree: int, q_order: int) -> bool:
@@ -338,7 +287,7 @@ def _image(gen: GenId) -> tuple[tuple[tuple, Fraction], ...]:
         c = AtomCombination(_image(G1(k1, d1))) * AtomCombination(_image(G1(k2, d2)))
     else:
         exps, scale = generating_monomial(gen)
-        series = symbolic_b1(gen.weight - 1) if gen.kind == "G1" else symbolic_b2(gen.weight - 2)
+        series = symbolic_b1(gen.weight - 1) if gen.kind == "G1" else _b2_piece(gen.weight - 2)
         c = (series.coefficient(exps) or AtomCombination()) * scale
     return tuple(c.items())
 
@@ -349,6 +298,8 @@ class KroneckerRealization:
     evaluated once at the q-order."""
 
     def __init__(self, q_order: int):
+        if q_order < 0:
+            raise ValueError(f"q-order must be >= 0, got {q_order}")
         self.q_order = q_order
 
     def value(self, gen: GenId) -> QSeries:

@@ -25,15 +25,13 @@ of a two-variable monomial; only those factors are cached.  Each monomial
 is expanded once for the whole sum, into integers, and each output
 coefficient is formed once from the (coefficient, integer n) pairs that
 land on its monomial; a product forms each of its coefficients once from
-the (coefficient, coefficient) pairs of the same monomial.  A coefficient
-type whose values are maps from keys to rationals
-(:class:`.kronecker.AtomCombination`, :class:`.elements.FormalElement`)
-provides two classmethods: ``integer_form`` writes one value, or a
-rational beside such values, as integer numerators over one denominator,
-once per coefficient of an operand, and ``product_sum`` sums x * y over
-pairs of such forms on integers, with one Fraction per key of the result
-(:func:`.elements.product_sum`).  Other coefficients are summed with their
-own ``*`` and ``+``.
+the (coefficient, coefficient) pairs of the same monomial.  Coefficients
+that are rational combinations (:class:`.elements.Combination`) are summed
+on integers: ``Combination.integer_form`` writes one value, or a rational
+beside such values, as integer numerators over one denominator, once per
+coefficient of an operand, and ``Combination.product_sum`` sums x * y over
+pairs of such forms, with one Fraction per key of the result.  Other
+coefficients are summed with their own ``*`` and ``+``.
 """
 
 from __future__ import annotations
@@ -41,6 +39,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Literal
+
+from .elements import Combination
 
 LinForm = tuple[int, int, int, int]
 
@@ -109,13 +109,13 @@ def _combiner(coefficients) -> tuple[Callable, Callable]:
     list of pairs of prepared values, coefficients or integers, each value
     prepared once.
 
-    When the coefficients other than rationals share one type with
-    ``product_sum``, they are its ``integer_form`` and ``product_sum``, which
-    sum on integers; otherwise each value is itself and the pairs are summed
-    with * and +.
+    When the coefficients other than rationals share one :class:`.elements.Combination`
+    class, they are its ``integer_form`` and ``product_sum``, which sum on
+    integers; otherwise each value is itself and the pairs are summed with *
+    and +.
     """
     kinds = {type(c) for c in coefficients} - {int, Fraction}
-    if len(kinds) == 1 and hasattr(kind := kinds.pop(), "product_sum"):
+    if len(kinds) == 1 and issubclass(kind := kinds.pop(), Combination):
         return kind.integer_form, kind.product_sum
     return _same, _sum_of_products
 

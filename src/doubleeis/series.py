@@ -83,9 +83,9 @@ class QSeries:
         return tuple(Fraction(n, d) for n in self._n)
 
     def truncate(self, order: int) -> "QSeries":
-        """Drop coefficients beyond ``order`` (which must not exceed self.order)."""
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
+        """Drop coefficients beyond ``order`` (which must lie in 0..self.order)."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"truncation order {order} lies outside 0..{self.order}")
         return _reduced(self._n[: order + 1], self._d)
 
     def __bool__(self) -> bool:

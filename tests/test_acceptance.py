@@ -78,8 +78,8 @@ def test_criterion_03_map_well_definedness():
 
 
 def test_criterion_04_fay_identity():
-    ok_kronecker = fay_check(True, symbolic_b1(8), 8, 20)
-    ok_polar = fay_check(True, None, 8, 20)
+    ok_kronecker = fay_check(symbolic_b1(8), 8, 20)
+    ok_polar = fay_check(None, 8, 20)
     report(4, ok_kronecker and ok_polar,
            "Fay identity at degree 8, q-order 20 for the Kronecker function and its pole part")
 

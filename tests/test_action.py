@@ -16,7 +16,7 @@ from doubleeis.action import (
     act_group_ring_sum,
     parse_group_ring,
 )
-from doubleeis.elements import G1, G2, GP, FormalElement, MixedSpaceError, MixedWeightError, Z1
+from doubleeis.elements import G1, G2, GP, Combination, FormalElement, MixedWeightError
 from doubleeis.kronecker import AtomCombination, kronecker_wplus_candidate, wplus_check
 from doubleeis.multipoly import MultiPoly, divided_difference
 from doubleeis.series import QSeries
@@ -142,6 +142,7 @@ _atoms = st.sampled_from(((), ((2, 0),), ((4, 0),), ((2, 0), (4, 0)), ((3, 1), (
 _atom_combinations = st.dictionaries(_atoms, _fractions.filter(bool), max_size=3).map(AtomCombination)
 _weight4 = st.sampled_from((G1(4, 0), G1(3, 1), G2(2, 2, 0, 0), G2(1, 3, 0, 0), GP(2, 2, 0, 0)))
 _formal_elements = st.dictionaries(_weight4, _fractions, max_size=3).map(FormalElement)
+_generator_combinations = st.dictionaries(_weight4, _fractions.filter(bool), max_size=3).map(Combination)
 # repeated names and a term followed by its negative, so terms merge and cancel
 _named_terms = st.lists(
     st.tuples(st.integers(-3, 3), st.sampled_from(sorted(M))).flatmap(
@@ -165,9 +166,11 @@ def _term_by_term(named_terms, p):
 
 @settings(max_examples=80, deadline=None)
 @given(_named_terms,
-       st.sampled_from((_fractions, _atom_combinations, _formal_elements)).flatmap(_polys_over))
+       st.sampled_from((_fractions, _atom_combinations, _generator_combinations,
+                        _formal_elements)).flatmap(_polys_over))
 def test_one_pass_action_equals_the_term_by_term_sum(named_terms, p):
-    # one coefficient type per series: rationals, atom combinations or formal elements
+    # one coefficient type per series: rationals, combinations of atoms or of
+    # generators, or formal elements
     elem = GroupRingElem([(n, M[name]) for n, name in named_terms])
     fused = act_group_ring(elem, p)
     reference = _term_by_term(named_terms, p)
@@ -181,19 +184,20 @@ def test_one_pass_action_equals_the_term_by_term_sum(named_terms, p):
 
 
 def _linear_combination(kind, pairs):
-    """The sum of n * c over the (value, integer) pairs, by ``kind.product_sum``."""
+    """The sum of n * c over the (combination, integer) pairs, by ``kind.product_sum``."""
     return kind.product_sum([(kind.integer_form(c), kind.integer_form(n)) for c, n in pairs])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.lists(st.tuples(_atom_combinations, st.integers(-4, 4)), min_size=1, max_size=4),
-                 st.lists(st.tuples(_formal_elements, st.integers(-4, 4)), min_size=1, max_size=4)))
+                 st.lists(st.tuples(_generator_combinations, st.integers(-4, 4)), min_size=1, max_size=4)))
 def test_integer_coefficient_sum_equals_the_chained_sum(pairs):
     kind = type(pairs[0][0])
     chained = pairs[0][0] * pairs[0][1]
     for c, n in pairs[1:]:
         chained = chained + c * n
     assert _linear_combination(kind, pairs) == chained
+    assert type(_linear_combination(kind, pairs)) is type(chained) is kind
     # negative control: leaving out a pair that contributes changes the sum
     contributing = [i for i, (c, n) in enumerate(pairs) if c and n]
     if contributing:
@@ -204,11 +208,10 @@ def test_integer_coefficient_sum_equals_the_chained_sum(pairs):
 def test_integer_coefficient_sums_that_cancel():
     atoms = AtomCombination({((2, 0),): Fraction(1, 3), ((4, 0),): Fraction(-2, 5)})
     assert _linear_combination(AtomCombination, [(atoms, 3), (atoms, -3)]) == {}
-    element = FormalElement([(G1(4, 0), Fraction(1, 2)), (GP(2, 2, 0, 0), 3)])
-    zero = _linear_combination(FormalElement, [(element, 2), (element, -2)])
-    assert not zero and zero.weight is None and zero.space == "E"
+    gens = Combination({G1(4, 0): Fraction(1, 2), GP(2, 2, 0, 0): Fraction(3)})
+    assert _linear_combination(Combination, [(gens, 2), (gens, -2)]) == {}
     # on a series: 1 - epsilon kills an epsilon-symmetric one, and the monomials go
-    for c in (atoms, element):
+    for c in (atoms, gens):
         p = MultiPoly({(1, 0, 0, 1): c, (0, 1, 1, 0): c}, 5)  # X1 Y2 + X2 Y1
         assert not act_group_ring(1 - GroupRingElem.matrix(M["epsilon"]), p)._t
         # control: 1 + epsilon doubles it
@@ -216,11 +219,9 @@ def test_integer_coefficient_sums_that_cancel():
 
 
 def test_combined_formal_elements_keep_the_checks_of_addition():
+    # the series code sums formal elements with their own * and +, so a sum
+    # on a series keeps the weight and space checks of +
     four, five = FormalElement.single(G1(4, 0)), FormalElement.single(G1(5, 0))
-    with pytest.raises(MixedWeightError):
-        _linear_combination(FormalElement, [(four, 1), (five, 2)])
-    with pytest.raises(MixedSpaceError):
-        _linear_combination(FormalElement, [(four, 1), (FormalElement.single(Z1(4)), 1)])
     # on a series: epsilon moves X1 to X2, where the weight-5 coefficient stands
     p = MultiPoly({(1, 0, 0, 0): four, (0, 1, 0, 0): five}, None)
     with pytest.raises(MixedWeightError):

@@ -216,6 +216,22 @@ def test_polar_checks_take_no_q_order(capsys, argv):
     assert out == "Fay identity for the Kronecker function at degree 6, q-order 4: verified\n"
 
 
+def test_polar_checks_report_no_q_order(capsys):
+    # no q-order bounds a polar check, so its row and line name none
+    code, out, _ = invoke(capsys, "fay-check", "--polar-only", "--degree", "8")
+    assert code == 0 and out == "Fay identity for the polar part at degree 8: verified\n"
+    code, out, _ = invoke(capsys, "fay-check", "--polar-only", "--degree", "8", "--format", "json")
+    assert code == 0 and json.loads(out) == [{"candidate": "polar part", "degree": 8, "holds": True}]
+    code, out, _ = invoke(capsys, "wplus-check", "--candidate", "polar", "--degree", "4", "--format", "csv")
+    assert code == 0 and out == "candidate,degree,member\npolar,4,True\n"
+    # the control: the Kronecker rows keep the q-order that bounds them
+    code, out, _ = invoke(capsys, "fay-check", "--degree", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"candidate": "Kronecker function", "degree": 4, "holds": True, "q_order": 30}]
+    code, out, _ = invoke(capsys, "wplus-check", "--candidate", "kronecker", "--degree", "4", "--format", "csv")
+    assert code == 0 and out == "candidate,degree,q_order,member\nkronecker,4,30,True\n"
+
+
 def test_verify_ramanujan(capsys):
     code, out, _ = invoke(capsys, "verify", "--identity", "ramanujan", "--q-order", "20")
     assert code == 0

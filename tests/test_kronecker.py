@@ -29,7 +29,6 @@ from doubleeis.kronecker import (
     realize_element,
     realize_kronecker,
     symbolic_b1,
-    symbolic_b2,
     wplus_check,
 )
 from doubleeis.multipoly import X1, X2, Y1, Y2, MultiPoly, divided_difference
@@ -38,6 +37,17 @@ from doubleeis.spaces import eisenstein_relations, enumerate_generators, normal_
 
 M = MATRICES
 X1MX2, X1PX2, Y1MY2, Y1PY2 = (1, -1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -1), (0, 0, 1, 1)
+
+
+def _symbolic_b2(degree: int) -> MultiPoly:
+    """The symbolic b2 through total degree ``degree``: the union of its cached pieces."""
+    return MultiPoly({k: c for n in range(degree + 1) for k, c in kronecker._b2_piece(n)._t.items()}, degree)
+
+
+def _pole_free_cleared(regular: MultiPoly, degree: int) -> MultiPoly:
+    """X1 Y1 times ``regular`` kept through ``degree``: the cleared C of
+    :func:`fay_check` without the pole."""
+    return MultiPoly.monomial((1, 0, 1, 0), Fraction(1)) * regular.truncate(degree)
 
 
 def test_table_entries():
@@ -107,7 +117,7 @@ def test_b2_zero_input():
 
 
 def test_b2_q_derivative_equals_pairing_operator():
-    b2 = symbolic_b2(6).truncate(6).map_coefficients(lambda c: c.evaluate(8))
+    b2 = _symbolic_b2(6).truncate(6).map_coefficients(lambda c: c.evaluate(8))
     lhs = b2.map_coefficients(lambda s: s.qderive()).truncate(4)
     rhs = (b2.partial(0).partial(2) + b2.partial(1).partial(3)).truncate(4)
     assert lhs == rhs
@@ -205,20 +215,21 @@ def test_polar_solution_of_the_system():
 
 
 def test_fay_polar_only():
-    assert fay_check(True, None, 8, 4)
+    assert fay_check(None, 8, 4)
 
 
 def test_fay_kronecker():
-    assert fay_check(True, kronecker_b1(6, 8), 6, 8)
+    assert fay_check(kronecker_b1(6, 8), 6, 8)
 
 
 def test_fay_perturbed_fails():
     bad = MultiPoly({(1, 0, 0, 0): Fraction(1)}, None)
-    assert not fay_check(True, bad, 6, 4)
+    assert not fay_check(bad, 6, 4)
 
 
 def test_fay_regular_part_alone_fails():
-    assert not fay_check(False, kronecker_b1(6, 6), 6, 6)
+    without_pole = _pole_free_cleared(kronecker_b1(6, 6), 6)
+    assert not kronecker._vanishes(fay_numerator(pair_product(without_pole)), 6)
 
 
 # -- the Fay sum as the 1 + U + U^2 condition of the bi-period space ------------
@@ -253,7 +264,7 @@ def _assert_fay_numerator_is_the_fay_sum(c: MultiPoly):
 
 @pytest.mark.parametrize("degree", [4, 6, 8])
 def test_fay_numerator_is_the_written_out_fay_sum(degree):
-    c = kronecker._cleared(True, symbolic_b1(degree), degree)
+    c = kronecker._cleared(symbolic_b1(degree), degree)
     _assert_fay_numerator_is_the_fay_sum(c)
     assert fay_numerator(pair_product(c)).cap == degree + 5
 
@@ -264,8 +275,8 @@ def test_fay_numerator_is_the_written_out_fay_sum(degree):
        st.integers(2, 6))
 def test_fay_numerator_is_the_fay_sum_for_rational_regular_parts(entries, degree):
     regular = MultiPoly({(r, 0, s, 0): c for (r, s), c in entries.items()}, degree)
-    _assert_fay_numerator_is_the_fay_sum(kronecker._cleared(True, regular, degree))
-    without_pole = kronecker._cleared(False, regular, degree)
+    _assert_fay_numerator_is_the_fay_sum(kronecker._cleared(regular, degree))
+    without_pole = _pole_free_cleared(regular, degree)
     assert fay_numerator(pair_product(without_pole)) == _fay_sum_reference(without_pole)
 
 
@@ -274,6 +285,25 @@ def test_s_and_epsilon_fix_the_bi_period_denominator():
     assert act(M["S"], denominator) == denominator
     assert act(M["epsilon"], denominator) == denominator
     assert act(M["U"], denominator) != denominator
+
+
+def test_a_negative_q_order_is_refused():
+    # a series of order -1 holds no coefficient; it is refused before and
+    # after a higher order of the same values is cached
+    for q_first in (None, 5):
+        if q_first is not None:
+            realize_kronecker(G1(2, 0), q_first)
+        for gen in (G2(1, 2, 0, 0), G1(2, 0)):
+            with pytest.raises(ValueError):
+                realize_kronecker(gen, -1)
+    with pytest.raises(ValueError):
+        KroneckerRealization(-1)
+    with pytest.raises(ValueError):
+        eisenstein_qexp(4, -1)
+    # control: order 0 still gives the constant term, the rational realization
+    assert realize_kronecker(G1(2, 0), 0) == QSeries.constant(Fraction(-1, 24), 0)
+    assert realize_bernoulli(G1(2, 0)) == Fraction(-1, 24)
+    assert eisenstein_qexp(4, 0).order == 0
 
 
 def test_realization_depth_one():
@@ -390,7 +420,7 @@ def test_realization_matches_golden_digest(q_order):
 
 
 def test_evaluated_symbolic_b2_equals_series_construction():
-    evaluated = symbolic_b2(6).truncate(6).map_coefficients(lambda c: c.evaluate(10))
+    evaluated = _symbolic_b2(6).truncate(6).map_coefficients(lambda c: c.evaluate(10))
     direct = build_b2(kronecker_b1(7, 10), 6)
     assert evaluated.cap == direct.cap == 6
     assert evaluated._t.keys() == direct._t.keys()
@@ -404,7 +434,7 @@ def test_b2_of_a_low_degree_is_the_truncation_of_a_larger_one(degree):
     # where the weight-two value G(1,1;0,0) = -G2/2 lives
     low = build_b2(symbolic_b1(degree + 1), degree)
     assert low.cap == degree
-    assert low._t == symbolic_b2(6).truncate(degree)._t
+    assert low._t == _symbolic_b2(6).truncate(degree)._t
 
 
 #: sha256 over "<exponents>: <sorted atom terms>" lines for the coefficients of
@@ -413,7 +443,7 @@ SYMBOLIC_B2_SHA256 = "7d672a89cd0829d5575252d7272f9c9ca65b6dd5eea5b1ba21da741980
 
 
 def test_symbolic_b2_matches_its_digest():
-    b2 = symbolic_b2(10).truncate(10)
+    b2 = _symbolic_b2(10).truncate(10)
     assert b2.cap == 10 and len(b2._t) == 579
     h = hashlib.sha256()
     for exps, c in sorted(b2._t.items()):
@@ -422,7 +452,7 @@ def test_symbolic_b2_matches_its_digest():
 
 
 def test_symbolic_b2_has_bilinear_coefficients():
-    b2 = symbolic_b2(6)
+    b2 = _symbolic_b2(6)
     assert b2
     for c in b2._t.values():
         assert isinstance(c, AtomCombination)
@@ -430,17 +460,22 @@ def test_symbolic_b2_has_bilinear_coefficients():
 
 
 def test_import_builds_nothing_and_requests_build_what_they_need():
+    # a depth-two generator of weight w builds the one piece of b2 of degree
+    # w - 2, from b1 through degree w - 1, and nothing below it
     code = (
         "from doubleeis import eisenstein, kronecker as k\n"
-        "assert k._symbolic_b2 is None and not eisenstein._MONOMIALS\n"
+        "assert k._b2_piece.cache_info().currsize == 0 and not eisenstein._MONOMIALS\n"
         "assert k.symbolic_b1.cache_info().currsize == 0\n"
+        "built, build = [], k.build_b2\n"
+        "k.build_b2 = lambda b1, degree, lowest=0: built.append((b1.cap, degree, lowest)) or build(b1, degree, lowest)\n"
         "from doubleeis.elements import G2\n"
         "k.realize_kronecker(G2(2, 2, 0, 0), 10)\n"
-        "assert k._symbolic_b2.cap == 2\n"
-        "k.realize_kronecker(G2(3, 3, 0, 0), 10)\n"
-        "assert k._symbolic_b2.cap == 4\n"
+        "assert built == [(3, 2, 2)], built\n"
+        "k.realize_kronecker(G2(6, 6, 0, 0), 10)\n"
+        "assert built == [(3, 2, 2), (11, 10, 10)], built\n"
         "k.realize_kronecker(G2(2, 2, 0, 0), 20)\n"
-        "assert k._symbolic_b2.cap == 4\n"
+        "assert built == [(3, 2, 2), (11, 10, 10)], built\n"
+        "assert k._b2_piece.cache_info().currsize == 2\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -470,8 +505,8 @@ def test_realization_truncates_consistently(gen, orders, low_first):
 @pytest.mark.parametrize("degree", range(1, 9))
 def test_fay_check_over_atoms_agrees_with_the_series_table(degree):
     for q_order in (0, 1, 5, 10):
-        symbolic = fay_check(True, symbolic_b1(degree), degree, q_order)
-        assert symbolic == fay_check(True, kronecker_b1(degree, q_order), degree, q_order)
+        symbolic = fay_check(symbolic_b1(degree), degree, q_order)
+        assert symbolic == fay_check(kronecker_b1(degree, q_order), degree, q_order)
         assert symbolic
 
 
@@ -482,8 +517,8 @@ def test_fay_check_over_atoms_agrees_with_the_series_table(degree):
 def test_fay_check_fails_with_one_atom_coefficient_doubled(key):
     b1 = symbolic_b1(6)
     bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
-    assert fay_check(True, b1, 6, 5)
-    assert not fay_check(True, bad, 6, 5)
+    assert fay_check(b1, 6, 5)
+    assert not fay_check(bad, 6, 5)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 6, 8])
@@ -492,10 +527,10 @@ def test_fay_check_reaches_every_entry_through_its_degree(degree):
     # the pole times a cleared entry times the quadratic factor reaches for
     # every entry of b1 through the degree checked
     b1 = symbolic_b1(degree)
-    assert fay_check(True, b1, degree, 5)
+    assert fay_check(b1, degree, 5)
     for key in sorted(b1._t):
         bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
-        assert not fay_check(True, bad, degree, 5), key
+        assert not fay_check(bad, degree, 5), key
 
 
 def test_wplus_check_reaches_every_entry_through_its_degree():
@@ -535,8 +570,9 @@ def test_wplus_candidate_must_be_exact_through_the_degree():
 def test_fay_check_over_atoms_needs_the_pole():
     # without the pole only products of two regular terms remain; they reach
     # the kept total degree 3 + 3 + 2 = degree + 2 from degree 6 on
-    assert not fay_check(False, symbolic_b1(8), 8, 20)
-    assert not fay_check(False, symbolic_b1(6), 6, 0)
+    for degree, q_order in ((8, 20), (6, 0)):
+        without_pole = _pole_free_cleared(symbolic_b1(degree), degree)
+        assert not kronecker._vanishes(fay_numerator(pair_product(without_pole)), q_order)
 
 
 @pytest.mark.parametrize("key", [(2, 0, 1, 0), (1, 0, 0, 0)])
@@ -544,7 +580,7 @@ def test_fay_check_fails_with_a_rational_perturbation(key):
     # (2,0,1,0) adds a new rational entry; (1,0,0,0) adds to the G2 atom,
     # so the rational lands on the empty monomial
     bad = symbolic_b1(6) + MultiPoly({key: Fraction(1, 7)}, 6)
-    assert not fay_check(True, bad, 6, 5)
+    assert not fay_check(bad, 6, 5)
 
 
 def test_rationals_are_multiples_of_the_empty_monomial():
@@ -756,10 +792,9 @@ def test_products_drop_the_terms_that_cancel():
     assert flipped.coefficient((1, 1, 0, 0)) == g2
 
 
-def test_b2_grown_piece_by_piece_equals_one_build(monkeypatch):
-    monkeypatch.setattr(kronecker, "_symbolic_b2", None)
-    for degree in (2, 3, 6, 9):
-        grown = symbolic_b2(degree)
+def test_b2_grown_piece_by_piece_equals_one_build():
+    # the union of the cached pieces through degree 9 is one build through 9
+    grown = _symbolic_b2(9)
     whole = build_b2(symbolic_b1(10), 9)
     assert grown.cap == whole.cap == 9
     assert grown._t == whole._t

@@ -111,6 +111,15 @@ def test_truncate():
         g2.truncate(11)
 
 
+def test_truncate_refuses_a_negative_order():
+    # an order -1 series holds no coefficient, which the constructor refuses too
+    g2 = eisenstein_qexp(2, 10)
+    with pytest.raises(ValueError):
+        g2.truncate(-1)
+    # control: order 0 keeps the constant term
+    assert g2.truncate(0) == QSeries.constant(Fraction(-1, 24), 0)
+
+
 def test_coefficient_bounds():
     s = QSeries([1, 2], 1)
     with pytest.raises(IndexError):

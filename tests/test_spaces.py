@@ -83,7 +83,8 @@ def test_weight_two_rows():
 
 def test_relation_rows_against_symbolic_series():
     """Oracle: rebuild both defining rows from the generating-series identity,
-    evaluating the matrix action on series with element-valued coefficients."""
+    evaluating the matrix action on series whose coefficients are rational
+    combinations of generators, each read off as a formal element."""
     from doubleeis.action import MATRICES, act, act_group_ring, GroupRingElem
     from doubleeis.identities import generating_series
     from doubleeis.multipoly import divided_difference
@@ -99,8 +100,8 @@ def test_relation_rows_against_symbolic_series():
         for (k1, k2, d1, d2) in [g.args for g in enumerate_generators("E", weight) if g.kind == "G2"]:
             scale = factorial(d1) * factorial(d2)
             mono = (k1 - 1, k2 - 1, d1, d2)
-            expect_st = FormalElement.single(GP(k1, k2, d1, d2)) - stuffle_series.coefficient(mono) * scale
-            expect_sh = FormalElement.single(GP(k1, k2, d1, d2)) - shuffle_series.coefficient(mono) * scale
+            expect_st = FormalElement.single(GP(k1, k2, d1, d2)) - FormalElement(stuffle_series.coefficient(mono)) * scale
+            expect_sh = FormalElement.single(GP(k1, k2, d1, d2)) - FormalElement(shuffle_series.coefficient(mono)) * scale
             assert stuffle_row(k1, k2, d1, d2) == expect_st
             assert shuffle_row(k1, k2, d1, d2) == expect_sh
 
