@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", help="inspect or clear the relation-system cache")
     p.add_argument("action", choices=("status", "clear"))
-    p.add_argument("--cache-dir", default=None)
+    _common_flags(p, cache_dir=True)
     return parser
 
 
@@ -391,10 +391,12 @@ def _cmd_verify(args) -> int:
 def _cmd_cache(args) -> int:
     if args.action == "status":
         status = cache_status(args.cache_dir)
-        print(json.dumps(status, indent=2))
+        _emit(args, [status], [json.dumps(status, indent=2)])
     else:
         removed = cache_clear(args.cache_dir)
-        print(f"removed {removed} cache file(s) from {args.cache_dir or default_cache_dir()}")
+        directory = str(args.cache_dir or default_cache_dir())
+        _emit(args, [{"cache_dir": directory, "removed": removed}],
+              [f"removed {removed} cache file(s) from {directory}"])
     return 0
 
 

@@ -6,7 +6,8 @@ by two.  All three are linear and kill the defining relation rows of their
 source space; pi and partial are defined on the G-generators, and extend to
 P-generators through :func:`doubleeis.spaces.stuffle_expansion`, the one
 harmonic product that also gives the relation rows and the unique choice
-compatible with linearity modulo relations.  Each image is cached as a
+compatible with linearity modulo relations; its basis columns are read as
+generators of their weight.  Each image is cached as a
 tuple, and an element's image is their linear extension by
 :func:`.elements.linear_extension`, which the Kronecker realization shares.
 """
@@ -18,7 +19,7 @@ from functools import cache
 from math import factorial
 
 from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2, linear_extension
-from .spaces import stuffle_expansion
+from .spaces import _generators, stuffle_expansion
 
 
 def _apply(image, element: FormalElement, space: str) -> FormalElement:
@@ -31,6 +32,12 @@ def _apply(image, element: FormalElement, space: str) -> FormalElement:
     if not terms:
         return FormalElement.zero(space)
     return FormalElement._make(space, next(iter(terms)).weight, terms)
+
+
+def _harmonic_product(gen: GenId) -> list[tuple[GenId, int]]:
+    """The harmonic-product expansion of a P-generator, on generators."""
+    gens = _generators(EISENSTEIN, gen.weight)
+    return [(gens[j], c) for j, c in stuffle_expansion(*gen.args)]
 
 
 @cache
@@ -55,7 +62,7 @@ def _pi_gen(gen: GenId) -> tuple[tuple[GenId, Fraction], ...]:
                 out.append((Z2(a, b), c))
         return tuple(out)
     # P-generators map through their harmonic-product expansion
-    return tuple((h, c * w) for g, c in stuffle_expansion(*gen.args) for h, w in _pi_gen(g))
+    return tuple((h, c * w) for g, c in _harmonic_product(gen) for h, w in _pi_gen(g))
 
 
 def map_pi(element: FormalElement) -> FormalElement:
@@ -113,7 +120,7 @@ def _partial_gen(gen: GenId) -> tuple[tuple[GenId, Fraction], ...]:
             (G2(k1 + 1, k2, d1 + 1, d2), Fraction(k1)),
             (G2(k1, k2 + 1, d1, d2 + 1), Fraction(k2)),
         )
-    return tuple((h, c * w) for g, c in stuffle_expansion(*gen.args) for h, w in _partial_gen(g))
+    return tuple((h, c * w) for g, c in _harmonic_product(gen) for h, w in _partial_gen(g))
 
 
 def map_partial(element: FormalElement) -> FormalElement:

@@ -5,27 +5,32 @@ reduced form of the double-shuffle relation rows; dimensions, membership
 tests and canonical normal forms all read off the reduced system.  Each
 rule is written once: a relation row is P(k1,k2;d1,d2) minus its
 harmonic-product or integral-shuffle expansion, and the zeta rows are the
-d = 0 case of the Eisenstein rows, with the kinds renamed.  One generator
-gives every row as integers over one denominator, straight from the two
-expansions: a build reduces those integers as they are, and the public
-rows (``eisenstein_relations``, ``zeta_relations``) divide them out, so
-their P coefficient is 1.  Every relation row has one P(k1,k2;d1,d2) or
-ZP(k1,k2) term; the rows are reduced per block of equal k1 + k2, and the
-union of the blocks' reduced rows is reduced once more.  Each reduction
-takes the rows sparsest first and eliminates on sparse integer rows,
-updated in place where the multiplier is 1 and made primitive (divided by
-the gcd of their entries) only when stored as a pivot row and after each
-back-substitution step.  The reduced form is unique once the basis order
-is fixed, so it does not depend on these choices: the blocks give the
-same rows as one reduction of all of them.  A system keeps each reduced
-row as integers over one denominator.  A normal form touches only the
-pivots present in the element, since the rows are fully reduced, sums
-over one common denominator and forms each coefficient once.  Built
-systems are immutable and memoized in-process; they can additionally be
-cached on disk as JSON keyed by (space, weight).  A cache file holds each
-row as the integers the system keeps, ``[pivot, den, [[j, num], ...]]``,
-with a digest of the basis and rows; both the digest and the reduced,
-primitive form of the rows are checked on reading.
+d = 0 case of the Eisenstein rows, with the kinds renamed.  The two
+expansions name basis columns, computed from the indices, not generators,
+and one generator gives every row as integers over one denominator,
+keyed by column: a build reduces those integers as they come, a zeta row
+takes the d = 0 columns through one column map, and the public rows
+(``eisenstein_relations``, ``zeta_relations``) turn the columns into
+generators and divide the integers out, so their P coefficient is 1.
+Every relation row has one P(k1,k2;d1,d2) or ZP(k1,k2) term; the rows are
+reduced per block of equal k1 + k2, and the union of the blocks' reduced
+rows is reduced once more.  Each reduction takes the rows sparsest first,
+copies a row of ints as it is and clears the denominators of a row that
+holds a Fraction, and eliminates on sparse integer rows, updated in place
+where the multiplier is 1 and made primitive (divided by the gcd of their
+entries) only when stored as a pivot row and after each back-substitution
+step.  The reduced form is unique once the basis order is fixed, so it
+does not depend on these choices: the blocks give the same rows as one
+reduction of all of them.  A system keeps each reduced row as integers
+over one denominator.  A normal form touches only the pivots present in
+the element, since the rows are fully reduced, sums over one common
+denominator and forms each coefficient once.  Built systems are immutable
+and memoized in-process; they can additionally be cached on disk as JSON
+keyed by (space, weight).  A cache file holds each row as the integers the
+system keeps, flat: ``[pivot, den, j1, n1, j2, n2, ...]``.  It is written
+with one ``json.dumps`` and ends in a digest, the sha256 of the file's own
+text before its ``"digest"`` field; a read checks the digest on the text
+before parsing it, and then the reduced, primitive form of the rows.
 """
 
 from __future__ import annotations
@@ -42,13 +47,14 @@ from collections.abc import Iterable
 from fractions import Fraction
 from fnmatch import fnmatchcase
 from functools import cache
+from itertools import chain
 from math import comb, factorial, gcd, lcm
 from pathlib import Path
 
 from .elements import EISENSTEIN, ZETA, FormalElement, G1, G2, GP, GenId, Z1, Z2, ZP
 
 CACHE_ENV_VAR = "DOUBLEEIS_CACHE_DIR"
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 _SPACE_NAMES = {EISENSTEIN: EISENSTEIN, ZETA: ZETA, "e": EISENSTEIN, "z": ZETA}
 
@@ -97,66 +103,88 @@ def _depth2_indices(weight: int):
                 yield (k1, k2, d1, d2)
 
 
-def stuffle_expansion(k1: int, k2: int, d1: int, d2: int) -> list[tuple[GenId, int]]:
-    """The harmonic-product (stuffle) expansion of P(k1,k2;d1,d2)."""
-    return [(G2(k1, k2, d1, d2), 1), (G2(k2, k1, d2, d1), 1), (G1(k1 + k2, d1 + d2), 1)]
+def _column(k1: int, k2: int, d1: int, d2: int) -> int:
+    """The basis column of G(k1,k2;d1,d2) in its weight w: after the w
+    depth-one columns, its place in the lexicographic order of (k1, d1, k2, d2),
+    counted as the indices of smaller k1, then of this k1 and smaller d1, then
+    of smaller k2.  P(k1,k2;d1,d2) is C(w + 1, 3) columns further, past every
+    depth-two G, and G(k;d) is column d."""
+    w = k1 + k2 + d1 + d2
+    return w + comb(w + 1, 3) - comb(w + 2 - k1, 3) + d1 * (w - k1) - d1 * (d1 - 1) // 2 + k2 - 1
 
 
-def shuffle_expansion(k1: int, k2: int, d1: int, d2: int) -> list[tuple[GenId, int | Fraction]]:
-    """The integral-shuffle expansion of P(k1,k2;d1,d2)."""
-    terms: list[tuple[GenId, int | Fraction]] = []
+def stuffle_expansion(k1: int, k2: int, d1: int, d2: int) -> list[tuple[int, int]]:
+    """The harmonic-product (stuffle) expansion of P(k1,k2;d1,d2), as
+    ``(column, coefficient)`` pairs over the basis of its weight."""
+    return [(_column(k1, k2, d1, d2), 1), (_column(k2, k1, d2, d1), 1), (d1 + d2, 1)]
+
+
+def shuffle_expansion(k1: int, k2: int, d1: int, d2: int) -> list[tuple[int, int | Fraction]]:
+    """The integral-shuffle expansion of P(k1,k2;d1,d2), as ``(column,
+    coefficient)`` pairs over the basis of its weight: the coefficient of
+    G(l1,K-l1;e1,D-e1) is C(l1-1,k1-1) s(d1,e1) + C(l1-1,k2-1) s(d2,e1), with
+    s(d,e) = (-1)^(d-e) C(d,e), and that of G(K-1;D+1) is
+    d1! d2! C(K-2,k1-1)/(D+1)!, for K = k1 + k2 and D = d1 + d2."""
+    terms: list[tuple[int, int | Fraction]] = []
     K, D = k1 + k2, d1 + d2
-    for l1 in range(1, K):
-        for e1 in range(D + 1):
-            c = 0
-            if e1 <= d1:
-                c += comb(l1 - 1, k1 - 1) * comb(d1, e1) * (-1) ** (d1 - e1)
-            if e1 <= d2:
-                c += comb(l1 - 1, k2 - 1) * comb(d2, e1) * (-1) ** (d2 - e1)
+    s1 = [(-1) ** ((d1 - e) % 2) * comb(d1, e) for e in range(D + 1)]
+    s2 = [(-1) ** ((d2 - e) % 2) * comb(d2, e) for e in range(D + 1)]
+    for l1 in range(min(k1, k2), K):  # both binomials in l1 vanish below
+        x, y = comb(l1 - 1, k1 - 1), comb(l1 - 1, k2 - 1)
+        # the column of e1 = 0, and the gap to the next, one less for each e1
+        j, step = _column(l1, K - l1, 0, D), K + D - l1
+        for a, b in zip(s1, s2):
+            c = x * a + y * b
             if c:
-                terms.append((G2(l1, K - l1, e1, D - e1), c))
-    tail = Fraction(factorial(d1) * factorial(d2), factorial(D + 1)) * comb(K - 2, k1 - 1)
+                terms.append((j, c))
+            j += step
+            step -= 1
+    tail = Fraction(factorial(d1) * factorial(d2) * comb(K - 2, k1 - 1), factorial(D + 1))
     if tail:
-        terms.append((G1(K - 1, D + 1), tail))
+        terms.append((D + 1, tail))
     return terms
 
 
-def _integer_row(expansion, k1: int, k2: int, d1: int, d2: int) -> tuple[int, dict[GenId, int]]:
+def _integer_row(expansion, k1: int, k2: int, d1: int, d2: int) -> tuple[int, dict[int, int]]:
     """P(k1,k2;d1,d2) minus an expansion of it, times the lcm ``den`` of the
-    expansion's denominators: ``(den, {generator: integer})``, the P entry den.
-    A generator named twice, as G(k,k;d,d) in a stuffle, gets one entry."""
+    expansion's denominators: ``(den, {column: integer})``, the P entry den.
+    A column named twice, as G(k,k;d,d) in a stuffle, gets one entry."""
     terms = expansion(k1, k2, d1, d2)
-    den = lcm(*(c.denominator for _, c in terms))
-    row = {GP(k1, k2, d1, d2): den}
-    for g, c in terms:
-        row[g] = row.get(g, 0) - c.numerator * (den // c.denominator)
+    den = lcm(*[c.denominator for _, c in terms])
+    row = {_column(k1, k2, d1, d2) + comb(k1 + k2 + d1 + d2 + 1, 3): den}
+    for j, c in terms:
+        row[j] = row.get(j, 0) - c.numerator * (den // c.denominator)
     return den, row
 
 
-_ZETA_KIND = {"G1": Z1, "G2": Z2, "GP": ZP}
-
-
 def _relation_rows(space: str, weight: int):
-    """Every defining row of one weight of a space as ``(block, den, {g: n})``,
-    the row sum (n/den) g; block is the k1 + k2 of its one P(k1,k2;d1,d2) or
-    ZP(k1,k2) term.  Eisenstein: the stuffle and the shuffle row of every
-    depth-two index.  Zeta: the rows of P(k1,k2;0,0), k1 + k2 = weight, on
-    their terms with every d index 0, where G(k), G(k1,k2) and P(k1,k2)
-    become Z(k), Z(k1,k2) and ZP(k1,k2)."""
-    indices = (_depth2_indices(weight) if space == EISENSTEIN
-               else [(k1, weight - k1, 0, 0) for k1 in range(1, weight)])
+    """Every defining row of one weight of a space as ``(block, den, {j: n})``,
+    the row sum (n/den) e_j over the basis columns; block is the k1 + k2 of
+    its one P(k1,k2;d1,d2) or ZP(k1,k2) term.  Eisenstein: the stuffle and the
+    shuffle row of every depth-two index.  Zeta: the rows of P(k1,k2;0,0),
+    k1 + k2 = weight, on their columns with every d index 0, where G(k),
+    G(k1,k2) and P(k1,k2) become Z(k), Z(k1,k2) and ZP(k1,k2)."""
+    if space == EISENSTEIN:
+        indices, columns = _depth2_indices(weight), None
+    else:
+        indices = [(k1, weight - k1, 0, 0) for k1 in range(1, weight)]
+        columns = {0: 0}  # Eisenstein column -> zeta column, for d = 0
+        for k1 in range(1, weight):
+            j = _column(k1, weight - k1, 0, 0)
+            columns[j] = k1
+            columns[j + comb(weight + 1, 3)] = weight - 1 + k1
     for i in indices:
         for expansion in (stuffle_expansion, shuffle_expansion):
             den, row = _integer_row(expansion, *i)
-            if space == ZETA:
-                row = {_ZETA_KIND[g.kind](*g.args[:g.depth]): n
-                       for g, n in row.items() if not any(g.args[g.depth:])}
+            if columns is not None:
+                row = {columns[j]: n for j, n in row.items() if j in columns}
             yield i[0] + i[1], den, row
 
 
-def _element(space: str, weight: int, den: int, row: dict[GenId, int]) -> FormalElement:
-    """The row ``{g: n}`` over ``den`` as an element of the space."""
-    return FormalElement._make(space, weight, {g: Fraction(n, den) for g, n in row.items()})
+def _element(space: str, weight: int, den: int, row: dict[int, int]) -> FormalElement:
+    """The row ``{j: n}`` over ``den`` as an element of the space."""
+    gens = _generators(space, weight)
+    return FormalElement._make(space, weight, {gens[j]: Fraction(n, den) for j, n in row.items()})
 
 
 def stuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
@@ -201,8 +229,9 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     if a < 0:
         a, b = -a, -b
     out = row if a == 1 else {j: a * v for j, v in row.items()}
+    get = out.get
     for j, v in piv.items():  # column c comes to 0 and is deleted too
-        w = out.get(j, 0) - b * v
+        w = get(j, 0) - b * v
         if w:
             out[j] = w
         else:
@@ -214,21 +243,24 @@ def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[in
     """Reduced row echelon form of sparse rows, pivoting on the first column.
 
     The entries are Fractions or ints; the input rows are left unchanged.
-    Each row is copied as an integer row over the lcm of its denominators,
-    the rows are taken sparsest first, and the copy is eliminated on
-    integers, in place where :func:`_eliminate` allows; it is made primitive
-    (divided by the gcd of its entries) only when it is stored as a pivot
-    row and after each back-substitution step.  The
-    result maps each pivot, in increasing order, to its row as
-    ``(den, {j: num})``: the row is e_pivot + sum_j (num/den) e_j, with
-    den > 0 and gcd(den, *num) = 1.  The reduced form is unique for the
-    column order, so neither the row order nor the integer scaling changes
-    the result.
+    A row of ints is copied as it is, and a row that holds a Fraction as an
+    integer row over the lcm of its denominators; the rows are taken
+    sparsest first, and the copy is eliminated on integers, in place where
+    :func:`_eliminate` allows; it is made primitive (divided by the gcd of
+    its entries) only when it is stored as a pivot row and after each
+    back-substitution step.  The result maps each pivot, in increasing
+    order, to its row as ``(den, {j: num})``: the row is
+    e_pivot + sum_j (num/den) e_j, with den > 0 and gcd(den, *num) = 1.
+    The reduced form is unique for the column order, so neither the row
+    order nor the integer scaling changes the result.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=lambda r: (len(r), max(r, default=0))):
-        den = lcm(*(v.denominator for v in row.values()))
-        row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        if Fraction in map(type, row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        else:
+            row = dict(row)
         while row:
             c = min(row)
             piv = pivot_rows.get(c)
@@ -288,12 +320,10 @@ class RelationSystem:
     @classmethod
     def build(cls, space: str, weight: int) -> "RelationSystem":
         space = _space(space)
-        basis = enumerate_generators(space, weight)
-        index = {g: i for i, g in enumerate(basis)}
         blocks: dict[int, list[dict[int, int]]] = {}
         for block, _, row in _relation_rows(space, weight):
-            blocks.setdefault(block, []).append({index[g]: n for g, n in row.items()})
-        return cls(space, weight, basis, _rref_blocks(blocks.values()))
+            blocks.setdefault(block, []).append(row)
+        return cls(space, weight, enumerate_generators(space, weight), _rref_blocks(blocks.values()))
 
     @property
     def rref_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
@@ -348,37 +378,42 @@ class RelationSystem:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        basis = [str(g) for g in self.basis]
-        rows = [[c, den, [[j, n] for j, n in sorted(row.items())]] for c, (den, row) in self._rows.items()]
-        return {
+    def to_json(self) -> str:
+        """The text of the cache file, made by one ``json.dumps``: the
+        system's fields and then its ``"digest"``, the sha256 of the text
+        before that field."""
+        rows = [[c, den, *chain.from_iterable(sorted(row.items()))] for c, (den, row) in self._rows.items()]
+        head = json.dumps({
             "format_version": CACHE_FORMAT_VERSION,
             "space": self.space,
             "weight": self.weight,
-            "basis": basis,
+            "basis": [str(g) for g in self.basis],
             "rank": self.rank,
             "dimension": self.dimension,
             "rows": rows,
-            "digest": _digest(basis, rows),
-        }
+        })[:-1] + ", "
+        return f'{head}"digest": "{_digest(head)}"}}'
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "RelationSystem":
+    def from_json(cls, text: str) -> "RelationSystem":
         """Load a cached system; raise ValueError when the file contradicts itself.
 
-        The digest must match the basis and rows, the basis must be the
-        enumeration of its (space, weight), the rank must equal the row
-        count, and each row ``[pivot, den, [[j, num], ...]]`` must be the
-        canonical integer row that :func:`_rref` gives: distinct pivots in
-        the basis, ``den`` a positive int, nonzero int entries with one per
-        column and gcd(den, *entries) = 1, no entry left of its pivot, beyond
-        the basis or in another row's pivot column.  These checks cost one
-        pass over the entries; the rows are not re-reduced.
+        The text must end in the digest of all the text before its
+        ``"digest"`` field; this is checked before the text is parsed.  The
+        basis must be the enumeration of its (space, weight), the rank must
+        equal the row count, and each row ``[pivot, den, j1, n1, j2, n2, ...]``
+        must be the canonical integer row that :func:`_rref` gives: distinct
+        pivots in the basis, ``den`` a positive int, nonzero int entries with
+        one per column and gcd(den, *entries) = 1, no entry left of its
+        pivot, beyond the basis or in another row's pivot column.  These
+        checks cost one pass over the entries; the rows are not re-reduced.
         """
+        head, field, tail = text.rpartition('"digest": "')
+        if not field or tail != f'{_digest(head)}"}}':
+            raise ValueError("cache file does not match its digest")
+        data = json.loads(text)
         if not isinstance(data, dict) or data.get("format_version") != CACHE_FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
-        if data.get("digest") != _digest(data["basis"], data["rows"]):
-            raise ValueError("cached basis and rows do not match their digest")
         space, weight = _space(data["space"]), data["weight"]
         basis = enumerate_generators(space, weight)
         if data["basis"] != [str(g) for g in basis]:
@@ -386,13 +421,14 @@ class RelationSystem:
         if data["rank"] != len(data["rows"]):
             raise ValueError(f"cached rank {data['rank']} differs from its {len(data['rows'])} rows")
         rows = {}
-        for c, den, entries in data["rows"]:
-            if type(c) is not int or c in rows or not 0 <= c < len(basis):
+        for r in data["rows"]:
+            if not (type(r) is list and len(r) >= 2 and set(map(type, r)) == {int}):
+                raise ValueError("a cached row is not a flat list [pivot, den, j1, n1, ...] of ints")
+            c, den, columns, entries = r[0], r[1], r[2::2], r[3::2]
+            if c in rows or not 0 <= c < len(basis):
                 raise ValueError("cached pivots repeat or fall outside the basis")
-            row = dict(entries)
-            if not (type(den) is int and den > 0 and len(row) == len(entries)
-                    and all(type(j) is type(n) is int and n for j, n in entries)
-                    and gcd(den, *row.values()) == 1):
+            row = dict(zip(columns, entries))
+            if not (den > 0 and len(row) == len(columns) and 0 not in entries and gcd(den, *entries) == 1):
                 raise ValueError(f"cached row {c} is not a primitive integer row over a positive denominator")
             if row and not (c < min(row) and max(row) < len(basis)):
                 raise ValueError(f"cached row {c} has an entry left of its pivot or beyond the basis")
@@ -402,10 +438,9 @@ class RelationSystem:
         return cls(space, weight, basis, dict(sorted(rows.items())))
 
 
-def _digest(basis: list, rows: list) -> str:
-    """sha256 of the canonical JSON of a cache file's basis and rows."""
-    text = json.dumps([basis, rows], sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+def _digest(head: str) -> str:
+    """sha256 of the text of a cache file before its digest field."""
+    return hashlib.sha256(head.encode()).hexdigest()
 
 
 # -- construction with caching --------------------------------------------
@@ -427,13 +462,13 @@ def default_cache_dir() -> Path:
     return Path(_cache_dir(None))
 
 
-def _atomic_write_json(path: str, data: dict):
+def _atomic_write_json(path: str, text: str):
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(data))  # json.dump would take the pure-Python encoder
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -456,7 +491,7 @@ def relation_system(space: str, weight: int, cache_dir: str | Path | None = None
         try:
             mode = os.stat(path).st_mode
         except OSError:
-            _atomic_write_json(path, sys_.to_json_dict())
+            _atomic_write_json(path, sys_.to_json())
         else:
             if stat.S_ISDIR(mode):  # as opening it would in a fresh process
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -466,14 +501,14 @@ def relation_system(space: str, weight: int, cache_dir: str | Path | None = None
         # and rewritten; JSONDecodeError is a ValueError
         try:
             with open(path) as fh:
-                sys_ = RelationSystem.from_json_dict(json.loads(fh.read()))
+                sys_ = RelationSystem.from_json(fh.read())
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
             sys_ = None
         if sys_ is not None and (sys_.space, sys_.weight) != key:
             sys_ = None
     if sys_ is None:
         sys_ = RelationSystem.build(space, weight)
-        _atomic_write_json(path, sys_.to_json_dict())
+        _atomic_write_json(path, sys_.to_json())
     _MEMO[key] = sys_
     return sys_
 
@@ -536,12 +571,11 @@ def relation_rows(space: str, weight: int, reduced: bool = False,
                 vec[j] = v
             dense.append(vec)
         return basis, dense
-    index = {g: i for i, g in enumerate(basis)}
     dense = []
     for _, den, row in _relation_rows(space, weight):
         vec = [Fraction(0)] * len(basis)
-        for g, n in row.items():
-            vec[index[g]] = Fraction(n, den)
+        for j, n in row.items():
+            vec[j] = Fraction(n, den)
         dense.append(vec)
     return basis, dense
 

@@ -301,6 +301,7 @@ def test_weights_take_ascii_digits_only(capsys, weights):
     ("verify", "--identity", "ramanujan", "--q-order", "10"),
     ("verify", "--identity", "parity", "--max-weight", "3", "--q-order", "5"),
     ("verify", "--identity", "diagram", "--max-weight", "2", "--q-order", "5"),
+    ("cache", "status"),
 ])
 def test_csv_output_reads_back_as_the_json_table(capsys, argv):
     _, out, _ = invoke(capsys, *argv, "--format", "csv")
@@ -349,6 +350,31 @@ def test_cache_commands(tmp_path, capsys):
     code, out, _ = invoke(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert code == 0
     assert "removed 1" in out
+
+
+def test_cache_commands_in_every_format(tmp_path, capsys):
+    d = str(tmp_path)
+    invoke(capsys, "dimension", "--weights", "2", "--cache-dir", d)
+    size = (tmp_path / "relations_E_2.json").stat().st_size
+    status = {"cache_dir": d, "files": ["relations_E_2.json"], "total_bytes": size}
+    code, out, _ = invoke(capsys, "cache", "status", "--cache-dir", d)
+    assert code == 0 and out == json.dumps(status, indent=2) + "\n"  # the text form
+    code, out, _ = invoke(capsys, "cache", "status", "--cache-dir", d, "--format", "json")
+    assert code == 0 and json.loads(out) == [status]
+    code, out, _ = invoke(capsys, "cache", "status", "--cache-dir", d, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["cache_dir", "files", "total_bytes"],
+                                                  [d, '["relations_E_2.json"]', str(size)]]
+    cleared = {
+        "text": lambda out: out == f"removed 1 cache file(s) from {d}\n",
+        "json": lambda out: json.loads(out) == [{"cache_dir": d, "removed": 1}],
+        "csv": lambda out: list(csv.reader(io.StringIO(out))) == [["cache_dir", "removed"], [d, "1"]],
+    }
+    for fmt, check in cleared.items():
+        invoke(capsys, "dimension", "--weights", "2", "--cache-dir", d)  # writes the file again
+        code, out, _ = invoke(capsys, "cache", "clear", "--cache-dir", d, "--format", fmt)
+        assert code == 0 and check(out)
+        assert not (tmp_path / "relations_E_2.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

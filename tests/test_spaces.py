@@ -106,6 +106,49 @@ def test_relation_rows_against_symbolic_series():
             assert shuffle_row(k1, k2, d1, d2) == expect_sh
 
 
+def _reference_expansions(k1, k2, d1, d2):
+    """The stuffle and the shuffle expansion of P(k1,k2;d1,d2) written from
+    the formula, keyed by generator."""
+    stuffle = {}
+    for g in (G2(k1, k2, d1, d2), G2(k2, k1, d2, d1), G1(k1 + k2, d1 + d2)):
+        stuffle[g] = stuffle.get(g, 0) + 1
+    shuffle = {}
+    K, D = k1 + k2, d1 + d2
+    for l1 in range(1, K):
+        for e1 in range(D + 1):
+            c = 0
+            if e1 <= d1:
+                c += comb(l1 - 1, k1 - 1) * comb(d1, e1) * (-1) ** (d1 - e1)
+            if e1 <= d2:
+                c += comb(l1 - 1, k2 - 1) * comb(d2, e1) * (-1) ** (d2 - e1)
+            if c:
+                shuffle[G2(l1, K - l1, e1, D - e1)] = c
+    shuffle[G1(K - 1, D + 1)] = Fraction(factorial(d1) * factorial(d2), factorial(D + 1)) * comb(K - 2, k1 - 1)
+    return stuffle, shuffle
+
+
+def _on_generators(terms, basis):
+    out = {}
+    for j, c in terms:
+        out[basis[j]] = out.get(basis[j], 0) + c
+    return out
+
+
+def test_expansions_name_the_basis_columns_of_their_generators():
+    for weight in range(2, 13):
+        basis = enumerate_generators("E", weight)
+        for g in basis:
+            if g.kind != "G2":
+                continue
+            expected = _reference_expansions(*g.args)
+            for expansion, reference in zip((spaces.stuffle_expansion, spaces.shuffle_expansion), expected):
+                terms = expansion(*g.args)
+                assert _on_generators(terms, basis) == reference
+                # negative control: one column shifted by one names another generator
+                (j, c), *rest = terms
+                assert _on_generators([(j + 1, c), *rest], basis) != reference
+
+
 def test_zeta_relations_weight_two():
     rows = zeta_relations(2)
     assert rows[0] == FormalElement([(ZP(1, 1), 1), (Z2(1, 1), -2), (Z1(2), -1)])
@@ -541,7 +584,7 @@ def test_disk_cache_roundtrip(tmp_path):
     sys_ = relation_system("E", 3, cache_dir=tmp_path)
     f = tmp_path / "relations_E_3.json"
     assert f.exists()
-    reloaded = RelationSystem.from_json_dict(json.loads(f.read_text()))
+    reloaded = RelationSystem.from_json(f.read_text())
     assert reloaded.dimension == sys_.dimension
     assert reloaded.rref_rows == sys_.rref_rows
     assert [str(g) for g in reloaded.basis] == [str(g) for g in sys_.basis]
@@ -549,7 +592,17 @@ def test_disk_cache_roundtrip(tmp_path):
 
 def test_cache_file_is_the_json_of_the_system(tmp_path):
     sys_ = relation_system("E", 5, cache_dir=tmp_path)
-    assert (tmp_path / "relations_E_5.json").read_bytes() == json.dumps(sys_.to_json_dict()).encode()
+    text = (tmp_path / "relations_E_5.json").read_text()
+    assert text == sys_.to_json()
+    data = json.loads(text)
+    assert json.dumps(data) == text
+    assert list(data) == ["format_version", "space", "weight", "basis", "rank", "dimension", "rows", "digest"]
+    assert data["format_version"] == 4
+    # the digest is that of the text before the "digest" field
+    assert data["digest"] == hashlib.sha256(text[:text.rindex('"digest"')].encode()).hexdigest()
+    # each row flat: pivot, denominator, then column and numerator pairs by column
+    assert data["rows"] == [[c, den, *(x for j in sorted(row) for x in (j, row[j]))]
+                            for c, (den, row) in sys_._rows.items()]
 
 
 def _drop_two_rows(data):
@@ -567,14 +620,37 @@ def _format_version_one(data):
     del data["digest"]
 
 
+def _pairs(row):
+    return [[j, n] for j, n in zip(row[2::2], row[3::2])]
+
+
+def _set_pairs(row, pairs):
+    row[2:] = [x for pair in pairs for x in pair]
+
+
+def _format_version_three(data):
+    """The same system as format 3 wrote it: rows ``[pivot, den, [[j, num], ...]]``
+    and the digest of the canonical JSON of the basis and rows."""
+    data["format_version"] = 3
+    data["rows"] = [[r[0], r[1], _pairs(r)] for r in data["rows"]]
+    text = json.dumps([data["basis"], data["rows"]], sort_keys=True, separators=(",", ":"))
+    data["digest"] = hashlib.sha256(text.encode()).hexdigest()
+
+
 def _redigest(edit):
     """A corruption that keeps the file's digest consistent, so that only the
-    reduced-form checks can tell."""
+    version and reduced-form checks can tell."""
     def corrupt(data):
         edit(data)
-        data["digest"] = _digest(data["basis"], data["rows"])
+        text = json.dumps(data)
+        data["digest"] = _digest(text[:text.rindex('"digest"')])
     corrupt.__name__ = edit.__name__
     return corrupt
+
+
+@_redigest
+def _format_version_three_redigested(data):
+    _format_version_three(data)
 
 
 @_redigest
@@ -596,14 +672,14 @@ def _pivot_a_float(data):
 def _format_version_two(data):
     """The same system in the layout that format 2 wrote, with Fraction strings."""
     data["format_version"] = 2
-    data["rows"] = [{"pivot": c, "entries": [[c, "1"]] + [[j, str(Fraction(n, den))] for j, n in entries]}
-                    for c, den, entries in data["rows"]]
+    data["rows"] = [{"pivot": r[0], "entries": [[r[0], "1"]] + [[j, str(Fraction(n, r[1]))] for j, n in _pairs(r)]}
+                    for r in data["rows"]]
 
 
 @_redigest
 def _pivot_in_its_own_entries(data):
-    c, den, entries = data["rows"][0]
-    entries.insert(0, [c, den])
+    row = data["rows"][0]
+    row[2:2] = [row[0], row[1]]
 
 
 @_redigest
@@ -611,13 +687,13 @@ def _entry_left_of_pivot(data):
     row = data["rows"][-1]
     pivots = {r[0] for r in data["rows"]}
     j = max(set(range(row[0])) - pivots)
-    row[2].insert(0, [j, 3])
+    row[2:2] = [j, 3]
 
 
 @_redigest
 def _entry_in_another_pivot_column(data):
     row = data["rows"][0]
-    row[2] = sorted(row[2] + [[data["rows"][1][0], 3]])
+    _set_pairs(row, sorted(_pairs(row) + [[data["rows"][1][0], 3]]))
 
 
 @_redigest
@@ -630,7 +706,7 @@ def _den_minus_one(data):
     """The last row (den 1) negated: the same rational row, not canonical."""
     row = data["rows"][-1]
     row[1] = -row[1]
-    row[2] = [[j, -n] for j, n in row[2]]
+    row[3::2] = [-n for n in row[3::2]]
 
 
 @_redigest
@@ -647,39 +723,56 @@ def _den_true(data):
 def _row_scaled_by_two(data):
     row = data["rows"][0]
     row[1] *= 2
-    row[2] = [[j, 2 * n] for j, n in row[2]]
+    row[3::2] = [2 * n for n in row[3::2]]
 
 
 @_redigest
 def _zero_entry(data):
     """A zero in a free column: the same rational row, not canonical."""
-    c, _, entries = data["rows"][0]
-    taken = {r[0] for r in data["rows"]} | {j for j, _ in entries}
-    j = min(set(range(c + 1, len(data["basis"]))) - taken)
-    entries[:] = sorted(entries + [[j, 0]])
+    row = data["rows"][0]
+    taken = {r[0] for r in data["rows"]} | set(row[2::2])
+    j = min(set(range(row[0] + 1, len(data["basis"]))) - taken)
+    _set_pairs(row, sorted(_pairs(row) + [[j, 0]]))
 
 
 @_redigest
 def _repeated_column(data):
-    entries = data["rows"][0][2]
-    entries.append(list(entries[-1]))
+    row = data["rows"][0]
+    row += row[-2:]
 
 
 @_redigest
 def _column_a_float(data):
-    entry = data["rows"][0][2][0]
-    entry[0] = float(entry[0])
+    row = data["rows"][0]
+    row[2] = float(row[2])
 
 
 @_redigest
 def _entry_a_string(data):
-    entry = data["rows"][0][2][0]
-    entry[1] = str(entry[1])
+    row = data["rows"][0]
+    row[3] = str(row[3])
 
 
 @_redigest
 def _entry_true(data):
-    data["rows"][-1][2][0][1] = True
+    data["rows"][-1][3] = True
+
+
+@_redigest
+def _row_of_odd_length(data):
+    data["rows"][0].append(5)
+
+
+@_redigest
+def _row_a_pivot_alone(data):
+    data["rows"][-1][1:] = []
+
+
+@_redigest
+def _rows_nested(data):
+    """A row in the format-3 layout inside a format-4 file."""
+    row = data["rows"][0]
+    row[2:] = [_pairs(row)]
 
 
 @pytest.mark.parametrize("weight, corrupt, expected", [
@@ -688,6 +781,8 @@ def _entry_true(data):
     (4, _drop_two_rows_and_edit_counts, 8),  # only the digest tells
     (4, _format_version_one, 8),
     (4, _format_version_two, 8),
+    (4, _format_version_three, 8),  # as format 3 wrote it
+    (4, _format_version_three_redigested, 8),  # only the version tells
     (4, _repeat_a_pivot, 8),
     (4, _pivot_out_of_range, 8),
     (4, _pivot_a_float, 8),
@@ -704,6 +799,9 @@ def _entry_true(data):
     (4, _column_a_float, 8),
     (4, _entry_a_string, 8),
     (4, _entry_true, 8),
+    (4, _row_of_odd_length, 8),
+    (4, _row_a_pivot_alone, 8),
+    (4, _rows_nested, 8),
 ])
 def test_disk_cache_rejects_files_that_do_not_match(tmp_path, monkeypatch, weight, corrupt, expected):
     from doubleeis import spaces
@@ -718,7 +816,7 @@ def test_disk_cache_rejects_files_that_do_not_match(tmp_path, monkeypatch, weigh
     loaded = relation_system("E", weight, cache_dir=tmp_path)
     assert loaded.dimension == expected
     fresh = RelationSystem.build("E", weight)
-    assert json.loads(bad.read_text()) == fresh.to_json_dict()
+    assert bad.read_text() == fresh.to_json()
     for g in enumerate_generators("E", weight):
         assert loaded.normal_form(FormalElement.single(g)) == fresh.normal_form(FormalElement.single(g))
 
@@ -727,20 +825,46 @@ def test_disk_cache_rebuilds_a_file_nested_too_deeply_to_decode(tmp_path, monkey
     from doubleeis import spaces
 
     bad = tmp_path / "relations_E_4.json"
-    bad.write_text("[" * 100000 + "]" * 100000)  # json.loads raises RecursionError
+    head = '{"rows": ' + "[" * 100000 + "]" * 100000 + ", "
+    bad.write_text(f'{head}"digest": "{_digest(head)}"}}')  # json.loads raises RecursionError
     monkeypatch.setattr(spaces, "_MEMO", {})
     assert relation_system("E", 4, cache_dir=tmp_path).dimension == 8
-    assert json.loads(bad.read_text()) == RelationSystem.build("E", 4).to_json_dict()
+    assert bad.read_text() == RelationSystem.build("E", 4).to_json()
+
+
+def test_disk_cache_rejects_an_edited_file_before_parsing_it(tmp_path, monkeypatch):
+    from doubleeis import spaces
+
+    relation_system("E", 4, cache_dir=tmp_path)
+    f = tmp_path / "relations_E_4.json"
+    text = f.read_text()
+    data = json.loads(text)
+    data["rows"][0][3] += 1  # one entry edited, the old digest kept
+    edited = json.dumps(data)
+    assert edited != text and edited[edited.rindex('"digest"'):] == text[text.rindex('"digest"'):]
+    f.write_text(edited)
+    loads, parsed = json.loads, []
+    monkeypatch.setattr(spaces.json, "loads", lambda s, *a, **k: parsed.append(s) or loads(s, *a, **k))
+    with pytest.raises(ValueError, match="digest"):
+        RelationSystem.from_json(edited)
+    monkeypatch.setattr(spaces, "_MEMO", {})
+    assert relation_system("E", 4, cache_dir=tmp_path).dimension == 8
+    assert parsed == []
+    assert f.read_text() == text
+    # control: the file as written is parsed, once
+    monkeypatch.setattr(spaces, "_MEMO", {})
+    relation_system("E", 4, cache_dir=tmp_path)
+    assert parsed == [text]
 
 
 def test_loaded_systems_keep_the_built_integer_rows():
     for space, weights in (("E", range(1, 13)), ("Z", range(1, 21))):
         for weight in weights:
             built = RelationSystem.build(space, weight)
-            data = built.to_json_dict()
-            loaded = RelationSystem.from_json_dict(json.loads(json.dumps(data)))
+            text = built.to_json()
+            loaded = RelationSystem.from_json(text)
             assert loaded._rows == built._rows
-            assert loaded.to_json_dict() == data
+            assert loaded.to_json() == text
 
 
 def test_disk_cache_reads_a_matching_file(tmp_path, monkeypatch):
