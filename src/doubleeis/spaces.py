@@ -8,20 +8,27 @@ harmonic-product or integral-shuffle expansion, and the zeta rows are the
 d = 0 case of the Eisenstein rows, with the kinds renamed.  The two
 expansions name basis columns, computed from the indices, not generators,
 and one generator gives every row as integers over one denominator,
-keyed by column: a build reduces those integers as they come, a zeta row
-takes the d = 0 columns through one column map, and the public rows
+keyed by column: a build reduces those integers, a zeta row takes the
+d = 0 columns through one column map, and the public rows
 (``eisenstein_relations``, ``zeta_relations``) turn the columns into
 generators and divide the integers out, so their P coefficient is 1.
-Every relation row has one P(k1,k2;d1,d2) or ZP(k1,k2) term; the rows are
-reduced per block of equal k1 + k2, and the union of the blocks' reduced
-rows is reduced once more.  Each reduction takes the rows sparsest first,
-copies a row of ints as it is and clears the denominators of a row that
-holds a Fraction, and eliminates on sparse integer rows, updated in place
-where the multiplier is 1 and made primitive (divided by the gcd of their
-entries) only when stored as a pivot row and after each back-substitution
-step.  The reduced form is unique once the basis order is fixed, so it
-does not depend on these choices: the blocks give the same rows as one
-reduction of all of them.  A system keeps each reduced row as integers
+Every relation row has one P(k1,k2;d1,d2) or ZP(k1,k2) term.  Both
+expansions are unchanged by the swap of i = (k1,k2,d1,d2) to
+i' = (k2,k1,d2,d1), so a build hands the reduction the two rows of each
+index that comes no later than its swap, and for the later index i' of a
+swap pair the one row e_P(i') - e_P(i) in place of its two, once they are
+checked equal to the rows of i outside their P column; no row it hands
+over is dependent, and the public rows stay raw.  The rows are reduced
+per block of equal k1 + k2, and the union of the blocks' reduced rows is
+reduced once more.  Each reduction takes the rows sparsest first, copies
+a row of ints as it is and clears the denominators of a row that holds a
+Fraction, drops zero entries, and eliminates on sparse integer rows,
+updated in place where the multiplier is 1 and made primitive (divided by
+the gcd of their entries) only when stored as a pivot row and after each
+back-substitution step.  The reduced form is unique once the basis order
+is fixed, so it does not depend on these choices: the paired rows,
+reduced per block, give the same rows as one reduction of all the raw
+rows.  A system keeps each reduced row as integers
 over one denominator.  A normal form touches only the pivots present in
 the element, since the rows are fully reduced, sums over one common
 denominator and forms each coefficient once.  Built systems are immutable
@@ -148,22 +155,29 @@ def shuffle_expansion(k1: int, k2: int, d1: int, d2: int) -> list[tuple[int, int
 def _integer_row(expansion, k1: int, k2: int, d1: int, d2: int) -> tuple[int, dict[int, int]]:
     """P(k1,k2;d1,d2) minus an expansion of it, times the lcm ``den`` of the
     expansion's denominators: ``(den, {column: integer})``, the P entry den.
-    A column named twice, as G(k,k;d,d) in a stuffle, gets one entry."""
+    A column named twice, as G(k,k;d,d) in a stuffle, gets one entry, and a
+    column whose terms sum to 0 none."""
     terms = expansion(k1, k2, d1, d2)
     den = lcm(*[c.denominator for _, c in terms])
     row = {_column(k1, k2, d1, d2) + comb(k1 + k2 + d1 + d2 + 1, 3): den}
     for j, c in terms:
-        row[j] = row.get(j, 0) - c.numerator * (den // c.denominator)
+        n = row.get(j, 0) - c.numerator * (den // c.denominator)
+        if n:
+            row[j] = n
+        else:
+            row.pop(j, None)
     return den, row
 
 
 def _relation_rows(space: str, weight: int):
-    """Every defining row of one weight of a space as ``(block, den, {j: n})``,
-    the row sum (n/den) e_j over the basis columns; block is the k1 + k2 of
-    its one P(k1,k2;d1,d2) or ZP(k1,k2) term.  Eisenstein: the stuffle and the
-    shuffle row of every depth-two index.  Zeta: the rows of P(k1,k2;0,0),
-    k1 + k2 = weight, on their columns with every d index 0, where G(k),
-    G(k1,k2) and P(k1,k2) become Z(k), Z(k1,k2) and ZP(k1,k2)."""
+    """The defining rows of one weight of a space, by depth-two index, as
+    ``(i, p, [(den, row), (den, row)])``: the stuffle and the shuffle row of
+    the index i = (k1, k2, d1, d2), each the row sum (n/den) e_j over the
+    basis columns of ``row = {j: n}``, and p the column of their one
+    P(k1,k2;d1,d2) or ZP(k1,k2) term.  Eisenstein: every depth-two index.
+    Zeta: the indices (k1, k2, 0, 0), k1 + k2 = weight, their rows on the
+    columns with every d index 0, where G(k), G(k1,k2) and P(k1,k2) become
+    Z(k), Z(k1,k2) and ZP(k1,k2)."""
     if space == EISENSTEIN:
         indices, columns = _depth2_indices(weight), None
     else:
@@ -174,11 +188,12 @@ def _relation_rows(space: str, weight: int):
             columns[j] = k1
             columns[j + comb(weight + 1, 3)] = weight - 1 + k1
     for i in indices:
-        for expansion in (stuffle_expansion, shuffle_expansion):
-            den, row = _integer_row(expansion, *i)
-            if columns is not None:
-                row = {columns[j]: n for j, n in row.items() if j in columns}
-            yield i[0] + i[1], den, row
+        p = _column(*i) + comb(weight + 1, 3)
+        rows = [_integer_row(stuffle_expansion, *i), _integer_row(shuffle_expansion, *i)]
+        if columns is not None:
+            p = columns[p]
+            rows = [(den, {columns[j]: n for j, n in row.items() if j in columns}) for den, row in rows]
+        yield i, p, rows
 
 
 def _element(space: str, weight: int, den: int, row: dict[int, int]) -> FormalElement:
@@ -198,7 +213,7 @@ def shuffle_row(k1: int, k2: int, d1: int, d2: int) -> FormalElement:
 
 
 def _relations(space: str, weight: int) -> list[FormalElement]:
-    return [_element(space, weight, den, row) for _, den, row in _relation_rows(space, weight)]
+    return [_element(space, weight, den, row) for _, _, rows in _relation_rows(space, weight) for den, row in rows]
 
 
 def eisenstein_relations(weight: int) -> list[FormalElement]:
@@ -244,11 +259,12 @@ def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[in
 
     The entries are Fractions or ints; the input rows are left unchanged.
     A row of ints is copied as it is, and a row that holds a Fraction as an
-    integer row over the lcm of its denominators; the rows are taken
-    sparsest first, and the copy is eliminated on integers, in place where
-    :func:`_eliminate` allows; it is made primitive (divided by the gcd of
-    its entries) only when it is stored as a pivot row and after each
-    back-substitution step.  The result maps each pivot, in increasing
+    integer row over the lcm of its denominators; the copy drops zero
+    entries (a row without any, the common case, is copied by ``dict``).
+    The rows are taken sparsest first, and the copy is eliminated on
+    integers, in place where :func:`_eliminate` allows; it is made primitive
+    (divided by the gcd of its entries) only when it is stored as a pivot
+    row and after each back-substitution step.  The result maps each pivot, in increasing
     order, to its row as ``(den, {j: num})``: the row is
     e_pivot + sum_j (num/den) e_j, with den > 0 and gcd(den, *num) = 1.
     The reduced form is unique for the column order, so neither the row
@@ -258,7 +274,9 @@ def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[in
     for row in sorted(rows, key=lambda r: (len(r), max(r, default=0))):
         if Fraction in map(type, row.values()):
             den = lcm(*(v.denominator for v in row.values()))
-            row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+            row = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
+        elif 0 in row.values():
+            row = {j: v for j, v in row.items() if v}
         else:
             row = dict(row)
         while row:
@@ -319,10 +337,32 @@ class RelationSystem:
 
     @classmethod
     def build(cls, space: str, weight: int) -> "RelationSystem":
+        """Reduce the defining rows of one weight, each swap pair as three rows.
+
+        Both expansions of P(k1,k2;d1,d2) are unchanged by the swap of
+        i = (k1,k2,d1,d2) to i' = (k2,k1,d2,d1), so the rows of i' are those
+        of i with P(i') in place of P(i), and the four rows of a swap pair
+        span the same space as the two rows of i and e_P(i') - e_P(i).  An
+        index that comes no later than its swap gives its two rows; a later
+        one i' gives that one row instead, once its rows are checked equal to
+        those of i outside their P column, P entry included, and else its two
+        rows.  Either way the rows span the row space of the raw rows, and
+        the reduced form is unique for the basis order, so the result is that
+        of the raw rows.  The rows go to :func:`_rref_blocks` by the k1 + k2
+        of their P term.
+        """
         space = _space(space)
         blocks: dict[int, list[dict[int, int]]] = {}
-        for block, _, row in _relation_rows(space, weight):
-            blocks.setdefault(block, []).append(row)
+        unpaired = {}  # index -> its P column and its rows outside it
+        for i, p, rows in _relation_rows(space, weight):
+            block = blocks.setdefault(i[0] + i[1], [])
+            outside = [(row.get(p), {j: n for j, n in row.items() if j != p}) for _, row in rows]
+            swap = unpaired.pop((i[1], i[0], i[3], i[2]), None)
+            if swap is not None and swap[1] == outside:
+                block.append({p: 1, swap[0]: -1})
+            else:
+                unpaired[i] = (p, outside)
+                block.extend(row for _, row in rows)
         return cls(space, weight, enumerate_generators(space, weight), _rref_blocks(blocks.values()))
 
     @property
@@ -572,11 +612,12 @@ def relation_rows(space: str, weight: int, reduced: bool = False,
             dense.append(vec)
         return basis, dense
     dense = []
-    for _, den, row in _relation_rows(space, weight):
-        vec = [Fraction(0)] * len(basis)
-        for j, n in row.items():
-            vec[j] = Fraction(n, den)
-        dense.append(vec)
+    for _, _, rows in _relation_rows(space, weight):
+        for den, row in rows:
+            vec = [Fraction(0)] * len(basis)
+            for j, n in row.items():
+                vec[j] = Fraction(n, den)
+            dense.append(vec)
     return basis, dense
 
 

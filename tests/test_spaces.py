@@ -261,8 +261,17 @@ def test_rref_leaves_its_input_rows_unchanged(case):
     assert (rows, groups) == before
 
 
+def _swap(p):
+    """The P generator of the swapped index: P(k2,k1;d2,d1), or ZP(k2,k1)."""
+    k1, k2, *d = p.args
+    return GP(k2, k1, d[1], d[0]) if p.kind == "GP" else ZP(k2, k1)
+
+
 @pytest.mark.parametrize("space, weights", [("E", range(1, 11)), ("Z", range(1, 17))])
 def test_build_rows_are_the_relation_rows_times_their_denominator(monkeypatch, space, weights):
+    # each row handed to _rref_blocks is a public relation row times its
+    # denominator, or e_P(i') - e_P(i) in place of the two rows of an index
+    # i' whose public rows equal those of its earlier swap i outside P
     built = []
     monkeypatch.setattr(spaces, "_rref_blocks", lambda blocks: built.append([list(b) for b in blocks]) or {})
     relations = eisenstein_relations if space == EISENSTEIN else zeta_relations
@@ -270,23 +279,99 @@ def test_build_rows_are_the_relation_rows_times_their_denominator(monkeypatch, s
         built.clear()
         RelationSystem.build(space, weight)
         index = {g: i for i, g in enumerate(enumerate_generators(space, weight))}
-        blocks = {}  # the public rows by the k1 + k2 of their P term, in order
+        by_p = {}  # the public rows of each P term, in order
         for rel in relations(weight):
             p = next(g for g in rel._terms if g.kind in ("GP", "ZP"))
             assert rel.coefficient(p) == 1
-            blocks.setdefault(p.args[0] + p.args[1], []).append((index[p], rel))
-        assert [len(b) for b in built[0]] == [len(b) for b in blocks.values()]
-        for rows, pairs in zip(built[0], blocks.values()):
-            for row, (p, rel) in zip(rows, pairs):
-                den = row[p]
-                assert den == lcm(*(c.denominator for _, c in rel.terms()))
-                assert all(type(n) is int for n in row.values())
-                assert row == {index[g]: c * den for g, c in rel.terms()}
+            by_p.setdefault(p, []).append(rel)
+        blocks, pairs = {}, 0  # the expected rows by the k1 + k2 of their P term, in order
+        for p, rels in by_p.items():
+            block = blocks.setdefault(p.args[0] + p.args[1], [])
+            q = _swap(p)
+            if index[q] < index[p]:
+                outside = [rel - FormalElement.single(p) for rel in rels]
+                assert outside == [rel - FormalElement.single(q) for rel in by_p[q]]
+                block.append({index[p]: 1, index[q]: -1})
+                pairs += 1
+                continue
+            for rel in rels:
+                den = lcm(*(c.denominator for _, c in rel.terms()))
+                block.append({index[g]: c * den for g, c in rel.terms()})
+        assert built[0] == list(blocks.values())
+        assert all(type(n) is int for rows in built[0] for row in rows for n in row.values())
+        # one row for each swap pair that is not a fixed index
+        assert 2 * pairs == sum(_swap(p) != p for p in by_p)
 
 
-@pytest.mark.parametrize("space, weight, index", [("E", 6, (2, 2, 1, 1)), ("Z", 7, (3, 4, 0, 0))])
-def test_a_perturbed_shuffle_coefficient_changes_the_reduced_rows(monkeypatch, space, weight, index):
-    # negative control for the build's rows: they come from shuffle_expansion
+def _raw_blocks(space, weight):
+    """The public relation rows times their denominators, as integer rows
+    over the basis, by the k1 + k2 of their P term."""
+    relations = eisenstein_relations if space == EISENSTEIN else zeta_relations
+    index = {g: i for i, g in enumerate(enumerate_generators(space, weight))}
+    blocks = {}
+    for rel in relations(weight):
+        p = next(g for g in rel._terms if g.kind in ("GP", "ZP"))
+        den = lcm(*(c.denominator for _, c in rel.terms()))
+        blocks.setdefault(p.args[0] + p.args[1], []).append({index[g]: int(c * den) for g, c in rel.terms()})
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize("space, weights", [("E", range(1, 13)), ("Z", range(1, 21))])
+def test_build_reduces_the_raw_rows(space, weights):
+    for weight in weights:
+        blocks = _raw_blocks(space, weight)
+        raw = _rref_blocks(blocks)
+        assert RelationSystem.build(space, weight)._rows == raw
+        if space == EISENSTEIN and weight >= 3:
+            # negative control: the raw rows are dependent
+            assert len(raw) < sum(map(len, blocks))
+
+
+def test_reduced_build_rows_have_full_rank(monkeypatch):
+    # the rows handed to _rref_blocks are independent in each block and
+    # altogether, checked through weight 16: with n = C(k+1, 3) depth-two
+    # indices of which f are their own swap, rank E_k = 3(n - f)/2 + 2f, so
+    # dim E_k = k + 2n - rank = k + (n - f)/2, and likewise for zeta
+    def reduce_at_full_rank(blocks):
+        reduced = [_rref(block) for block in blocks]
+        assert [len(r) for r in reduced] == [len(b) for b in blocks]
+        union = _rref([{c: den, **row} for r in reduced for c, (den, row) in r.items()])
+        assert len(union) == sum(map(len, reduced))
+        return union
+
+    monkeypatch.setattr(spaces, "_rref_blocks", lambda blocks: reduce_at_full_rank(list(blocks)))
+    for k in range(1, 17):
+        n, f = comb(k + 1, 3), (k // 2 if k % 2 == 0 else 0)
+        sys_ = RelationSystem.build("E", k)
+        assert sys_.rank == 3 * (n - f) // 2 + 2 * f
+        assert 2 * sys_.dimension == 2 * k + n - f
+        # negative control: the 2n raw rows span the same space, and are
+        # dependent from weight 3 on (test_build_reduces_the_raw_rows)
+        assert (sys_.rank < 2 * n) == (k >= 3)
+    for k in range(1, 21):
+        f = 1 if k % 2 == 0 else 0
+        sys_ = RelationSystem.build("Z", k)
+        assert sys_.rank == 3 * (k - 1 - f) // 2 + 2 * f
+        assert 2 * sys_.dimension == 2 + k - 1 - f
+
+
+@pytest.mark.parametrize("space, weight, index, handed", [
+    ("E", 6, (2, 2, 1, 1), 54),  # its own swap: both rows enter either way
+    ("Z", 7, (3, 4, 0, 0), 10),
+    ("E", 6, (1, 2, 0, 3), 55),
+], ids=["E-6-index0", "Z-7-index1", "E-6-index2"])
+def test_a_perturbed_shuffle_coefficient_changes_the_reduced_rows(monkeypatch, space, weight, index, handed):
+    # negative control for the build's rows: they come from shuffle_expansion,
+    # and the rows of a swap pair are checked equal before they are paired
+    counts = []
+    rref_blocks = spaces._rref_blocks
+
+    def counting(blocks):
+        blocks = list(blocks)
+        counts.append(sum(map(len, blocks)))
+        return rref_blocks(blocks)
+
+    monkeypatch.setattr(spaces, "_rref_blocks", counting)
     rows = RelationSystem.build(space, weight)._rows
     shuffle_expansion = spaces.shuffle_expansion
 
@@ -299,6 +384,54 @@ def test_a_perturbed_shuffle_coefficient_changes_the_reduced_rows(monkeypatch, s
 
     monkeypatch.setattr(spaces, "shuffle_expansion", perturbed)
     assert RelationSystem.build(space, weight)._rows != rows
+    assert counts == [{"E": 54, "Z": 9}[space], handed]
+
+
+def test_a_swap_pair_with_another_p_entry_enters_unreduced(monkeypatch):
+    # negative control for the P entry of the pairing check: the halved
+    # stuffle row of (2,1,3,0) equals that of (1,2,0,3) outside P, with P
+    # entry 2 for 1, so both its rows must enter
+    stuffle_expansion = spaces.stuffle_expansion
+
+    def halved(*i):
+        terms = stuffle_expansion(*i)
+        return [(j, Fraction(c, 2)) for j, c in terms] if i == (2, 1, 3, 0) else terms
+
+    monkeypatch.setattr(spaces, "stuffle_expansion", halved)
+    (den, row), (_, twin) = (spaces._integer_row(halved, *i) for i in ((2, 1, 3, 0), (1, 2, 0, 3)))
+    p, q = (spaces._column(*i) + comb(7, 3) for i in ((2, 1, 3, 0), (1, 2, 0, 3)))
+    assert (den, row.pop(p), twin.pop(q)) == (2, 2, 1) and row == twin
+    counts = []
+    rref_blocks = spaces._rref_blocks
+    monkeypatch.setattr(spaces, "_rref_blocks", lambda blocks: counts.append(sum(map(len, blocks))) or rref_blocks(blocks))
+    assert RelationSystem.build("E", 6)._rows == rref_blocks(_raw_blocks("E", 6))
+    assert counts == [55]
+
+
+def test_zero_entries_are_no_entries(monkeypatch):
+    assert _rref([{0: 0}]) == {}
+    assert _rref([{0: 1, 1: 0}, {0: 1}]) == {0: (1, {})}
+    reduced = _rref([{0: _F(1), 1: _F(0)}])
+    assert reduced == {0: (1, {})} and type(reduced[0][0]) is int
+    # a shuffle coefficient moved to 0 is a term dropped from the row
+    shuffle_expansion = spaces.shuffle_expansion
+
+    def moved(to):
+        def expansion(*i):
+            terms = shuffle_expansion(*i)
+            if i == (1, 3, 1, 1):
+                assert terms[0][1] == -1
+                terms = [(terms[0][0], c) for c in to] + terms[1:]
+            return terms
+        return expansion
+
+    monkeypatch.setattr(spaces, "shuffle_expansion", moved([0]))
+    den, row = spaces._integer_row(spaces.shuffle_expansion, 1, 3, 1, 1)
+    assert 0 not in row.values()
+    zero = RelationSystem.build("E", 6)._rows
+    monkeypatch.setattr(spaces, "shuffle_expansion", moved([]))
+    assert spaces._integer_row(spaces.shuffle_expansion, 1, 3, 1, 1) == (den, row)
+    assert zero == RelationSystem.build("E", 6)._rows
 
 
 def test_eisenstein_dimension_law():
