@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .series import QSeries
 from .multipoly import MultiPoly, divided_difference
 from .eisenstein import (
-    QuasimodularBasis,
     UnderdeterminedTruncationError,
     bernoulli,
     derived_eisenstein,
@@ -91,7 +90,6 @@ __all__ = [
     "MixedWeightError",
     "MultiPoly",
     "QSeries",
-    "QuasimodularBasis",
     "RelationSystem",
     "UnderdeterminedTruncationError",
     "Z1",

@@ -19,15 +19,15 @@ import sys
 from functools import cache
 
 from . import __version__
-from .elements import EISENSTEIN, FormalElement, MixedSpaceError, MixedWeightError, parse_genid
-from .eisenstein import UnderdeterminedTruncationError, recognize_quasimodular
+from .elements import EISENSTEIN, MixedSpaceError, MixedWeightError, parse_genid
+from .eisenstein import UnderdeterminedTruncationError, certified_order, recognize_quasimodular
 from .expressions import ExpressionSyntaxError, parse_expression
 from .identities import (
-    RAMANUJAN_ELEMENTS,
     identity_report,
     mfprod_i,
     mfprod_ii,
     parity_expression,
+    ramanujan,
     relprodandg,
     sum_formula,
 )
@@ -350,11 +350,22 @@ def _verify_instances(args):
     elif name == "ramanujan":
         top = _max_weight(args, 8)
         for which in ("G2", "G4", "G6"):
-            element = FormalElement(RAMANUJAN_ELEMENTS[which])
+            element = ramanujan(which)
             if element.weight <= top:
                 yield f"ramanujan {which}", {"which": which}, element
     else:
         raise UsageError(f"no instance family for {name!r}")
+
+
+def _require_order(args, weights, compared_below: int = 0):
+    """Refuse a --q-order that leaves a weight-w realization undetermined: it is
+    quasimodular, so zero once its coefficients of q^0..q^N are, N the
+    :func:`.eisenstein.certified_order` of w, and the check compares them
+    through the q-order less ``compared_below``."""
+    need, weight = max(((certified_order(w) + compared_below, w) for w in weights), default=(0, 0))
+    if args.q_order < need:
+        raise UsageError(f"--q-order {args.q_order} does not determine a weight-{weight} series; "
+                         f"verify --identity {args.identity} needs --q-order >= {need}")
 
 
 def _cmd_verify(args) -> int:
@@ -362,6 +373,8 @@ def _cmd_verify(args) -> int:
         weights = range(1, _max_weight(args, 8) + 1)
         if not weights:
             raise _no_instances(args)
+        # weight w compares series of weight w + 2 through q-order - 1
+        _require_order(args, [w + 2 for w in weights], 1)
         reports = []
         ok_all = True
         for weight in weights:
@@ -372,17 +385,19 @@ def _cmd_verify(args) -> int:
               [f"{r['name']}: {'ok' if r['holds'] else 'FAILED'}" for r in reports])
         return 0 if ok_all else 1
 
+    instances = list(_verify_instances(args))
+    if not instances:
+        raise _no_instances(args)
+    _require_order(args, [element.weight for _, _, element in instances if element])
     reports = []
     lines = []
     ok_all = True
-    for label, params, element in _verify_instances(args):
+    for label, params, element in instances:
         report = identity_report(args.identity, params, element, args.q_order, args.cache_dir)
         good = report["reduced_to_zero"] and report["realized_zero_to_order"] is not None
         ok_all &= good
         reports.append(report)
         lines.append(f"{label}: " + ("ok" if good else "FAILED"))
-    if not reports:
-        raise _no_instances(args)
     lines.append(f"{len(reports)} instances, " + ("all verified" if ok_all else "FAILURES present"))
     _emit(args, reports, lines)
     return 0 if ok_all else 1

@@ -2,16 +2,16 @@
 
 Products of the atoms (k, m) = (q d/dq)^m G_k are kept in one cache,
 ``_MONOMIALS``, keyed by sorted atom tuples; the realization values of
-:mod:`.kronecker` and the basis G2^a G4^b G6^c of recognition both read
-it.  Recognition row-reduces its linear system with :func:`.spaces._rref`
-and checks the solution on at least one coefficient it did not solve for.
+:mod:`.kronecker` and the monomials G2^a G4^b G6^c of one weight both read
+it, as does :func:`certified_order`.  Recognition row-reduces its linear
+system, the series' integer numerators, with :func:`.spaces._rref` and
+checks the solution on at least one coefficient it did not solve for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial, lcm
 
 from .series import QSeries, _reduced, cached_at_order, weighted_sum
@@ -106,21 +106,24 @@ def _product(atoms: tuple[tuple[int, int], ...], n_order: int) -> QSeries:
     return product_series(atoms[:-1], n_order) * product_series(atoms[-1:], n_order)
 
 
-@dataclass(frozen=True)
-class QuasimodularBasis:
-    """The monomial basis G2^a G4^b G6^c of one weight, with expansions."""
+def _monomial_series(weight: int, n_order: int) -> list[QSeries]:
+    """G2^a G4^b G6^c for the (a, b, c) of :func:`quasimodular_monomials`, in
+    that order: the products of a atoms (2, 0), b atoms (4, 0) and c atoms (6, 0)."""
+    return [product_series(((2, 0),) * a + ((4, 0),) * b + ((6, 0),) * c, n_order)
+            for a, b, c in quasimodular_monomials(weight)]
 
-    weight: int
-    monomials: tuple[tuple[int, int, int], ...]
-    expansions: tuple[QSeries, ...]
 
-    @classmethod
-    def build(cls, weight: int, n_order: int) -> "QuasimodularBasis":
-        mons = tuple(quasimodular_monomials(weight))
-        # G2^a G4^b G6^c is the product of a atoms (2, 0), b atoms (4, 0) and c atoms (6, 0)
-        exps = tuple(product_series(((2, 0),) * a + ((4, 0),) * b + ((6, 0),) * c, n_order)
-                     for a, b, c in mons)
-        return cls(weight, mons, exps)
+@cache
+def certified_order(weight: int) -> int:
+    """The least N such that the weight's monomials G2^a G4^b G6^c are linearly
+    independent on q^0..q^N, 0 for a weight with none: a weight-k quasimodular
+    form vanishes once its coefficients of q^0..q^N do.  With a row per
+    monomial keyed by q-exponent, the rank on q^0..q^N is the number of
+    :func:`.spaces._rref` pivots at most N; the q-order doubles until it is full."""
+    n_order = m = len(quasimodular_monomials(weight))
+    while len(reduced := _rref([dict(enumerate(e._n)) for e in _monomial_series(weight, n_order)])) < m:
+        n_order *= 2
+    return max(reduced, default=0)
 
 
 class UnderdeterminedTruncationError(ValueError):
@@ -140,20 +143,20 @@ def recognize_quasimodular(s: QSeries, weight: int) -> dict[tuple[int, int, int]
     small to decide: the series needs more coefficients than the basis has
     monomials, so that at least one of them is checked rather than solved for.
     """
-    basis = QuasimodularBasis.build(weight, s.order)
-    m = len(basis.monomials)
+    monomials = quasimodular_monomials(weight)
+    m = len(monomials)
     if m == 0:
         return {} if not s else None
     if s.order < m:
         raise UnderdeterminedTruncationError(
             f"{s.order + 1} q-coefficients for {m} weight-{weight} monomials leave no coefficient to check"
         )
-    # the augmented system: a column per monomial, then the series in column m
-    columns = basis.expansions + (s,)
-    reduced = _rref([
-        {j: c for j, e in enumerate(columns) if (c := e.coefficient(n))}
-        for n in range(m + 1)
-    ])
+    expansions = _monomial_series(weight, s.order)
+    # the augmented system: a column per monomial, then the series in column
+    # m; row n holds the coefficients of q^n times the lcm of their denominators
+    columns = expansions + [s]
+    common = lcm(*(e._d for e in columns))
+    reduced = _rref([{j: e._n[n] * (common // e._d) for j, e in enumerate(columns)} for n in range(m + 1)])
     if m in reduced:
         return None  # inconsistent: no expression exists
     if len(reduced) < m:
@@ -162,6 +165,6 @@ def recognize_quasimodular(s: QSeries, weight: int) -> dict[tuple[int, int, int]
         )
     solution = [Fraction(row.get(m, 0), den) for den, row in reduced.values()]
     # check every coefficient, those the solver did not consume among them
-    if weighted_sum(zip(basis.expansions, solution), s.order) != s:
+    if weighted_sum(zip(expansions, solution), s.order) != s:
         return None
-    return {mon: c for mon, c in zip(basis.monomials, solution) if c}
+    return {mon: c for mon, c in zip(monomials, solution) if c}

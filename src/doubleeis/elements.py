@@ -98,10 +98,6 @@ class GenId:
     def __repr__(self) -> str:
         return f"GenId(kind={self.kind!r}, args={self.args!r})"
 
-    @property
-    def depth(self) -> int:
-        return 1 if self.kind in ("G1", "Z1") else 2
-
     def sort_key(self):
         # matches the enumeration order: depth one by increasing d, depth two
         # lexicographic in (k1, d1, k2, d2), zeta generators by first index

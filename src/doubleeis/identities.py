@@ -21,7 +21,6 @@ from .action import GroupRingElem, MATRICES
 from .elements import EISENSTEIN, Combination, FormalElement, G1, G2, GP, GenId, generating_monomial
 from .kronecker import double_shuffle_form, realize_element
 from .multipoly import MultiPoly
-from .series import QSeries
 from .spaces import enumerate_generators, is_zero_in_space
 
 
@@ -152,30 +151,27 @@ RAMANUJAN_ELEMENTS = {
 }
 
 
-def ramanujan(which: str, q_order: int = 50) -> tuple[FormalElement, QSeries]:
-    """One of the three differential equations as a formal relation and its
-    realized q-series (the zero series when the identity holds).
+def ramanujan(which: str) -> FormalElement:
+    """One of the three differential equations as a formal relation.
 
     Under realization the three elements become q d/dq G_2 - 5 G_4 + 2 G_2^2,
     q d/dq G_4 - 14 G_6 + 8 G_2 G_4 and q d/dq G_6 - 120/7 G_4^2 + 12 G_2 G_6.
     """
     try:
-        element = FormalElement(RAMANUJAN_ELEMENTS[which])
+        return FormalElement(RAMANUJAN_ELEMENTS[which])
     except KeyError:
         raise ValueError(f"unknown equation {which!r}; choose G2, G4 or G6") from None
-    return element, realize_element(element, q_order)
 
 
-def ramanujan_printed_g4(q_order: int = 50) -> tuple[FormalElement, QSeries]:
+def ramanujan_printed_g4() -> FormalElement:
     """The weight-6 display with the 8 and 14 swapped; a negative control
     whose realization has a nonzero constant term."""
-    element = FormalElement([(G1(5, 1), 4), (G1(6, 0), -8), (GP(2, 4, 0, 0), 14)])
-    return element, realize_element(element, q_order)
+    return FormalElement([(G1(5, 1), 4), (G1(6, 0), -8), (GP(2, 4, 0, 0), 14)])
 
 
 # -- reporting ------------------------------------------------------------------
 
-def identity_report(name: str, params: dict, element: FormalElement, q_order: int = 50,
+def identity_report(name: str, params: dict, element: FormalElement, q_order: int,
                     cache_dir=None) -> dict:
     """Run both oracles on one identity instance and summarize as JSON data."""
     reduced = is_zero_in_space(element, cache_dir=cache_dir) if element else True

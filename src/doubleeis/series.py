@@ -78,10 +78,6 @@ class QSeries:
             raise IndexError(f"coefficient of q^{n} lies beyond truncation order {self.order}")
         return Fraction(self._n[n], self._d)
 
-    def coefficients(self) -> tuple[Fraction, ...]:
-        d = self._d
-        return tuple(Fraction(n, d) for n in self._n)
-
     def truncate(self, order: int) -> "QSeries":
         """Drop coefficients beyond ``order`` (which must lie in 0..self.order)."""
         if not 0 <= order <= self.order:

@@ -20,10 +20,10 @@ swap pair the one row e_P(i') - e_P(i) in place of its two, once they are
 checked equal to the rows of i outside their P column; no row it hands
 over is dependent, and the public rows stay raw.  The rows are reduced
 per block of equal k1 + k2, and the union of the blocks' reduced rows is
-reduced once more.  Each reduction takes the rows sparsest first, copies
-a row of ints as it is and clears the denominators of a row that holds a
-Fraction, drops zero entries, and eliminates on sparse integer rows,
-updated in place where the multiplier is 1 and made primitive (divided by
+reduced once more.  The elimination takes rows of ints keyed by column,
+the one form every caller hands it; it takes them sparsest first, copies
+each without its zero entries, and eliminates on the copies, updated in
+place where the multiplier is 1 and made primitive (divided by
 the gcd of their entries) only when stored as a pivot row and after each
 back-substitution step.  The reduced form is unique once the basis order
 is fixed, so it does not depend on these choices: the paired rows,
@@ -254,17 +254,15 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     return out
 
 
-def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[int, int]]]:
-    """Reduced row echelon form of sparse rows, pivoting on the first column.
+def _rref(rows: list[dict[int, int]]) -> dict[int, tuple[int, dict[int, int]]]:
+    """Reduced row echelon form of sparse integer rows, pivoting on the first column.
 
-    The entries are Fractions or ints; the input rows are left unchanged.
-    A row of ints is copied as it is, and a row that holds a Fraction as an
-    integer row over the lcm of its denominators; the copy drops zero
+    The input rows are left unchanged: each is copied, without its zero
     entries (a row without any, the common case, is copied by ``dict``).
-    The rows are taken sparsest first, and the copy is eliminated on
-    integers, in place where :func:`_eliminate` allows; it is made primitive
-    (divided by the gcd of its entries) only when it is stored as a pivot
-    row and after each back-substitution step.  The result maps each pivot, in increasing
+    The rows are taken sparsest first, and the copy is eliminated in place
+    where :func:`_eliminate` allows; it is made primitive (divided by the
+    gcd of its entries) only when it is stored as a pivot row and after
+    each back-substitution step.  The result maps each pivot, in increasing
     order, to its row as ``(den, {j: num})``: the row is
     e_pivot + sum_j (num/den) e_j, with den > 0 and gcd(den, *num) = 1.
     The reduced form is unique for the column order, so neither the row
@@ -272,10 +270,7 @@ def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[in
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=lambda r: (len(r), max(r, default=0))):
-        if Fraction in map(type, row.values()):
-            den = lcm(*(v.denominator for v in row.values()))
-            row = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
-        elif 0 in row.values():
+        if 0 in row.values():
             row = {j: v for j, v in row.items() if v}
         else:
             row = dict(row)
@@ -300,7 +295,7 @@ def _rref(rows: list[dict[int, Fraction | int]]) -> dict[int, tuple[int, dict[in
     return out
 
 
-def _rref_blocks(blocks: Iterable[list[dict[int, Fraction | int]]]) -> dict[int, tuple[int, dict[int, int]]]:
+def _rref_blocks(blocks: Iterable[list[dict[int, int]]]) -> dict[int, tuple[int, dict[int, int]]]:
     """:func:`_rref` of all the rows of some blocks, a partition of them.
 
     Each block is reduced apart; the union of the reduced rows, as integer
@@ -412,9 +407,6 @@ class RelationSystem:
         if not terms:
             return FormalElement.zero()
         return FormalElement._make(self.space, self.weight, terms)
-
-    def is_zero(self, element: FormalElement) -> bool:
-        return not self.normal_form(element)
 
     # -- serialization ----------------------------------------------------
 

@@ -248,6 +248,27 @@ def test_verify_ramanujan_checks_only_the_weights_within_the_bound(capsys):
     assert out == "ramanujan G2: ok\nramanujan G4: ok\nramanujan G6: ok\n3 instances, all verified\n"
 
 
+@pytest.mark.parametrize("family, below, certified, last_line", [
+    ("mfprod", "0", "6", "9 instances, all verified"),
+    ("ramanujan", "0", "3", "3 instances, all verified"),
+    ("sum-formula", "0", "4", "45 instances, all verified"),
+    ("diagram", "1", "5", "diagram weight 8: ok"),
+])
+def test_verify_refuses_a_q_order_that_decides_nothing(capsys, family, below, certified, last_line):
+    # the weight-k monomials in G2, G4, G6 are independent from q-order
+    # N_k = dim QM_k - 1 on; the largest weights are 12 (mfprod), 8
+    # (ramanujan) and 10 (sum-formula), and the diagram compares weight-10
+    # images through q-order - 1; below that order nothing is verified
+    for q in (below, str(int(certified) - 1)):
+        code, out, err = invoke(capsys, "verify", "--identity", family, "--q-order", q)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"needs --q-order >= {certified}" in err
+    # the control: at the certified order every instance is checked
+    code, out, _ = invoke(capsys, "verify", "--identity", family, "--q-order", certified)
+    assert code == 0 and out.splitlines()[-1] == last_line
+
+
 def test_verify_sum_formula_small(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--identity", "sum-formula", "--max-weight", "5", "--q-order", "10"

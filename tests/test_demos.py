@@ -1,7 +1,8 @@
 """The demo scripts print the same bytes as when their outputs were pinned.
 
 Each demo runs in a fresh interpreter with its own HOME and relation cache,
-and the sha256 of its standard output is compared with the recorded value.
+with every warning an error, and the sha256 of its standard output is
+compared with the recorded value.
 A change that alters a demo's output must re-record the digest here and say
 why the output changed.
 """
@@ -38,7 +39,7 @@ def test_demo_stdout_is_unchanged(tmp_path, name):
         DOUBLEEIS_CACHE_DIR=str(tmp_path / "cache"),
     )
     run = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / name)],
         env=env, cwd=tmp_path, capture_output=True, check=True,
     )
     assert hashlib.sha256(run.stdout).hexdigest() == DEMO_STDOUT_SHA256[name]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from doubleeis import eisenstein
 from doubleeis.eisenstein import (
-    QuasimodularBasis,
     UnderdeterminedTruncationError,
     bernoulli,
+    certified_order,
     derived_eisenstein,
     divisor_power_sums,
     eisenstein_qexp,
@@ -16,6 +17,7 @@ from doubleeis.eisenstein import (
     recognize_quasimodular,
 )
 from doubleeis.series import QSeries
+from doubleeis.spaces import _rref
 
 
 def akiyama_tanigawa(n):
@@ -113,9 +115,9 @@ def test_basis_expansions_are_the_monomial_powers(monkeypatch, orders):
     for n in orders:
         g2, g4, g6 = (eisenstein_qexp(k, n) for k in (2, 4, 6))
         for weight in (0, 2, 8, 12):
-            basis = QuasimodularBasis.build(weight, n)
-            assert basis.expansions == tuple(g2**a * g4**b * g6**c for a, b, c in basis.monomials)
-            assert all(e.order == n for e in basis.expansions)
+            expansions = eisenstein._monomial_series(weight, n)
+            assert expansions == [g2**a * g4**b * g6**c for a, b, c in quasimodular_monomials(weight)]
+            assert all(e.order == n for e in expansions)
     assert max(s.order for s in eisenstein._MONOMIALS.values()) == max(orders)
 
 
@@ -162,9 +164,8 @@ def test_recognition_leaves_a_coefficient_to_check():
 
 
 def _combination(weight, combo, n_order):
-    basis = QuasimodularBasis.build(weight, n_order)
     total = QSeries.zero(n_order)
-    for mon, e in zip(basis.monomials, basis.expansions):
+    for mon, e in zip(quasimodular_monomials(weight), eisenstein._monomial_series(weight, n_order)):
         total = total + e * combo.get(mon, 0)
     return total
 
@@ -194,3 +195,27 @@ def test_recognize_odd_weight():
 
 def test_recognize_zero_series():
     assert recognize_quasimodular(QSeries.zero(30), 8) == {}
+
+
+def _rank(expansions):
+    """The rank of the series' coefficient rows, each cleared of its denominators."""
+    rows = []
+    for s in expansions:
+        cs = [s.coefficient(n) for n in range(s.order + 1)]
+        den = lcm(*(c.denominator for c in cs))
+        rows.append({n: int(c * den) for n, c in enumerate(cs)})
+    return len(_rref(rows))
+
+
+def test_certified_order_is_one_below_the_quasimodular_dimension():
+    # N_k = dim QM_k - 1 for every even k <= 30, found by rank, not assumed
+    for k in range(31):
+        mons = quasimodular_monomials(k)
+        assert certified_order(k) == (len(mons) - 1 if k % 2 == 0 else 0)
+        if not mons:
+            continue
+        # independent on q^0..q^N, and the control: dependent on q^0..q^(N-1)
+        n = certified_order(k)
+        assert _rank(eisenstein._monomial_series(k, n)) == len(mons)
+        if n:
+            assert _rank(eisenstein._monomial_series(k, n - 1)) < len(mons)

@@ -30,7 +30,7 @@ def test_copies_and_pickles_are_the_same_object():
 
 def test_attributes_are_stored_and_immutable():
     g = G2(1, 2, 3, 4)
-    assert (g.kind, g.args, g.space, g.weight, g.depth) == ("G2", (1, 2, 3, 4), "E", 10, 2)
+    assert (g.kind, g.args, g.space, g.weight) == ("G2", (1, 2, 3, 4), "E", 10)
     assert (Z2(2, 3).space, Z2(2, 3).weight) == ("Z", 5)
     assert hash(g) == hash(("G2", (1, 2, 3, 4)))
     assert repr(g) == "GenId(kind='G2', args=(1, 2, 3, 4))"

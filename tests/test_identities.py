@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -15,7 +16,7 @@ from doubleeis.identities import (
     sum_formula,
 )
 from doubleeis.kronecker import realize_element
-from doubleeis.spaces import enumerate_generators, is_zero_in_space, normal_form
+from doubleeis.spaces import _rref, enumerate_generators, is_zero_in_space, normal_form, relation_system
 
 
 def test_sum_formula_weight_two():
@@ -89,6 +90,29 @@ def test_parity_expressions_match_their_digest():
     assert h.hexdigest() == PARITY_EXPRESSIONS_SHA256
 
 
+def _span(weight, gens):
+    """The dimension of the span of the generators' normal forms in E_weight."""
+    index = {g: i for i, g in enumerate(enumerate_generators(EISENSTEIN, weight))}
+    rows = []
+    for g in gens:
+        terms = normal_form(FormalElement.single(g)).terms()
+        den = lcm(*(c.denominator for _, c in terms))
+        rows.append({index[h]: int(c * den) for h, c in terms})
+    return len(_rref(rows))
+
+
+@pytest.mark.parametrize("weight, dimension", [(3, 5), (5, 15), (7, 35), (9, 69), (11, 121), (13, 195)])
+def test_depth_one_and_products_span_odd_weights(weight, dimension):
+    # the parity result at full strength: in odd weight the normal forms of
+    # the G(k;d) and the P generators span all of E_k
+    gens = enumerate_generators(EISENSTEIN, weight)
+    depth_one = [g for g in gens if g.kind == "G1"]
+    assert _span(weight, depth_one + [g for g in gens if g.kind == "GP"]) == dimension
+    assert relation_system(EISENSTEIN, weight).dimension == dimension
+    # negative control: the G(k;d) alone span only k
+    assert _span(weight, depth_one) == weight
+
+
 def test_parity_rejects_even_weight():
     with pytest.raises(ValueError):
         parity_expression(1, 1, 0, 0)
@@ -158,15 +182,15 @@ def test_mfprod_ii_reproduces_eisenstein_products():
 
 def test_ramanujan_equations():
     for which in ("G2", "G4", "G6"):
-        element, series = ramanujan(which, 25)
+        element = ramanujan(which)
         assert is_zero_in_space(element)
-        assert not series
+        assert not realize_element(element, 25)
 
 
 def test_ramanujan_realized_series_shape(kron50):
     from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp
 
-    _, series = ramanujan("G2", 30)
+    series = realize_element(ramanujan("G2"), 30)
     g2 = eisenstein_qexp(2, 30)
     g4 = eisenstein_qexp(4, 30)
     direct = derived_eisenstein(2, 1, 30) - g4 * 5 + g2 * g2 * 2
@@ -175,7 +199,8 @@ def test_ramanujan_realized_series_shape(kron50):
 
 
 def test_ramanujan_printed_variant_fails():
-    element, series = ramanujan_printed_g4(20)
+    element = ramanujan_printed_g4()
+    series = realize_element(element, 20)
     assert not is_zero_in_space(element)
     assert series
     # realized constant term: -8 * (-1/60480) + 14 * (-1/34560) = -11/40320
@@ -192,7 +217,6 @@ def test_identity_report():
     assert report["reduced_to_zero"] is True
     assert report["realized_zero_to_order"] == 20
     assert ["1", "G(2;1)"] in report["element"]
-    bad, _ = ramanujan_printed_g4(15)
-    report = identity_report("ramanujan-printed", {}, bad, 15)
+    report = identity_report("ramanujan-printed", {}, ramanujan_printed_g4(), 15)
     assert report["reduced_to_zero"] is False
     assert report["realized_zero_to_order"] is None
