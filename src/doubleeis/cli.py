@@ -247,12 +247,14 @@ def _cmd_realize(args) -> int:
         _emit(args, [{"gen": str(gen), "value": str(value), "provenance": "constant-term"}],
               [f"{gen} -> {value}"])
         return 0
+    if args.check_closed_form:
+        if gen.kind != "G2" or gen.args[2] or gen.args[3]:
+            raise UsageError("--check-closed-form applies to G(k1,k2;0,0) generators")
+        _require_order(args, [gen.weight], "realize --check-closed-form")
     series = realize_kronecker(gen, args.q_order)
     data = {"gen": str(gen), "value": series.to_text(), "provenance": "series-extraction"}
     lines = [f"{gen} -> {series.to_text()}"]
     if args.check_closed_form:
-        if gen.kind != "G2" or gen.args[2] or gen.args[3]:
-            raise UsageError("--check-closed-form applies to G(k1,k2;0,0) generators")
         closed = closed_form_depth2(gen.args[0], gen.args[1], args.q_order)
         data["closed_form"] = closed.to_text()
         data["matches"] = series == closed
@@ -293,6 +295,8 @@ def _cmd_fay(args) -> int:
         ok = fay_check(None, args.degree, args.q_order)
         label = "polar part"
     else:
+        # the cleared sum's coefficient at total degree t has weight t - 4, t <= degree + 5
+        _require_order(args, range(1, args.degree + 2), f"fay-check --degree {args.degree}")
         ok = fay_check(symbolic_b1(args.degree), args.degree, args.q_order)
         label = "Kronecker function"
     bound = {} if args.polar_only else {"q_order": args.q_order}  # none bounds a rational check
@@ -307,6 +311,8 @@ def _cmd_wplus(args) -> int:
     if polar:
         ok = wplus_check(kronecker_wplus_candidate(None, args.degree), args.degree, args.q_order)
     else:
+        # the numerator's coefficient at total degree t has weight t - 2, t <= degree + 4
+        _require_order(args, range(1, args.degree + 3), f"wplus-check --degree {args.degree}")
         ok = kronecker_wplus_check(args.degree, args.q_order)
     _emit(args, [{"candidate": args.candidate, "degree": args.degree,
                   **({} if polar else {"q_order": args.q_order}), "member": ok}],
@@ -357,24 +363,25 @@ def _verify_instances(args):
         raise UsageError(f"no instance family for {name!r}")
 
 
-def _require_order(args, weights, compared_below: int = 0):
-    """Refuse a --q-order that leaves a weight-w realization undetermined: it is
-    quasimodular, so zero once its coefficients of q^0..q^N are, N the
-    :func:`.eisenstein.certified_order` of w, and the check compares them
-    through the q-order less ``compared_below``."""
+def _require_order(args, weights, command: str, compared_below: int = 0):
+    """Refuse a --q-order at which ``command`` decides nothing: a weight-w
+    q-series it compares is quasimodular, so zero once its coefficients of
+    q^0..q^N are, N the :func:`.eisenstein.certified_order` of w, and the
+    command compares them through the q-order less ``compared_below``."""
     need, weight = max(((certified_order(w) + compared_below, w) for w in weights), default=(0, 0))
     if args.q_order < need:
         raise UsageError(f"--q-order {args.q_order} does not determine a weight-{weight} series; "
-                         f"verify --identity {args.identity} needs --q-order >= {need}")
+                         f"{command} needs --q-order >= {need}")
 
 
 def _cmd_verify(args) -> int:
+    command = f"verify --identity {args.identity}"
     if args.identity == "diagram":
         weights = range(1, _max_weight(args, 8) + 1)
         if not weights:
             raise _no_instances(args)
         # weight w compares series of weight w + 2 through q-order - 1
-        _require_order(args, [w + 2 for w in weights], 1)
+        _require_order(args, [w + 2 for w in weights], command, 1)
         reports = []
         ok_all = True
         for weight in weights:
@@ -388,7 +395,7 @@ def _cmd_verify(args) -> int:
     instances = list(_verify_instances(args))
     if not instances:
         raise _no_instances(args)
-    _require_order(args, [element.weight for _, _, element in instances if element])
+    _require_order(args, [element.weight for _, _, element in instances if element], command)
     reports = []
     lines = []
     ok_all = True

@@ -1,11 +1,11 @@
 """Bernoulli numbers, Eisenstein q-expansions, and quasimodular recognition.
 
 Products of the atoms (k, m) = (q d/dq)^m G_k are kept in one cache,
-``_MONOMIALS``, keyed by sorted atom tuples; the realization values of
-:mod:`.kronecker` and the monomials G2^a G4^b G6^c of one weight both read
-it, as does :func:`certified_order`.  Recognition row-reduces its linear
-system, the series' integer numerators, with :func:`.spaces._rref` and
-checks the solution on at least one coefficient it did not solve for.
+``_MONOMIALS``, keyed by sorted atom tuples; :func:`evaluate_atoms`, the one
+evaluation of the atom combinations of :mod:`.kronecker`, and the monomials
+G2^a G4^b G6^c of one weight read it.  Recognition row-reduces the series'
+integer numerators on q^0..q^N, N the :func:`certified_order`, with
+:func:`.spaces._rref` and checks the solution on the coefficients beyond.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial, lcm
 
-from .series import QSeries, _reduced, cached_at_order, weighted_sum
+from .series import QSeries, _reduced, weighted_sum
 from .spaces import _rref
 
 
@@ -93,8 +93,18 @@ _MONOMIALS: dict[tuple[tuple[int, int], ...], QSeries] = {}
 
 
 def product_series(atoms: tuple[tuple[int, int], ...], n_order: int) -> QSeries:
-    """The product of a sorted tuple of atoms (k, m), from the shared cache."""
-    return cached_at_order(_MONOMIALS, atoms, n_order, _product)
+    """The product of a sorted tuple of atoms (k, m), from the shared cache:
+    an entry kept at the largest order asked for serves every lower order."""
+    s = _MONOMIALS.get(atoms)
+    if s is None or s.order < n_order:
+        s = _MONOMIALS[atoms] = _product(atoms, n_order)
+    return s if s.order == n_order else s.truncate(n_order)
+
+
+def evaluate_atoms(terms, n_order: int) -> QSeries:
+    """The sum of c * product_series(m) over the (monomial m, rational c)
+    pairs of ``terms``, in one integer pass (:func:`.series.weighted_sum`)."""
+    return weighted_sum(((product_series(m, n_order), c) for m, c in terms), n_order)
 
 
 def _product(atoms: tuple[tuple[int, int], ...], n_order: int) -> QSeries:
@@ -133,36 +143,34 @@ class UnderdeterminedTruncationError(ValueError):
 def recognize_quasimodular(s: QSeries, weight: int) -> dict[tuple[int, int, int], Fraction] | None:
     """Express a q-series in the weight-graded basis G2^a G4^b G6^c.
 
-    Row-reduces the exact augmented system on the q-coefficients 0..m, m the
-    basis size, with :func:`.spaces._rref` and then checks the solution on
+    Row-reduces the exact augmented system on the q-coefficients 0..N, N the
+    :func:`certified_order` of the weight, on which the monomials are
+    independent, with :func:`.spaces._rref`, and then checks the solution on
     every stored coefficient, in one integer pass
-    (:func:`.series.weighted_sum`).  Returns a map from exponent triples to rational
-    coefficients (zeros omitted), or None when the series provably lies
-    outside the graded piece.  Raises
+    (:func:`.series.weighted_sum`).  Returns a map from exponent triples to
+    rational coefficients (zeros omitted), or None when the series provably
+    lies outside the graded piece.  Raises
     :class:`UnderdeterminedTruncationError` when the truncation order is too
-    small to decide: the series needs more coefficients than the basis has
-    monomials, so that at least one of them is checked rather than solved for.
+    small to decide: the series needs a coefficient beyond q^N, so that at
+    least one of them is checked rather than solved for.
     """
     monomials = quasimodular_monomials(weight)
     m = len(monomials)
     if m == 0:
         return {} if not s else None
-    if s.order < m:
+    n = certified_order(weight)
+    if s.order <= n:
         raise UnderdeterminedTruncationError(
             f"{s.order + 1} q-coefficients for {m} weight-{weight} monomials leave no coefficient to check"
         )
     expansions = _monomial_series(weight, s.order)
     # the augmented system: a column per monomial, then the series in column
-    # m; row n holds the coefficients of q^n times the lcm of their denominators
+    # m; row i holds the coefficients of q^i times the lcm of their denominators
     columns = expansions + [s]
     common = lcm(*(e._d for e in columns))
-    reduced = _rref([{j: e._n[n] * (common // e._d) for j, e in enumerate(columns)} for n in range(m + 1)])
+    reduced = _rref([{j: e._n[i] * (common // e._d) for j, e in enumerate(columns)} for i in range(n + 1)])
     if m in reduced:
         return None  # inconsistent: no expression exists
-    if len(reduced) < m:
-        raise UnderdeterminedTruncationError(
-            f"{m + 1} q-coefficients leave the weight-{weight} system underdetermined"
-        )
     solution = [Fraction(row.get(m, 0), den) for den, row in reduced.values()]
     # check every coefficient, those the solver did not consume among them
     if weighted_sum(zip(expansions, solution), s.order) != s:

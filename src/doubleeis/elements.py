@@ -203,12 +203,12 @@ class Combination(dict):
 
     The coefficients of the symbolic series are combinations: of generators
     in the generating series of :mod:`.identities`, and of atom monomials in
-    the symbolic b1 and b2 (:class:`.kronecker.AtomCombination`).  The unit
-    key ``()`` stands for 1, so a plain rational added to a combination
-    becomes a multiple of it.  The series and group-ring code needs sums,
-    negation, products and truthiness of a coefficient, so no term is zero:
-    the constructor takes nonzero terms, and each operation drops the terms
-    that cancel.  A result has the class of its combination operand.
+    the symbolic b1 and b2 of :mod:`.kronecker`, which
+    :func:`.eisenstein.evaluate_atoms` evaluates.  The unit key ``()`` stands
+    for 1, so a plain rational added to a combination becomes a multiple of
+    it.  The series and group-ring code needs sums, negation, products and
+    truthiness of a coefficient, so no term is zero: the constructor takes
+    nonzero terms, and each operation drops the terms that cancel.
     """
 
     __slots__ = ()
@@ -223,8 +223,8 @@ class Combination(dict):
         den = lcm(*(c.denominator for c in value.values()))
         return den, tuple((h, c.numerator * (den // c.denominator)) for h, c in value.items())
 
-    @classmethod
-    def product_sum(cls, pairs: list[tuple[tuple, tuple]]) -> "Combination":
+    @staticmethod
+    def product_sum(pairs: list[tuple[tuple, tuple]]) -> "Combination":
         """The sum of a * b over the pairs of forms of :meth:`integer_form`:
         the products are summed as integers over one common denominator, each
         total a Fraction once.  A product of two terms has the sorted join of
@@ -243,12 +243,12 @@ class Combination(dict):
                 for h1, v1 in t1:
                     h = tuple(sorted(h1 + h2)) if h1 else h2
                     acc[h] = acc.get(h, 0) + v1 * v2
-        return cls({h: Fraction(v, den) for h, v in acc.items() if v})
+        return Combination({h: Fraction(v, den) for h, v in acc.items() if v})
 
     def __add__(self, other) -> "Combination":
         if not isinstance(other, Combination):
             other = {(): other}  # a rational is a multiple of the unit key
-        t = type(self)(self)
+        t = Combination(self)
         for h, c in other.items():
             v = t.get(h, 0) + c
             if v:
@@ -260,13 +260,13 @@ class Combination(dict):
     __radd__ = __add__
 
     def __neg__(self) -> "Combination":
-        return type(self)({h: -c for h, c in self.items()})
+        return Combination({h: -c for h, c in self.items()})
 
     def __mul__(self, other) -> "Combination":
         if not isinstance(other, Combination):
             if not other:
-                return type(self)()
-            return type(self)({h: c * other for h, c in self.items()})
+                return Combination()
+            return Combination({h: c * other for h, c in self.items()})
         return self.product_sum([(self.integer_form(self), self.integer_form(other))])
 
     __rmul__ = __mul__

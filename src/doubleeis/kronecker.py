@@ -12,8 +12,10 @@ in the quasimodular ring.  Taking constant terms gives the rational
 
 ``b2`` is bilinear in ``b1``, so each of its coefficients is one rational
 combination of products (q d/dq)^m1 G_k1 (q d/dq)^m2 G_k2 at every q-order.
-Both are built with :class:`AtomCombination` coefficients, the
-:class:`.elements.Combination` of atom monomials.  ``b2`` is built from
+Both are built with :class:`.elements.Combination` coefficients whose keys
+are atom monomials: the atom (k, m) stands for (q d/dq)^m G_k, a monomial is
+a sorted tuple of atoms, and the unit key ``()`` is the empty monomial, the
+constant 1.  ``b2`` is built from
 P = b1(X1;Y1) b1(X2;Y2) and the divided differences R* and Rsh of b1, the
 three acted on by their group-ring elements in one pass
 (:func:`.action.act_group_ring_sum`): each monomial is expanded once for
@@ -28,12 +30,11 @@ its own weight.
 
 Like the maps of :mod:`.maps`, the realization caches one image per
 generator, its atom combination, and extends linearly by
-:func:`.elements.linear_extension`.  A combination is evaluated at the
-q-order asked for as the sum of product series times rationals, read from
-the one product cache of :mod:`.eisenstein`, in one integer pass over one
-common denominator (:func:`.series.weighted_sum`).  The cleared Fay sum is
-formed over the atoms in the same way; each coefficient is evaluated once,
-at the q-order asked for, which still bounds the comparison.
+:func:`.elements.linear_extension`.  Every atom combination, an image, a
+table entry or a coefficient of the cleared Fay sum, is evaluated once, at
+the q-order asked for, by :func:`.eisenstein.evaluate_atoms`: product
+series from the one cache of :mod:`.eisenstein` times rationals, summed in
+one integer pass over one common denominator.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cache
 from math import comb, factorial
 
 from .action import GroupRingElem, MATRICES, act, act_group_ring, act_group_ring_sum
-from .eisenstein import derived_eisenstein, eisenstein_qexp, product_series
+from .eisenstein import derived_eisenstein, eisenstein_qexp, evaluate_atoms
 from .elements import (
     EISENSTEIN,
     Combination,
@@ -55,7 +56,7 @@ from .elements import (
 )
 from .maps import map_partial
 from .multipoly import LinForm, MultiPoly, X2, Y2, divided_difference
-from .series import QSeries, weighted_sum
+from .series import QSeries
 from .spaces import enumerate_generators
 
 
@@ -68,7 +69,7 @@ def kronecker_b1(degree: int, q_order: int) -> MultiPoly:
     ``q_order``, supported on odd r+s only.  The series-convention entry
     (the coefficient of X^r Y^s/s!) is s! times the stored one.
     """
-    return symbolic_b1(degree).map_coefficients(lambda c: c.evaluate(q_order))
+    return symbolic_b1(degree).map_coefficients(lambda c: evaluate_atoms(c.items(), q_order))
 
 
 def _at(t: MultiPoly, x: LinForm, y: LinForm) -> MultiPoly:
@@ -115,7 +116,7 @@ def build_b2(b1, degree: int, lowest: int = 0) -> MultiPoly:
     coefficientwise below the truncation.  The input table must carry
     entries one degree beyond the requested output degree, because divided
     differences lower the exact degree by one.  The coefficients may be
-    q-series or :class:`AtomCombination` values.
+    q-series or atom combinations (:class:`.elements.Combination`).
 
     Only the pieces of total degree ``lowest`` through ``degree`` are built
     and returned: the action keeps each piece's degree, so a piece needs
@@ -133,29 +134,16 @@ def build_b2(b1, degree: int, lowest: int = 0) -> MultiPoly:
 
 # -- the symbolic b1 and b2 ----------------------------------------------------
 
-class AtomCombination(Combination):
-    """A coefficient of the symbolic b1 or b2: a :class:`.elements.Combination`
-    of monomials.  The atom (k, m) stands for (q d/dq)^m G_k, a monomial is a
-    sorted tuple of atoms, and the unit key ``()`` is the empty monomial, the
-    constant 1.
-    """
-
-    __slots__ = ()
-
-    def evaluate(self, q_order: int) -> QSeries:
-        """The combination as a q-series truncated at ``q_order``."""
-        return weighted_sum(((product_series(m, q_order), c) for m, c in self.items()), q_order)
-
-
 @cache
 def symbolic_b1(degree: int) -> MultiPoly:
-    """The series of :func:`kronecker_b1` with one atom (k, m) per coefficient."""
+    """The series of :func:`kronecker_b1` with one atom (k, m) per coefficient,
+    a one-term :class:`.elements.Combination`."""
     terms = {}
     for r in range(degree + 1):
         for s in range(degree + 1 - r):
             if (r + s) % 2:  # otherwise k = |r-s|+1 is odd and G_k vanishes
                 c = Fraction(factorial(abs(r - s)), factorial(r) * factorial(s))
-                terms[(r, 0, s, 0)] = AtomCombination({((abs(r - s) + 1, min(r, s)),): c})
+                terms[(r, 0, s, 0)] = Combination({((abs(r - s) + 1, min(r, s)),): c})
     return MultiPoly(terms, degree)
 
 
@@ -185,7 +173,7 @@ def _vanishes(p: MultiPoly, q_order: int) -> bool:
     evaluated at q-order ``q_order``, any other coefficient is taken as it is,
     so a q-series is compared at the order it carries."""
     return not p.map_coefficients(
-        lambda c: c.evaluate(q_order) if isinstance(c, AtomCombination) else c)
+        lambda c: evaluate_atoms(c.items(), q_order) if isinstance(c, Combination) else c)
 
 
 def fay_numerator(n: MultiPoly) -> MultiPoly:
@@ -223,8 +211,8 @@ def fay_check(regular, degree: int, q_order: int) -> bool:
     ``degree`` + 2 and starts in degree 1, so a product of two is exact
     through ``degree`` + 3, and times the quadratic through ``degree`` + 5,
     which reaches the entries of the table through ``degree``.  The sum is
-    formed in the coefficients of ``regular`` (rationals, q-series or
-    :class:`AtomCombination` values), and only at the end are its atom
+    formed in the coefficients of ``regular`` (rationals, q-series or atom
+    combinations), and only at the end are its atom
     combinations evaluated at q-order ``q_order``.  A q-series coefficient
     is compared at the order it carries, so a q-series table is built at
     ``q_order``, as ``kronecker_b1(degree, q_order)`` is.
@@ -284,18 +272,18 @@ def _image(gen: GenId) -> tuple[tuple[tuple, Fraction], ...]:
         raise ValueError("the Kronecker realization is defined on the Eisenstein space")
     if gen.kind == "GP":
         k1, k2, d1, d2 = gen.args
-        c = AtomCombination(_image(G1(k1, d1))) * AtomCombination(_image(G1(k2, d2)))
+        c = Combination(_image(G1(k1, d1))) * Combination(_image(G1(k2, d2)))
     else:
         exps, scale = generating_monomial(gen)
         series = symbolic_b1(gen.weight - 1) if gen.kind == "G1" else _b2_piece(gen.weight - 2)
-        c = (series.coefficient(exps) or AtomCombination()) * scale
+        c = (series.coefficient(exps) or Combination()) * scale
     return tuple(c.items())
 
 
 class KroneckerRealization:
     """The Kronecker realization at one q-order: a generator's cached atom
     combination, or the linear extension of those of an element's generators,
-    evaluated once at the q-order."""
+    evaluated once at the q-order by :func:`.eisenstein.evaluate_atoms`."""
 
     def __init__(self, q_order: int):
         if q_order < 0:
@@ -303,10 +291,10 @@ class KroneckerRealization:
         self.q_order = q_order
 
     def value(self, gen: GenId) -> QSeries:
-        return AtomCombination(_image(gen)).evaluate(self.q_order)
+        return evaluate_atoms(_image(gen), self.q_order)
 
     def element_value(self, element: FormalElement) -> QSeries:
-        return AtomCombination(linear_extension(_image, element._terms.items())).evaluate(self.q_order)
+        return evaluate_atoms(linear_extension(_image, element._terms.items()).items(), self.q_order)
 
 
 def realize_kronecker(gen: GenId, q_order: int) -> QSeries:

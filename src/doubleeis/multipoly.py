@@ -109,14 +109,14 @@ def _combiner(coefficients) -> tuple[Callable, Callable]:
     list of pairs of prepared values, coefficients or integers, each value
     prepared once.
 
-    When the coefficients other than rationals share one :class:`.elements.Combination`
-    class, they are its ``integer_form`` and ``product_sum``, which sum on
-    integers; otherwise each value is itself and the pairs are summed with *
-    and +.
+    When the coefficients other than rationals are all
+    :class:`.elements.Combination` values, they are its ``integer_form`` and
+    ``product_sum``, which sum on integers; otherwise (q-series, formal
+    elements, or a mix of kinds) each value is itself and the pairs are
+    summed with * and +.
     """
-    kinds = {type(c) for c in coefficients} - {int, Fraction}
-    if len(kinds) == 1 and issubclass(kind := kinds.pop(), Combination):
-        return kind.integer_form, kind.product_sum
+    if {type(c) for c in coefficients} - {int, Fraction} == {Combination}:
+        return Combination.integer_form, Combination.product_sum
     return _same, _sum_of_products
 
 

@@ -197,14 +197,3 @@ def weighted_sum(terms: Iterable[tuple[QSeries, Fraction]], order: int) -> QSeri
         total = [a + f * b for a, b in zip(total, s._n)]
     return _reduced(total, den)
 
-
-def cached_at_order(cache: dict, key, order: int, make) -> QSeries:
-    """``cache[key]`` truncated at ``order``, from ``make(key, order)`` when missing or too short.
-
-    Truncation commutes with sums and products, so an entry kept at the
-    largest order asked for serves every lower order.
-    """
-    s = cache.get(key)
-    if s is None or s.order < order:
-        s = cache[key] = make(key, order)
-    return s if s.order == order else s.truncate(order)

@@ -17,7 +17,7 @@ from doubleeis.action import (
     parse_group_ring,
 )
 from doubleeis.elements import G1, G2, GP, Combination, FormalElement, MixedWeightError
-from doubleeis.kronecker import AtomCombination, kronecker_wplus_candidate, wplus_check
+from doubleeis.kronecker import kronecker_wplus_candidate, wplus_check
 from doubleeis.multipoly import MultiPoly, divided_difference
 from doubleeis.series import QSeries
 
@@ -139,7 +139,7 @@ def test_symmetrization():
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 _atoms = st.sampled_from(((), ((2, 0),), ((4, 0),), ((2, 0), (4, 0)), ((3, 1), (5, 0))))
-_atom_combinations = st.dictionaries(_atoms, _fractions.filter(bool), max_size=3).map(AtomCombination)
+_atom_combinations = st.dictionaries(_atoms, _fractions.filter(bool), max_size=3).map(Combination)
 _weight4 = st.sampled_from((G1(4, 0), G1(3, 1), G2(2, 2, 0, 0), G2(1, 3, 0, 0), GP(2, 2, 0, 0)))
 _formal_elements = st.dictionaries(_weight4, _fractions, max_size=3).map(FormalElement)
 _generator_combinations = st.dictionaries(_weight4, _fractions.filter(bool), max_size=3).map(Combination)
@@ -183,33 +183,33 @@ def test_one_pass_action_equals_the_term_by_term_sum(named_terms, p):
         assert fused != _term_by_term(named_terms[:i] + named_terms[i + 1:], p)
 
 
-def _linear_combination(kind, pairs):
-    """The sum of n * c over the (combination, integer) pairs, by ``kind.product_sum``."""
-    return kind.product_sum([(kind.integer_form(c), kind.integer_form(n)) for c, n in pairs])
+def _linear_combination(pairs):
+    """The sum of n * c over the (combination, integer) pairs, by ``Combination.product_sum``."""
+    return Combination.product_sum([(Combination.integer_form(c), Combination.integer_form(n))
+                                    for c, n in pairs])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.lists(st.tuples(_atom_combinations, st.integers(-4, 4)), min_size=1, max_size=4),
                  st.lists(st.tuples(_generator_combinations, st.integers(-4, 4)), min_size=1, max_size=4)))
 def test_integer_coefficient_sum_equals_the_chained_sum(pairs):
-    kind = type(pairs[0][0])
     chained = pairs[0][0] * pairs[0][1]
     for c, n in pairs[1:]:
         chained = chained + c * n
-    assert _linear_combination(kind, pairs) == chained
-    assert type(_linear_combination(kind, pairs)) is type(chained) is kind
+    assert _linear_combination(pairs) == chained
+    assert type(_linear_combination(pairs)) is type(chained) is Combination
     # negative control: leaving out a pair that contributes changes the sum
     contributing = [i for i, (c, n) in enumerate(pairs) if c and n]
     if contributing:
         i = contributing[0]
-        assert _linear_combination(kind, pairs[:i] + pairs[i + 1:]) != chained
+        assert _linear_combination(pairs[:i] + pairs[i + 1:]) != chained
 
 
 def test_integer_coefficient_sums_that_cancel():
-    atoms = AtomCombination({((2, 0),): Fraction(1, 3), ((4, 0),): Fraction(-2, 5)})
-    assert _linear_combination(AtomCombination, [(atoms, 3), (atoms, -3)]) == {}
+    atoms = Combination({((2, 0),): Fraction(1, 3), ((4, 0),): Fraction(-2, 5)})
+    assert _linear_combination([(atoms, 3), (atoms, -3)]) == {}
     gens = Combination({G1(4, 0): Fraction(1, 2), GP(2, 2, 0, 0): Fraction(3)})
-    assert _linear_combination(Combination, [(gens, 2), (gens, -2)]) == {}
+    assert _linear_combination([(gens, 2), (gens, -2)]) == {}
     # on a series: 1 - epsilon kills an epsilon-symmetric one, and the monomials go
     for c in (atoms, gens):
         p = MultiPoly({(1, 0, 0, 1): c, (0, 1, 1, 0): c}, 5)  # X1 Y2 + X2 Y1

@@ -216,6 +216,25 @@ def test_polar_checks_take_no_q_order(capsys, argv):
     assert out == "Fay identity for the Kronecker function at degree 6, q-order 4: verified\n"
 
 
+@pytest.mark.parametrize("argv, certified, last_line", [
+    (("fay-check", "--degree", "9"), 4, "Fay identity for the Kronecker function at degree 9, q-order 4: verified"),
+    (("wplus-check", "--candidate", "kronecker", "--degree", "6"), 3, "kronecker candidate in the bi-period space: yes"),
+    (("realize", "--gen", "G(1,11;0,0)", "--check-closed-form"), 6, "matches: True"),
+])
+def test_checks_refuse_a_q_order_that_decides_nothing(capsys, argv, certified, last_line):
+    # the cleared Fay sum at degree 9 holds series of weight up to 10, the W+
+    # numerator at degree 6 up to 8, and the closed form of G(1,11;0,0) has
+    # weight 12: independent monomials need q-orders 4, 3 and 6
+    for q in (0, certified - 1):
+        code, out, err = invoke(capsys, *argv, "--q-order", str(q))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{argv[0]} " in err and f"needs --q-order >= {certified}" in err
+    # the control: at the certified order the check runs and holds
+    code, out, _ = invoke(capsys, *argv, "--q-order", str(certified))
+    assert code == 0 and out.splitlines()[-1] == last_line
+
+
 def test_polar_checks_report_no_q_order(capsys):
     # no q-order bounds a polar check, so its row and line name none
     code, out, _ = invoke(capsys, "fay-check", "--polar-only", "--degree", "8")
@@ -534,7 +553,7 @@ def test_determinism(capsys):
 @pytest.mark.parametrize("value", ["10", "1_0", "\u0663", "+10", "1e1"])
 @pytest.mark.parametrize("argv", [
     ("realize", "--gen", "G(2;0)", "--q-order"),
-    ("fay-check", "--q-order", "2", "--degree"),
+    ("fay-check", "--q-order", "4", "--degree"),  # degree 10 needs q-order 4
     ("verify", "--identity", "sum-formula", "--q-order", "4", "--max-weight"),
     ("relations", "--space", "Z", "--weight"),
 ])

@@ -16,6 +16,8 @@ from doubleeis.eisenstein import (
     quasimodular_monomials,
     recognize_quasimodular,
 )
+from doubleeis.elements import G1
+from doubleeis.kronecker import realize_kronecker
 from doubleeis.series import QSeries
 from doubleeis.spaces import _rref
 
@@ -161,6 +163,17 @@ def test_recognition_leaves_a_coefficient_to_check():
     # the control: one more coefficient is checked, and this one fails
     assert recognize_quasimodular(QSeries([1, 2, 3, 5, 7, 11, 13, 17]), 12) is None
     assert recognize_quasimodular(eisenstein_qexp(4, 7) ** 3, 12) == {(0, 3, 0): 1}
+    # the realized G(k;0) through q^N, N the certified order, for every even
+    # k <= 24; the control: one coefficient more is checked, and as it is the
+    # expression is the one a long series gives, changed there is none
+    for k in range(2, 25, 2):
+        n = certified_order(k)
+        with pytest.raises(UnderdeterminedTruncationError, match="no coefficient to check"):
+            recognize_quasimodular(realize_kronecker(G1(k, 0), n), k)
+        s = realize_kronecker(G1(k, 0), n + 1)
+        combo = recognize_quasimodular(s, k)
+        assert combo and combo == recognize_quasimodular(realize_kronecker(G1(k, 0), 40), k)
+        assert recognize_quasimodular(s + QSeries.monomial(1, n + 1, n + 1), k) is None
 
 
 def _combination(weight, combo, n_order):

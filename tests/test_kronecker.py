@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from doubleeis import eisenstein, kronecker
 from doubleeis.action import GroupRingElem, MATRICES, act, act_group_ring
-from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp, recognize_quasimodular
-from doubleeis.elements import EISENSTEIN, FormalElement, G1, G2, GP, Z1
+from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp, evaluate_atoms, recognize_quasimodular
+from doubleeis.elements import EISENSTEIN, Combination, FormalElement, G1, G2, GP, Z1
 from doubleeis.kronecker import (
-    AtomCombination,
     KroneckerRealization,
     build_b2,
     check_derivation_diagram,
@@ -117,7 +116,7 @@ def test_b2_zero_input():
 
 
 def test_b2_q_derivative_equals_pairing_operator():
-    b2 = _symbolic_b2(6).truncate(6).map_coefficients(lambda c: c.evaluate(8))
+    b2 = _symbolic_b2(6).truncate(6).map_coefficients(lambda c: evaluate_atoms(c.items(), 8))
     lhs = b2.map_coefficients(lambda s: s.qderive()).truncate(4)
     rhs = (b2.partial(0).partial(2) + b2.partial(1).partial(3)).truncate(4)
     assert lhs == rhs
@@ -420,7 +419,7 @@ def test_realization_matches_golden_digest(q_order):
 
 
 def test_evaluated_symbolic_b2_equals_series_construction():
-    evaluated = _symbolic_b2(6).truncate(6).map_coefficients(lambda c: c.evaluate(10))
+    evaluated = _symbolic_b2(6).truncate(6).map_coefficients(lambda c: evaluate_atoms(c.items(), 10))
     direct = build_b2(kronecker_b1(7, 10), 6)
     assert evaluated.cap == direct.cap == 6
     assert evaluated._t.keys() == direct._t.keys()
@@ -455,7 +454,7 @@ def test_symbolic_b2_has_bilinear_coefficients():
     b2 = _symbolic_b2(6)
     assert b2
     for c in b2._t.values():
-        assert isinstance(c, AtomCombination)
+        assert type(c) is Combination
         assert all(1 <= len(m) <= 2 for m in c)
 
 
@@ -521,6 +520,20 @@ def test_fay_check_fails_with_one_atom_coefficient_doubled(key):
     assert not fay_check(bad, 6, 5)
 
 
+def test_fay_check_at_q_order_zero_decides_nothing():
+    # the (6,0,1,0) entry is the atom (q d/dq) G_6, with no constant term, so
+    # doubling it leaves every constant term of the cleared sum as it was
+    b1 = symbolic_b1(9)
+    key = (6, 0, 1, 0)
+    assert list(b1.coefficient(key)) == [((6, 1),)]
+    bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
+    assert fay_check(bad, 9, 0)
+    # the control: from q-order 1 on the doubled entry shows
+    for q_order in range(1, 7):
+        assert fay_check(b1, 9, q_order)
+        assert not fay_check(bad, 9, q_order)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3, 6, 8])
 def test_fay_check_reaches_every_entry_through_its_degree(degree):
     # the cleared sum is kept exact through total degree degree + 5, which
@@ -584,12 +597,12 @@ def test_fay_check_fails_with_a_rational_perturbation(key):
 
 
 def test_rationals_are_multiples_of_the_empty_monomial():
-    g2 = AtomCombination({((2, 0),): Fraction(1)})
+    g2 = Combination({((2, 0),): Fraction(1)})
     expected = eisenstein_qexp(2, 6) + Fraction(1, 2)
-    assert (g2 + Fraction(1, 2)).evaluate(6) == expected
-    assert (Fraction(1, 2) + g2).evaluate(6) == expected
-    assert AtomCombination({(): 3}).evaluate(4) == QSeries.constant(3, 4)
-    assert AtomCombination().evaluate(2) == QSeries.zero(2)
+    assert evaluate_atoms((g2 + Fraction(1, 2)).items(), 6) == expected
+    assert evaluate_atoms((Fraction(1, 2) + g2).items(), 6) == expected
+    assert evaluate_atoms({(): 3}.items(), 4) == QSeries.constant(3, 4)
+    assert evaluate_atoms((), 2) == QSeries.zero(2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -684,15 +697,15 @@ def test_evaluate_is_the_combination_of_monomial_series(terms, q_order):
         for k, d in m:
             product = product * derived_eisenstein(k, d, q_order)
         expected = expected + product * c
-    assert AtomCombination(terms).evaluate(q_order) == expected
+    assert evaluate_atoms(terms.items(), q_order) == expected
 
 
 def test_atom_combination_results_hold_no_zero_terms():
-    g2 = AtomCombination({((2, 0),): Fraction(1), (): Fraction(3)})
-    assert g2 * 0 == {} and type(g2 * 0) is AtomCombination
+    g2 = Combination({((2, 0),): Fraction(1), (): Fraction(3)})
+    assert g2 * 0 == {} and type(g2 * 0) is Combination
     assert g2 + (-g2) == {}
     assert g2 + -3 == {((2, 0),): 1}
-    square = AtomCombination({((2, 0),): 1, (): 1}) * AtomCombination({((2, 0),): 1, (): -1})
+    square = Combination({((2, 0),): 1, (): 1}) * Combination({((2, 0),): 1, (): -1})
     assert square == {((2, 0), (2, 0)): 1, (): -1}
 
 
@@ -722,7 +735,7 @@ def test_evaluate_equals_the_term_by_term_sum(terms, q_order):
             total = total + eisenstein.product_series(m, q_order) * c
         return total
 
-    value = AtomCombination(terms).evaluate(q_order)
+    value = evaluate_atoms(terms.items(), q_order)
     assert value.order == q_order
     assert value == term_by_term(terms)
     # negative control: leaving out a term changes the sum unless its series is zero
@@ -736,7 +749,7 @@ _mixed_coefficients = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
     st.dictionaries(st.sampled_from(((), ((2, 0),), ((4, 0),), ((2, 0), (4, 0)))),
                     st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
-                    min_size=1, max_size=3).map(AtomCombination),
+                    min_size=1, max_size=3).map(Combination),
 )
 _mixed_polys = st.builds(
     MultiPoly,
@@ -748,7 +761,7 @@ _mixed_polys = st.builds(
 def _term_by_term_product(a, b):
     """a * b one atom product at a time, each coefficient lifted to a combination."""
     def lifted(c):
-        return c.items() if isinstance(c, AtomCombination) else [((), c)]
+        return c.items() if isinstance(c, Combination) else [((), c)]
 
     cap = (a * b).cap
     total: dict = {}
@@ -758,8 +771,8 @@ def _term_by_term_product(a, b):
             if cap is None or sum(key) <= cap:
                 for m1, v1 in lifted(c1):
                     for m2, v2 in lifted(c2):
-                        term = AtomCombination({tuple(sorted(m1 + m2)): v1 * v2})
-                        total[key] = total.get(key, AtomCombination()) + term
+                        term = Combination({tuple(sorted(m1 + m2)): v1 * v2})
+                        total[key] = total.get(key, Combination()) + term
     return {k: c for k, c in total.items() if c}
 
 
@@ -769,24 +782,24 @@ def test_products_with_rational_and_atom_coefficients_equal_the_term_by_term_pro
     product = a * b
     assert all(c for _, c in product.terms())
     expected = _term_by_term_product(a, b)
-    assert {k: AtomCombination() + c for k, c in product.terms()} == expected
+    assert {k: Combination() + c for k, c in product.terms()} == expected
     # negative control: the product with one coefficient of b doubled differs
     if a and b:
         k, c = b.terms()[0]
         doubled = MultiPoly({**b._t, k: c * 2}, b.cap)
         if _term_by_term_product(a, doubled) != expected:
-            assert {k: AtomCombination() + c for k, c in (a * doubled).terms()} != expected
+            assert {k: Combination() + c for k, c in (a * doubled).terms()} != expected
 
 
 def test_products_drop_the_terms_that_cancel():
-    g2 = AtomCombination({((2, 0),): Fraction(1)})
+    g2 = Combination({((2, 0),): Fraction(1)})
     a = MultiPoly({(1, 0, 0, 0): g2, (0, 1, 0, 0): Fraction(1, 2)}, None)  # g2 X1 + X2/2
     c = MultiPoly({(1, 0, 0, 0): -g2, (0, 1, 0, 0): Fraction(1, 2)}, None)  # -g2 X1 + X2/2
     # the X1 X2 contributions g2/2 and -g2/2 cancel, and the monomial goes;
     # the rational 1/4 is a multiple of the empty monomial
     product = a * c
-    assert product._t == {(2, 0, 0, 0): AtomCombination({((2, 0), (2, 0)): Fraction(-1)}),
-                          (0, 2, 0, 0): AtomCombination({(): Fraction(1, 4)})}
+    assert product._t == {(2, 0, 0, 0): Combination({((2, 0), (2, 0)): Fraction(-1)}),
+                          (0, 2, 0, 0): Combination({(): Fraction(1, 4)})}
     # control: with the sign of g2 X1 in c flipped the X1 X2 terms add up instead
     flipped = a * MultiPoly({(1, 0, 0, 0): g2, (0, 1, 0, 0): Fraction(1, 2)}, None)
     assert flipped.coefficient((1, 1, 0, 0)) == g2
