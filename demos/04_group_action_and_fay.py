@@ -33,12 +33,12 @@ print("  A^3 == -identity:", m["A"] ** 3 == m["sigma"])
 print()
 
 print("Fay identity after clearing X1 X2 (X1-X2) Y1 Y2 (Y1+Y2):")
-print("  bare pole part -(1/X + 1/Y)/2:", fay_check(None, 8, 6))
-print("  full Kronecker function:      ", fay_check(kronecker_b1(8, 10), 8, 10))
+print("  bare pole part -(1/X + 1/Y)/2:", fay_check(None, 8))
+print("  full Kronecker function:      ", fay_check(kronecker_b1(8, 10), 8))
 print()
 
 print("Bi-period membership (killed by 1+U+U^2, 1+S, 1-epsilon):")
 from doubleeis import wplus_check
 
-print("  (1/X1 + 1/Y1)(1/X2 + 1/Y2):", wplus_check(kronecker_wplus_candidate(None, 6), 6, 4))
-print("  two-point Kronecker product:", kronecker_wplus_check(6, 8))
+print("  (1/X1 + 1/Y1)(1/X2 + 1/Y2):", wplus_check(kronecker_wplus_candidate(None, 6), 6))
+print("  two-point Kronecker product:", kronecker_wplus_check(6))

@@ -20,7 +20,7 @@ from functools import cache
 
 from . import __version__
 from .elements import EISENSTEIN, MixedSpaceError, MixedWeightError, parse_genid
-from .eisenstein import UnderdeterminedTruncationError, certified_order, recognize_quasimodular
+from .eisenstein import certified_order, recognize_quasimodular
 from .expressions import ExpressionSyntaxError, parse_expression
 from .identities import (
     identity_report,
@@ -88,6 +88,10 @@ def _check_bounds(args):
         raise UsageError("--q-order applies to the Kronecker function; the polar part is rational")
     if getattr(args, "identity", None) == "diagram" and args.cache_dir is not None:
         raise UsageError("--cache-dir applies to the reduced identities, not to the diagram check")
+    if args.command == "map" and not args.reduce and args.cache_dir is not None:
+        raise UsageError("--cache-dir applies to map --reduce only")
+    if args.command == "relations" and not args.reduced and args.cache_dir is not None:
+        raise UsageError("--cache-dir applies to relations --reduced only")
     for flag in ("q_order", "degree", "max_weight", "weight"):
         text = getattr(args, flag, None)
         if text is None:
@@ -269,11 +273,9 @@ def _cmd_realize(args) -> int:
 
 def _cmd_recognize(args) -> int:
     gen = parse_genid(args.gen)
-    series = realize_kronecker(gen, args.q_order)
-    try:
-        combo = recognize_quasimodular(series, gen.weight)
-    except UnderdeterminedTruncationError as exc:
-        raise UsageError(str(exc)) from None
+    # recognition solves on q^0..q^N and checks at least one coefficient beyond
+    _require_order(args, [gen.weight], "recognize", 1)
+    combo = recognize_quasimodular(realize_kronecker(gen, args.q_order), gen.weight)
     if combo is None:
         _emit(args, [{"gen": str(gen), "quasimodular": False}],
               [f"{gen}: not quasimodular of weight {gen.weight} (to the given order)"])
@@ -292,12 +294,12 @@ def _cmd_fay(args) -> int:
     if args.degree < 1:
         raise UsageError(f"fay-check needs --degree >= 1; degree {args.degree} checks nothing")
     if args.polar_only:
-        ok = fay_check(None, args.degree, args.q_order)
+        ok = fay_check(None, args.degree)
         label = "polar part"
     else:
-        # the cleared sum's coefficient at total degree t has weight t - 4, t <= degree + 5
+        # exact; the q-order reported decides weight t - 4 at total degree t <= degree + 5
         _require_order(args, range(1, args.degree + 2), f"fay-check --degree {args.degree}")
-        ok = fay_check(symbolic_b1(args.degree), args.degree, args.q_order)
+        ok = fay_check(symbolic_b1(args.degree), args.degree)
         label = "Kronecker function"
     bound = {} if args.polar_only else {"q_order": args.q_order}  # none bounds a rational check
     _emit(args, [{"candidate": label, "degree": args.degree, **bound, "holds": ok}],
@@ -309,11 +311,11 @@ def _cmd_fay(args) -> int:
 def _cmd_wplus(args) -> int:
     polar = args.candidate == "polar"
     if polar:
-        ok = wplus_check(kronecker_wplus_candidate(None, args.degree), args.degree, args.q_order)
+        ok = wplus_check(kronecker_wplus_candidate(None, args.degree), args.degree)
     else:
-        # the numerator's coefficient at total degree t has weight t - 2, t <= degree + 4
+        # exact; the q-order reported decides weight t - 2 at total degree t <= degree + 4
         _require_order(args, range(1, args.degree + 3), f"wplus-check --degree {args.degree}")
-        ok = kronecker_wplus_check(args.degree, args.q_order)
+        ok = kronecker_wplus_check(args.degree)
     _emit(args, [{"candidate": args.candidate, "degree": args.degree,
                   **({} if polar else {"q_order": args.q_order}), "member": ok}],
           [f"{args.candidate} candidate in the bi-period space: " + ("yes" if ok else "NO")])
@@ -367,10 +369,11 @@ def _require_order(args, weights, command: str, compared_below: int = 0):
     """Refuse a --q-order at which ``command`` decides nothing: a weight-w
     q-series it compares is quasimodular, so zero once its coefficients of
     q^0..q^N are, N the :func:`.eisenstein.certified_order` of w, and the
-    command compares them through the q-order less ``compared_below``."""
+    command needs ``compared_below`` coefficients beyond those (the diagram
+    compares through q-order - 1, recognition checks past q^N)."""
     need, weight = max(((certified_order(w) + compared_below, w) for w in weights), default=(0, 0))
     if args.q_order < need:
-        raise UsageError(f"--q-order {args.q_order} does not determine a weight-{weight} series; "
+        raise UsageError(f"--q-order {args.q_order} is too low to decide a weight-{weight} series; "
                          f"{command} needs --q-order >= {need}")
 
 

@@ -3,9 +3,11 @@
 Products of the atoms (k, m) = (q d/dq)^m G_k are kept in one cache,
 ``_MONOMIALS``, keyed by sorted atom tuples; :func:`evaluate_atoms`, the one
 evaluation of the atom combinations of :mod:`.kronecker`, and the monomials
-G2^a G4^b G6^c of one weight read it.  Recognition row-reduces the series'
-integer numerators on q^0..q^N, N the :func:`certified_order`, with
-:func:`.spaces._rref` and checks the solution on the coefficients beyond.
+G2^a G4^b G6^c of one weight read it; :func:`atoms_vanish`, the one zero
+test of an atom combination, evaluates each weight's piece on q^0..q^N, N
+the :func:`certified_order` of the weight.  Recognition row-reduces the
+series' integer numerators on q^0..q^N with :func:`.spaces._rref` and
+checks the solution on the coefficients beyond.
 """
 
 from __future__ import annotations
@@ -134,6 +136,18 @@ def certified_order(weight: int) -> int:
     while len(reduced := _rref([dict(enumerate(e._n)) for e in _monomial_series(weight, n_order)])) < m:
         n_order *= 2
     return max(reduced, default=0)
+
+
+def atoms_vanish(terms) -> bool:
+    """Whether the combination of :func:`evaluate_atoms` of the (monomial,
+    rational) pairs ``terms`` is zero, decided exactly: the pairs are grouped
+    by the weight of the monomial, the sum of k + 2m over its atoms (k, m),
+    and each group, a quasimodular form of its weight, is evaluated on
+    q^0..q^N, N the :func:`certified_order` of the weight."""
+    pieces: dict[int, list] = {}
+    for m, c in terms:
+        pieces.setdefault(sum(k + 2 * d for k, d in m), []).append((m, c))
+    return not any(evaluate_atoms(piece, certified_order(w)) for w, piece in pieces.items())
 
 
 class UnderdeterminedTruncationError(ValueError):

@@ -30,11 +30,13 @@ its own weight.
 
 Like the maps of :mod:`.maps`, the realization caches one image per
 generator, its atom combination, and extends linearly by
-:func:`.elements.linear_extension`.  Every atom combination, an image, a
-table entry or a coefficient of the cleared Fay sum, is evaluated once, at
-the q-order asked for, by :func:`.eisenstein.evaluate_atoms`: product
-series from the one cache of :mod:`.eisenstein` times rationals, summed in
-one integer pass over one common denominator.
+:func:`.elements.linear_extension`.  An image or a table entry is evaluated
+once, at the q-order asked for, by :func:`.eisenstein.evaluate_atoms`:
+product series from the one cache of :mod:`.eisenstein` times rationals,
+summed in one integer pass over one common denominator.  The Fay and
+bi-period checks take no q-order: each coefficient of a cleared sum is
+decided exactly by :func:`.eisenstein.atoms_vanish`, weight by weight at
+its certified order.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import cache
 from math import comb, factorial
 
 from .action import GroupRingElem, MATRICES, act, act_group_ring, act_group_ring_sum
-from .eisenstein import derived_eisenstein, eisenstein_qexp, evaluate_atoms
+from .eisenstein import atoms_vanish, derived_eisenstein, eisenstein_qexp, evaluate_atoms
 from .elements import (
     EISENSTEIN,
     Combination,
@@ -168,12 +170,13 @@ def _cleared(regular, degree: int) -> MultiPoly:
             + MultiPoly({(1, 0, 0, 0): half, (0, 0, 1, 0): half}))
 
 
-def _vanishes(p: MultiPoly, q_order: int) -> bool:
+def _vanishes(p: MultiPoly) -> bool:
     """Whether every stored coefficient of p is zero: an atom combination is
-    evaluated at q-order ``q_order``, any other coefficient is taken as it is,
-    so a q-series is compared at the order it carries."""
-    return not p.map_coefficients(
-        lambda c: evaluate_atoms(c.items(), q_order) if isinstance(c, Combination) else c)
+    decided exactly by :func:`.eisenstein.atoms_vanish`, any other coefficient
+    is taken as it is, so a rational is compared exactly and a q-series, as
+    in a table built by ``kronecker_b1(degree, q_order)``, at the order it
+    carries (a stored coefficient is never zero)."""
+    return all(isinstance(c, Combination) and atoms_vanish(c.items()) for c in p._t.values())
 
 
 def fay_numerator(n: MultiPoly) -> MultiPoly:
@@ -195,7 +198,7 @@ def fay_numerator(n: MultiPoly) -> MultiPoly:
     return n * quadratic - act(u, n) * x2y1 + act(u * u, n) * x1y2
 
 
-def fay_check(regular, degree: int, q_order: int) -> bool:
+def fay_check(regular, degree: int) -> bool:
     """Verify the three-term Fay identity for -(1/X+1/Y)/2 + regular.
 
     The three products are summed after clearing the common denominator
@@ -207,17 +210,15 @@ def fay_check(regular, degree: int, q_order: int) -> bool:
 
     the 1 + U + U^2 condition of the bi-period space on C(X1;Y1) C(X2;Y2)
     (:func:`fay_numerator`).  It must vanish identically up to total degree
-    ``degree`` + 5 and q-order ``q_order``: every C is exact through
-    ``degree`` + 2 and starts in degree 1, so a product of two is exact
-    through ``degree`` + 3, and times the quadratic through ``degree`` + 5,
-    which reaches the entries of the table through ``degree``.  The sum is
+    ``degree`` + 5: every C is exact through ``degree`` + 2 and starts in
+    degree 1, so a product of two is exact through ``degree`` + 3, and times
+    the quadratic through ``degree`` + 5, which reaches the entries of the
+    table through ``degree``.  The sum is
     formed in the coefficients of ``regular`` (rationals, q-series or atom
-    combinations), and only at the end are its atom
-    combinations evaluated at q-order ``q_order``.  A q-series coefficient
-    is compared at the order it carries, so a q-series table is built at
-    ``q_order``, as ``kronecker_b1(degree, q_order)`` is.
+    combinations), and only at the end is each coefficient tested by
+    :func:`_vanishes`.
     """
-    return _vanishes(fay_numerator(pair_product(_cleared(regular, degree))), q_order)
+    return _vanishes(fay_numerator(pair_product(_cleared(regular, degree))))
 
 
 def kronecker_wplus_candidate(regular, degree: int) -> MultiPoly:
@@ -233,7 +234,7 @@ def kronecker_wplus_candidate(regular, degree: int) -> MultiPoly:
     return pair_product(_cleared(regular, degree + 1))
 
 
-def wplus_check(numerator: MultiPoly, degree: int, q_order: int) -> bool:
+def wplus_check(numerator: MultiPoly, degree: int) -> bool:
     """Test membership in the odd/symmetric bi-period space.
 
     The candidate is ``numerator`` over X1 X2 Y1 Y2.  It belongs to the
@@ -244,8 +245,7 @@ def wplus_check(numerator: MultiPoly, degree: int, q_order: int) -> bool:
     :func:`fay_numerator`.  They are compared through total degree
     ``degree`` of the candidate, so through ``degree`` + 4 of the numerator
     (and ``degree`` + 6 of the 1 + U + U^2 numerator, whose denominator
-    has degree 6), with atom combinations evaluated at q-order ``q_order``
-    and q-series coefficients compared at the order they carry.  A
+    has degree 6), each coefficient tested by :func:`_vanishes`.  A
     numerator exact through less is rejected rather than checked short.
     """
     through = degree + 4
@@ -253,9 +253,9 @@ def wplus_check(numerator: MultiPoly, degree: int, q_order: int) -> bool:
         raise ValueError(f"the candidate's numerator is exact through degree {numerator.cap}, "
                          f"not the {through} that degree {degree} needs")
     n = numerator.truncate(through)
-    return (_vanishes(fay_numerator(n), q_order)
-            and _vanishes(act_group_ring(1 + _GR(MATRICES["S"]), n), q_order)
-            and _vanishes(act_group_ring(1 - _EPS, n), q_order))
+    return (_vanishes(fay_numerator(n))
+            and _vanishes(act_group_ring(1 + _GR(MATRICES["S"]), n))
+            and _vanishes(act_group_ring(1 - _EPS, n)))
 
 
 # -- coefficient extraction ---------------------------------------------------
@@ -366,9 +366,8 @@ def check_derivation_diagram(weight: int, q_order: int) -> bool:
     return True
 
 
-def kronecker_wplus_check(degree: int, q_order: int) -> bool:
+def kronecker_wplus_check(degree: int) -> bool:
     """Membership of the two-point Kronecker product in the bi-period space,
-    through total degree ``degree`` and q-order ``q_order``, built over the
-    atoms of :func:`symbolic_b1`."""
+    through total degree ``degree``, built over the atoms of :func:`symbolic_b1`."""
     candidate = kronecker_wplus_candidate(symbolic_b1(degree + 1), degree)
-    return wplus_check(candidate, degree, q_order)
+    return wplus_check(candidate, degree)

@@ -285,20 +285,20 @@ def test_group_ring_parser_errors():
 
 def test_wplus_polar_product(kron50):
     candidate = kronecker_wplus_candidate(None, 6)
-    assert wplus_check(candidate, 6, 4)
+    assert wplus_check(candidate, 6)
 
 
 def test_wplus_rejects_bare_monomial():
     # the bare monomial X1 is the numerator X1^2 X2 Y1 Y2 over X1 X2 Y1 Y2
     one = QSeries.constant(1, 4)
     candidate = MultiPoly.monomial((2, 1, 1, 1), one, 10)
-    assert not wplus_check(candidate, 6, 4)
+    assert not wplus_check(candidate, 6)
 
 
 def test_wplus_kronecker_product():
     from doubleeis.kronecker import kronecker_wplus_check
 
-    assert kronecker_wplus_check(6, 8)
+    assert kronecker_wplus_check(6)
 
 
 # one coefficient type for all the series of a sum

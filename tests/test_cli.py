@@ -182,6 +182,7 @@ def test_recognize_leaves_a_coefficient_to_check(capsys):
     code, out, err = invoke(capsys, "recognize", "--gen", "G(1,11;0,0)", "--q-order", "6")
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recognize needs --q-order >= 7" in err
     # the control: one coefficient more is checked and the output is as before
     code, out, _ = invoke(capsys, "recognize", "--gen", "G(1,11;0,0)", "--q-order", "7")
     assert code == 0
@@ -526,6 +527,24 @@ def test_the_diagram_check_takes_no_cache_dir(tmp_path, capsys):
     code, out, _ = invoke(capsys, "verify", "--identity", "ramanujan", "--max-weight", "4",
                           "--cache-dir", str(tmp_path))
     assert code == 0 and out
+
+
+# pi maps G(1;2) into the double zeta space, so map --reduce reads Z_3
+@pytest.mark.parametrize("argv, flag, written", [
+    (("map", "--which", "pi", "--expr", "G(1;2)"), "--reduce", "relations_Z_3.json"),
+    (("relations", "--weight", "3"), "--reduced", "relations_E_3.json"),
+])
+def test_cache_dir_is_refused_where_no_relation_system_is_read(tmp_path, capsys, monkeypatch, argv, flag,
+                                                               written):
+    monkeypatch.setattr(spaces, "_MEMO", {})  # a fresh process holds no system yet
+    code, out, err = invoke(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2 and not out
+    assert err.startswith("error: --cache-dir") and err.count("\n") == 1
+    assert not (tmp_path / "cache").exists()
+    # the control: with the flag that reduces, the cache file is written
+    code, out, _ = invoke(capsys, *argv, flag, "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0 and out
+    assert (tmp_path / "cache" / written).is_file()
 
 
 def test_one_parser_gives_each_command_its_own_defaults(capsys):

@@ -232,3 +232,22 @@ def test_certified_order_is_one_below_the_quasimodular_dimension():
         assert _rank(eisenstein._monomial_series(k, n)) == len(mons)
         if n:
             assert _rank(eisenstein._monomial_series(k, n - 1)) < len(mons)
+
+
+def test_atoms_vanish_decides_each_weight_apart():
+    g2, g4, g8 = ((2, 0),), ((4, 0),), ((8, 0),)
+    # G2 = -1/24 + q + ..., so G2 + 1/24 has no constant term, and evaluated
+    # as one series at q-order 0 it looks like zero; by weight, the rational
+    # (weight 0) and the atom (weight 2) are each nonzero
+    mixed = [(g2, Fraction(1)), ((), Fraction(1, 24))]
+    assert not eisenstein.evaluate_atoms(mixed, 0)
+    assert not eisenstein.atoms_vanish(mixed)
+    # the control: G4^2 = (7/6) G8 is decided zero, beside a zero odd-weight
+    # atom and with nothing at all
+    relation = [(g4 + g4, Fraction(1)), (g8, Fraction(-7, 6))]
+    assert eisenstein.atoms_vanish(relation)
+    assert eisenstein.atoms_vanish(relation + [(((3, 1),), Fraction(5))])
+    assert eisenstein.atoms_vanish([])
+    # a nonzero piece of one weight is not hidden by a zero piece of another
+    assert not eisenstein.atoms_vanish(relation + mixed)
+    assert not eisenstein.atoms_vanish(relation + [((), Fraction(1))])

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from doubleeis import eisenstein, kronecker
 from doubleeis.action import GroupRingElem, MATRICES, act, act_group_ring
-from doubleeis.eisenstein import derived_eisenstein, eisenstein_qexp, evaluate_atoms, recognize_quasimodular
+from doubleeis.eisenstein import (
+    certified_order,
+    derived_eisenstein,
+    eisenstein_qexp,
+    evaluate_atoms,
+    quasimodular_monomials,
+    recognize_quasimodular,
+)
 from doubleeis.elements import EISENSTEIN, Combination, FormalElement, G1, G2, GP, Z1
 from doubleeis.kronecker import (
     KroneckerRealization,
@@ -32,7 +39,7 @@ from doubleeis.kronecker import (
 )
 from doubleeis.multipoly import X1, X2, Y1, Y2, MultiPoly, divided_difference
 from doubleeis.series import QSeries
-from doubleeis.spaces import eisenstein_relations, enumerate_generators, normal_form, stuffle_row
+from doubleeis.spaces import _rref, eisenstein_relations, enumerate_generators, normal_form, stuffle_row
 
 M = MATRICES
 X1MX2, X1PX2, Y1MY2, Y1PY2 = (1, -1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -1), (0, 0, 1, 1)
@@ -214,21 +221,21 @@ def test_polar_solution_of_the_system():
 
 
 def test_fay_polar_only():
-    assert fay_check(None, 8, 4)
+    assert fay_check(None, 8)
 
 
 def test_fay_kronecker():
-    assert fay_check(kronecker_b1(6, 8), 6, 8)
+    assert fay_check(kronecker_b1(6, 8), 6)
 
 
 def test_fay_perturbed_fails():
     bad = MultiPoly({(1, 0, 0, 0): Fraction(1)}, None)
-    assert not fay_check(bad, 6, 4)
+    assert not fay_check(bad, 6)
 
 
 def test_fay_regular_part_alone_fails():
     without_pole = _pole_free_cleared(kronecker_b1(6, 6), 6)
-    assert not kronecker._vanishes(fay_numerator(pair_product(without_pole)), 6)
+    assert not kronecker._vanishes(fay_numerator(pair_product(without_pole)))
 
 
 # -- the Fay sum as the 1 + U + U^2 condition of the bi-period space ------------
@@ -503,10 +510,13 @@ def test_realization_truncates_consistently(gen, orders, low_first):
 
 @pytest.mark.parametrize("degree", range(1, 9))
 def test_fay_check_over_atoms_agrees_with_the_series_table(degree):
-    for q_order in (0, 1, 5, 10):
-        symbolic = fay_check(symbolic_b1(degree), degree, q_order)
-        assert symbolic == fay_check(kronecker_b1(degree, q_order), degree, q_order)
-        assert symbolic
+    # the cleared sum's coefficients have weights up to degree + 1, so a
+    # series table decides them from the largest certified order on
+    bound = max(certified_order(w) for w in range(1, degree + 2))
+    symbolic = fay_check(symbolic_b1(degree), degree)
+    assert symbolic
+    for q_order in (bound, bound + 5):
+        assert symbolic == fay_check(kronecker_b1(degree, q_order), degree)
 
 
 # at degree 6 the cleared sum keeps total degree 8, which the pole (degree 1)
@@ -516,22 +526,66 @@ def test_fay_check_over_atoms_agrees_with_the_series_table(degree):
 def test_fay_check_fails_with_one_atom_coefficient_doubled(key):
     b1 = symbolic_b1(6)
     bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
-    assert fay_check(b1, 6, 5)
-    assert not fay_check(bad, 6, 5)
+    assert fay_check(b1, 6)
+    assert not fay_check(bad, 6)
 
 
-def test_fay_check_at_q_order_zero_decides_nothing():
+def _at(table: MultiPoly, q_order: int) -> MultiPoly:
+    """A table of atom combinations evaluated at ``q_order``, as
+    :func:`kronecker_b1` evaluates :func:`symbolic_b1`."""
+    return table.map_coefficients(lambda c: evaluate_atoms(c.items(), q_order))
+
+
+def test_fay_check_is_exact():
     # the (6,0,1,0) entry is the atom (q d/dq) G_6, with no constant term, so
     # doubling it leaves every constant term of the cleared sum as it was
     b1 = symbolic_b1(9)
     key = (6, 0, 1, 0)
     assert list(b1.coefficient(key)) == [((6, 1),)]
     bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
-    assert fay_check(bad, 9, 0)
-    # the control: from q-order 1 on the doubled entry shows
+    assert fay_check(b1, 9)
+    assert not fay_check(bad, 9)
+    # the hazard lives only in q-series truncations: the perturbed table at
+    # q-order 0 passes, and from q-order 1 on the doubled entry shows
+    assert _at(b1, 3) == kronecker_b1(9, 3)
+    assert fay_check(_at(bad, 0), 9)
     for q_order in range(1, 7):
-        assert fay_check(b1, 9, q_order)
-        assert not fay_check(bad, 9, q_order)
+        assert fay_check(_at(b1, q_order), 9)
+        assert not fay_check(_at(bad, q_order), 9)
+
+
+def _vanishing_to_q5() -> Combination:
+    """delta: the weight-12 combination of G2^a G4^b G6^c that vanishes on
+    q^0..q^5, the kernel of the seven monomials' rows there; its first
+    nonzero coefficient is that of q^6, the certified order of weight 12."""
+    monomials = [((2, 0),) * a + ((4, 0),) * b + ((6, 0),) * c for a, b, c in quasimodular_monomials(12)]
+    series = [eisenstein.product_series(m, 5) for m in monomials]
+    rows = []
+    for i in range(6):
+        coefficients = [s.coefficient(i) for s in series]
+        den = lcm(*(c.denominator for c in coefficients))
+        rows.append({j: int(c * den) for j, c in enumerate(coefficients)})
+    reduced = _rref(rows)
+    (free,) = set(range(len(monomials))) - set(reduced)
+    solution = {free: Fraction(1)} | {p: Fraction(-row.get(free, 0), den) for p, (den, row) in reduced.items()}
+    return Combination({monomials[j]: c for j, c in solution.items() if c})
+
+
+def test_fay_check_sees_a_form_that_vanishes_below_its_certified_order():
+    delta = _vanishing_to_q5()
+    assert certified_order(12) == 6
+    assert not evaluate_atoms(delta.items(), 5)
+    assert evaluate_atoms(delta.items(), 6).coefficient(6) == Fraction(-65, 12)
+    # delta added to the G12 entry: the exact check sees it
+    b1 = symbolic_b1(11)
+    key = (11, 0, 0, 0)
+    assert list(b1.coefficient(key)) == [((12, 0),)]
+    bad = b1 + MultiPoly({key: delta}, b1.cap)
+    assert fay_check(b1, 11)
+    assert not fay_check(bad, 11)
+    # the control: a series table misses it below the certified order
+    assert fay_check(_at(bad, 5), 11)
+    assert not fay_check(_at(bad, 6), 11)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 6, 8])
@@ -540,10 +594,10 @@ def test_fay_check_reaches_every_entry_through_its_degree(degree):
     # the pole times a cleared entry times the quadratic factor reaches for
     # every entry of b1 through the degree checked
     b1 = symbolic_b1(degree)
-    assert fay_check(b1, degree, 5)
+    assert fay_check(b1, degree)
     for key in sorted(b1._t):
         bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
-        assert not fay_check(bad, degree, 5), key
+        assert not fay_check(bad, degree), key
 
 
 def test_wplus_check_reaches_every_entry_through_its_degree():
@@ -551,19 +605,22 @@ def test_wplus_check_reaches_every_entry_through_its_degree():
     # pole (degree -1) times an entry of b1 reaches for every entry through
     # degree 7
     b1 = kronecker_b1(8, 8)
-    assert wplus_check(kronecker_wplus_candidate(b1, 6), 6, 8)
+    assert wplus_check(kronecker_wplus_candidate(b1, 6), 6)
     for key in sorted(b1.truncate(7)._t):
         bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
-        assert not wplus_check(kronecker_wplus_candidate(bad, 6), 6, 8), key
+        assert not wplus_check(kronecker_wplus_candidate(bad, 6), 6), key
 
 
 @pytest.mark.parametrize("degree", [4, 6])
 def test_wplus_check_over_atoms_agrees_with_the_series_table(degree):
-    for q_order in (0, 8):
-        symbolic = wplus_check(kronecker_wplus_candidate(symbolic_b1(degree + 1), degree), degree, q_order)
+    # the numerator's coefficients have weights up to degree + 2, so a series
+    # table decides them from the largest certified order on
+    bound = max(certified_order(w) for w in range(1, degree + 3))
+    symbolic = wplus_check(kronecker_wplus_candidate(symbolic_b1(degree + 1), degree), degree)
+    assert symbolic
+    for q_order in (bound, bound + 5):
         series = kronecker_wplus_candidate(kronecker_b1(degree + 1, q_order), degree)
-        assert symbolic == wplus_check(series, degree, q_order)
-        assert symbolic
+        assert symbolic == wplus_check(series, degree)
 
 
 # an entry of the lowest, a middle and the top degree of b1 through degree 7;
@@ -572,20 +629,20 @@ def test_wplus_check_over_atoms_agrees_with_the_series_table(degree):
 def test_wplus_check_over_atoms_fails_with_one_atom_coefficient_doubled(key):
     b1 = symbolic_b1(7)
     bad = b1 + MultiPoly({key: b1.coefficient(key)}, b1.cap)
-    assert not wplus_check(kronecker_wplus_candidate(bad, 6), 6, 8)
+    assert not wplus_check(kronecker_wplus_candidate(bad, 6), 6)
 
 
 def test_wplus_candidate_must_be_exact_through_the_degree():
     with pytest.raises(ValueError):
-        wplus_check(kronecker_wplus_candidate(kronecker_b1(5, 8), 6), 6, 8)
+        wplus_check(kronecker_wplus_candidate(kronecker_b1(5, 8), 6), 6)
 
 
 def test_fay_check_over_atoms_needs_the_pole():
     # without the pole only products of two regular terms remain; they reach
     # the kept total degree 3 + 3 + 2 = degree + 2 from degree 6 on
-    for degree, q_order in ((8, 20), (6, 0)):
+    for degree in (6, 8):
         without_pole = _pole_free_cleared(symbolic_b1(degree), degree)
-        assert not kronecker._vanishes(fay_numerator(pair_product(without_pole)), q_order)
+        assert not kronecker._vanishes(fay_numerator(pair_product(without_pole)))
 
 
 @pytest.mark.parametrize("key", [(2, 0, 1, 0), (1, 0, 0, 0)])
@@ -593,7 +650,7 @@ def test_fay_check_fails_with_a_rational_perturbation(key):
     # (2,0,1,0) adds a new rational entry; (1,0,0,0) adds to the G2 atom,
     # so the rational lands on the empty monomial
     bad = symbolic_b1(6) + MultiPoly({key: Fraction(1, 7)}, 6)
-    assert not fay_check(bad, 6, 5)
+    assert not fay_check(bad, 6)
 
 
 def test_rationals_are_multiples_of_the_empty_monomial():
